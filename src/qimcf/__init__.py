@@ -10,12 +10,12 @@ from .ambient import (BergerParams, TangentFrame, apply_J, berger_inner,
                       curvature_tensor, hopf_frame, ricci_check, sectional,
                       verify_ambient)
 from .config import ConfigError, ExperimentConfig, parse_config
-from .flow import (DiagnosticsRecord, FlowState, MeanConvexityLost,
-                   StepControl, StiffnessError, initial_profile,
-                   integrate_sphere_ode, pde_rhs, q_evolution_rhs, run_flow,
-                   sphere_ode_rhs, step)
-from .geometry import (A_norm_sq, ProfileDerivatives, Q_functional,
-                       RadialProfile, ShapePointData, area_element,
+from .flow import (DiagnosticsRecord, FlowError, FlowState,
+                   MeanConvexityLost, NonFiniteState, StepControl,
+                   StiffnessError, initial_profile, integrate_sphere_ode,
+                   pde_rhs, q_evolution_rhs, run_flow, sphere_ode_rhs, step)
+from .geometry import (A_norm_sq, Grid, ProfileDerivatives, Q_functional,
+                       RadialProfile, area_element, cached_grid, evaluate,
                        general_mean_curvature, hat_H, make_theta_grid,
                        mean_curvature_profile, mean_curvature_reduced,
                        orbit_integral, orbit_weights, profile_derivatives,

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .flow import initial_profile
-from .geometry import mean_curvature_profile, profile_derivatives
+from .geometry import profile_derivatives
 
 INITIAL_KINDS = ("sphere", "bump", "tau_family")
 
@@ -125,8 +125,11 @@ def check_mean_convexity(cfg: ExperimentConfig):
     the error lists the offending theta values to make the bad amplitude
     obvious.
     """
-    profile = build_initial_profile(cfg)
-    H = mean_curvature_profile(profile, profile_derivatives(profile))
+    try:
+        profile = build_initial_profile(cfg)
+    except ValueError as err:
+        raise ConfigError(f"initial profile is not a radial graph: {err}")
+    H = profile_derivatives(profile).H
     bad = np.flatnonzero(H <= 0)
     if bad.size:
         shown = ", ".join(f"{profile.theta[k]:.4f}" for k in bad[:5])

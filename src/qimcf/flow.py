@@ -17,9 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (RadialProfile, a_norm_sq_profile, area_element,
-                       hat_H, make_theta_grid, mean_curvature_profile,
-                       orbit_integral, orbit_weights, profile_derivatives)
+from .geometry import (RadialProfile, cached_grid, evaluate,
+                       profile_derivatives, q_terms)
 
 RECORD_SNAP = 1e-12  # absolute tolerance for landing on scheduled times
 
@@ -28,17 +27,30 @@ class FlowError(Exception):
     """Base class for integration failures."""
 
 
-class MeanConvexityLost(FlowError):
-    """H <= 0 appeared at some node; the 1/H speed is no longer defined."""
+class NodeFailure(FlowError):
+    """An integration failure located at one node of the grid."""
+
+    cause = "failure"
 
     def __init__(self, t: float, node: int, theta: float, H: float):
         self.t = t
         self.node = node
         self.theta = theta
         self.H = H
-        super().__init__(
-            f"mean convexity lost at t={t:.6g}: H={H:.6g} at node {node} "
-            f"(theta={theta:.6g})")
+        super().__init__(f"{self.cause} at t={t:.6g}: H={H:.6g} at node "
+                         f"{node} (theta={theta:.6g})")
+
+
+class MeanConvexityLost(NodeFailure):
+    """H <= 0 appeared at some node; the 1/H speed is no longer defined."""
+
+    cause = "mean convexity lost"
+
+
+class NonFiniteState(NodeFailure):
+    """H is NaN or infinite at some node, e.g. once sinh(rho) overflows."""
+
+    cause = "non-finite state"
 
 
 class StiffnessError(FlowError):
@@ -110,7 +122,7 @@ def initial_profile(n: int, grid_size: int, kind: str, r0: float = 1.0,
     cos(2 theta) has vanishing derivative at both ends, so every preset is
     compatible with the even ghost extension.
     """
-    theta, _ = make_theta_grid(grid_size)
+    theta = cached_grid(n, grid_size).theta
     if kind == "sphere":
         rho = np.full(grid_size, float(r0))
     elif kind == "bump":
@@ -156,23 +168,24 @@ def integrate_sphere_ode(n: int, rho0: float, t_end: float, dt: float):
     return np.array(times), np.array(radii)
 
 
-def _evaluate(profile: RadialProfile):
-    derivs = profile_derivatives(profile)
-    H = mean_curvature_profile(profile, derivs)
-    return derivs, H
-
-
 def _require_mean_convex(H: np.ndarray, t: float, theta: np.ndarray):
-    if np.any(H <= 0):
-        k = int(np.argmin(H))
-        raise MeanConvexityLost(t, k, float(theta[k]), float(H[k]))
+    """Raise unless every H is positive; non-finite H is reported first."""
+    if (H > 0).all():
+        return
+    finite = np.isfinite(H)
+    if finite.all():
+        k, error = int(np.argmin(H)), MeanConvexityLost
+    else:
+        k, error = int(np.argmin(finite)), NonFiniteState
+    raise error(t, k, float(theta[k]), float(H[k]))
 
 
 def pde_rhs(state: FlowState) -> np.ndarray:
     """Per-node speed v/H of the profile in the coordinate gauge."""
-    derivs, H = _evaluate(state.profile)
-    _require_mean_convex(H, state.t, state.profile.theta)
-    return derivs.v / H
+    profile = state.profile
+    ev = profile_derivatives(profile)
+    _require_mean_convex(ev.H, state.t, profile.theta)
+    return ev.v / ev.H
 
 
 def step(state: FlowState, ctrl: StepControl,
@@ -180,81 +193,57 @@ def step(state: FlowState, ctrl: StepControl,
     """One Heun (explicit trapezoidal) step with parabolic CFL control.
 
     dt = min(dt_max, cfl_safety * dtheta^2 / (2 max_k D_k)) with the
-    effective diffusion D = 1/(F^2 v^4), F = H sinh(rho)/v, obtained by
-    differentiating the speed with respect to phi''.  dt_cap, when given,
-    additionally clamps dt (used to land on record times exactly).
+    effective diffusion D = 1/(F^2 v^4) = 1/(H sinh(rho) v)^2, F = H
+    sinh(rho)/v, obtained by differentiating the speed with respect to
+    phi''.  dt_cap, when given, additionally clamps dt (used to land on
+    record times exactly).
     """
     profile = state.profile
-    derivs, H = _evaluate(profile)
-    _require_mean_convex(H, state.t, profile.theta)
+    grid = profile.grid
+    rho = profile.rho
+    ev1 = evaluate(grid, rho)
+    _require_mean_convex(ev1.H, state.t, grid.theta)
 
-    F = H * np.sinh(profile.rho) / derivs.v
-    D = 1.0 / (F**2 * derivs.v**4)
-    dt = min(ctrl.dt_max,
-             ctrl.cfl_safety * profile.dtheta**2 / (2 * float(D.max())))
+    m = float((ev1.H * ev1.sinh * ev1.v).min())
+    dt = min(ctrl.dt_max, ctrl.cfl_safety * grid.dtheta**2 * m * m / 2)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     if dt < 1e-12:
         raise StiffnessError(state.t, dt)
 
-    k1 = derivs.v / H
-    trial = RadialProfile(n=profile.n, theta=profile.theta,
-                          rho=profile.rho + dt * k1)
-    derivs2, H2 = _evaluate(trial)
-    _require_mean_convex(H2, state.t, profile.theta)
-    k2 = derivs2.v / H2
+    k1 = ev1.v / ev1.H
+    trial = rho + dt * k1
+    if not (trial > 0).all():
+        raise ValueError(f"trial stage rho <= 0, min rho = {trial.min():.6g}")
+    ev2 = evaluate(grid, trial)
+    _require_mean_convex(ev2.H, state.t, grid.theta)
+    k2 = ev2.v / ev2.H
 
     new_profile = RadialProfile(n=profile.n, theta=profile.theta,
-                                rho=profile.rho + 0.5 * dt * (k1 + k2))
+                                rho=rho + 0.5 * dt * (k1 + k2))
     return FlowState(t=state.t + dt, profile=new_profile,
                      step_count=state.step_count + 1, last_dt=dt)
 
 
-def _q_terms(profile: RadialProfile):
-    """Volume, Q, and the Q-evolution right side from one evaluation pass."""
-    n = profile.n
-    derivs, H = _evaluate(profile)
-    hatH = hat_H(n, profile.rho)
-    dens = area_element(n, profile.rho, derivs.v)
-    vol = orbit_integral(dens, n)
-    pref = vol ** (-1 + 1 / (2 * n + 1))
-    Q = pref * orbit_integral((H - hatH) * dens, n)
-
-    # dQ/dt: the scaling term, the |A|^2 dissipation against speed 1/H,
-    # and the sphere-comparison term.  The last integrand advances with
-    # the material radial rate <nu/H, d_rho> = 1/(vH): the hat_H'(rho)
-    # factor (4n-1)/sinh^2 - 3/cosh^2 measures radius change of the
-    # comparison sphere, not of the graph coordinate, so the v of the
-    # coordinate gauge divides out.
-    sh, ch = np.sinh(profile.rho), np.cosh(profile.rho)
-    A2 = a_norm_sq_profile(profile, derivs, H)
-    q_rhs = (Q / (2 * n + 1)
-             - pref * orbit_integral((A2 - 4 * (n + 2)) / H * dens, n)
-             + pref * orbit_integral(
-                 ((4 * n - 1) / sh**2 - 3 / ch**2) / (derivs.v * H) * dens, n))
-    return vol, Q, q_rhs
-
-
 def q_evolution_rhs(state: FlowState) -> float:
     """Right-hand side of dQ/dt for the current profile."""
-    return _q_terms(state.profile)[2]
+    return q_terms(state.profile, profile_derivatives(state.profile))[2]
 
 
 def diagnostics_record(state: FlowState) -> DiagnosticsRecord:
     """Evaluate every monitored quantity at the current state."""
     profile = state.profile
     n = profile.n
-    derivs, H = _evaluate(profile)
-    vol, Q, q_rhs = _q_terms(profile)
-    wts = orbit_weights(profile.theta, n)
-    rho_mean = float(wts @ profile.rho)
+    derivs = profile_derivatives(profile)
+    vol, Q, q_rhs = q_terms(profile, derivs)
+    rho_mean = float(profile.grid.weights @ profile.rho)
     return DiagnosticsRecord(
         t=state.t,
         rho_min=float(profile.rho.min()),
         rho_max=float(profile.rho.max()),
         rho_mean=rho_mean,
-        H_min=float(H.min()),
-        H_max=float(H.max()),
+        H_min=float(derivs.H.min()),
+        H_max=float(derivs.H.max()),
         sup_grad_phi_sq=float(np.max(derivs.phi_t**2)),
         volume=vol,
         Q=Q,

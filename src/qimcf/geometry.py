@@ -12,8 +12,10 @@ singular endpoints are never sampled; derivative stencils use even ghost
 reflection, which encodes the Neumann symmetry of the invariant profiles.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +31,7 @@ def make_theta_grid(grid_size: int):
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radial graph rho(theta) over the unit sphere grid, n >= 2."""
+    """Radial graph rho(theta) on the cell-centered grid of N nodes, n >= 2."""
 
     n: int
     theta: np.ndarray
@@ -42,8 +44,9 @@ class RadialProfile:
         rho = np.asarray(self.rho, dtype=float)
         if theta.ndim != 1 or theta.shape != rho.shape:
             raise ValueError("theta and rho must be 1d arrays of equal length")
-        if not np.all(rho > 0):
-            raise ValueError("rho must be positive everywhere")
+        if not (rho > 0).all():
+            raise ValueError(
+                f"rho must be positive everywhere, min rho = {rho.min():.6g}")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "rho", rho)
 
@@ -55,26 +58,22 @@ class RadialProfile:
     def dtheta(self) -> float:
         return (np.pi / 2) / self.grid_size
 
+    @property
+    def grid(self) -> "Grid":
+        return cached_grid(self.n, self.grid_size)
 
-@dataclass(frozen=True)
-class ProfileDerivatives:
-    """Graph-function derivatives per node: phi' = rho'/sinh rho, etc."""
+
+class ProfileDerivatives(NamedTuple):
+    """Per-node output of evaluate; a NamedTuple as each step builds two."""
 
     phi_t: np.ndarray
     phi_tt: np.ndarray
     v: np.ndarray
     w: np.ndarray
-
-
-@dataclass(frozen=True)
-class ShapePointData:
-    """Pointwise extrinsic data used by diagnostics and reports."""
-
-    H: float
-    H_hat: float
-    v: float
-    A_norm_sq: float
-    area_density: float
+    sinh: np.ndarray
+    cosh: np.ndarray
+    hat_H: np.ndarray
+    H: np.ndarray
 
 
 def hat_H(n: int, rho):
@@ -103,56 +102,77 @@ def reduced_weight(n: int, theta):
     return float(val) if val.ndim == 0 else val
 
 
-def even_ghost_derivatives(values: np.ndarray, dtheta: float):
-    """Second-order central first/second differences with even reflection.
+@dataclass(frozen=True)
+class Grid:
+    """The cell-centered grid and every per-node constant of (n, N).
 
-    The ghost value across each end mirrors the first interior value, so
-    the stencil sees a symmetric extension (zero odd part at the ends).
+    Built once by cached_grid; read-only arrays, as every caller shares them.
     """
-    ext = np.empty(values.size + 2)
-    ext[1:-1] = values
-    ext[0] = values[0]
-    ext[-1] = values[-1]
-    d1 = (ext[2:] - ext[:-2]) / (2 * dtheta)
-    d2 = (ext[2:] - 2 * ext[1:-1] + ext[:-2]) / dtheta**2
-    return d1, d2
+
+    n: int
+    theta: np.ndarray
+    dtheta: float
+    w: np.ndarray
+    weights: np.ndarray
+    volume: float
+
+
+@functools.lru_cache(maxsize=64)
+def cached_grid(n: int, grid_size: int) -> Grid:
+    """The shared Grid for (n, grid_size), validated on first use."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    theta, dtheta = make_theta_grid(grid_size)
+    w = reduced_weight(n, theta)
+    weights = orbit_weights(theta, n)
+    for arr in (theta, w, weights):
+        arr.setflags(write=False)
+    return Grid(n=n, theta=theta, dtheta=dtheta, w=w, weights=weights,
+                volume=sphere_volume(n))
+
+
+def evaluate(grid: Grid, rho: np.ndarray) -> ProfileDerivatives:
+    """The evaluation kernel: derivatives and mean curvature at every node.
+
+    rho', rho'' are second-order central differences whose ghost value
+    across each end mirrors the end value (the even, Neumann-symmetric
+    extension).  Then phi' = rho'/sinh rho, phi'' = (rho'' - cosh rho
+    rho' phi')/sinh rho, v = sqrt(1 + phi'^2), hat_H = (4n-1)/tanh rho
+    + 3 tanh rho and H = [hat_H - (phi''/v^2 + w phi')/sinh rho] / v.
+    rho is not checked: callers own the positivity and finiteness checks.
+    """
+    ext = np.empty(rho.size + 2)
+    ext[1:-1] = rho
+    ext[0], ext[-1] = rho[0], rho[-1]
+    d1 = (ext[2:] - ext[:-2]) / (2 * grid.dtheta)
+    d2 = (ext[2:] - 2 * rho + ext[:-2]) / grid.dtheta**2
+    sh = np.sinh(rho)
+    ch = np.cosh(rho)
+    phi_t = d1 / sh
+    phi_tt = (d2 - ch * d1 * phi_t) / sh
+    v2 = 1 + phi_t * phi_t
+    v = np.sqrt(v2)
+    tanh = sh / ch
+    hatH = (4 * grid.n - 1) / tanh + 3 * tanh
+    H = (hatH - (phi_tt / v2 + grid.w * phi_t) / sh) / v
+    return ProfileDerivatives(phi_t, phi_tt, v, grid.w, sh, ch, hatH, H)
 
 
 def profile_derivatives(profile: RadialProfile) -> ProfileDerivatives:
-    """Chain rule from rho(theta) to the graph function phi, per node.
-
-    phi' = rho'/sinh rho and phi'' = rho''/sinh rho - cosh rho (rho')^2 /
-    sinh^2 rho, with rho', rho'' from the even-ghost stencils.
-    """
-    d1, d2 = even_ghost_derivatives(profile.rho, profile.dtheta)
-    sh = np.sinh(profile.rho)
-    ch = np.cosh(profile.rho)
-    phi_t = d1 / sh
-    phi_tt = d2 / sh - ch * d1**2 / sh**2
-    v = np.sqrt(1 + phi_t**2)
-    w = reduced_weight(profile.n, profile.theta)
-    return ProfileDerivatives(phi_t=phi_t, phi_tt=phi_tt, v=v, w=w)
+    """The kernel's evaluation of a profile on its cached grid."""
+    return evaluate(profile.grid, profile.rho)
 
 
 def mean_curvature_profile(profile: RadialProfile,
                            derivs: ProfileDerivatives) -> np.ndarray:
-    """Mean curvature at every node of an invariant profile.
-
-    H = [-(phi''/v^2 + w phi')/sinh rho + hat_H(rho)] / v.
-    """
-    sh = np.sinh(profile.rho)
-    v2 = derivs.v**2
-    contraction = derivs.phi_tt / v2 + derivs.w * derivs.phi_t
-    return (-contraction / sh + hat_H(profile.n, profile.rho)) / derivs.v
+    """Mean curvature at every node, as evaluated by the kernel."""
+    return derivs.H
 
 
 def mean_curvature_reduced(profile: RadialProfile, derivs: ProfileDerivatives,
                            k: int) -> float:
-    """Mean curvature at node k (scalar form of mean_curvature_profile)."""
-    rho = profile.rho[k]
-    v = derivs.v[k]
-    contraction = derivs.phi_tt[k] / v**2 + derivs.w[k] * derivs.phi_t[k]
-    return float((-contraction / np.sinh(rho) + hat_H(profile.n, rho)) / v)
+    """Mean curvature at node k, as evaluated by the kernel."""
+    return float(derivs.H[k])
 
 
 def general_mean_curvature(n: int, rho: float, v: float,
@@ -217,18 +237,17 @@ def shape_operator_adapted(profile: RadialProfile, derivs: ProfileDerivatives,
     return S
 
 
-def _a_norm_sq_identity(n, theta, rho, phi_t, phi_tt, v, hatH, H):
+def _a_norm_sq_identity(n, theta, d: ProfileDerivatives, H):
     """|A|^2 via the closed identity in H - hat_H; vectorized.
 
     The contraction phi_ij phi_kh sigma~ sigma~ for invariant profiles is
     (phi'')^2/v^4 + 3 (2 phi' cot 2theta)^2 + (4n-8)(phi' cot theta)^2
     + 6 (phi')^2, the last term from the vertical/horizontal couplings.
     """
-    sh = np.sinh(rho)
-    ch = np.cosh(rho)
+    sh, ch, v, phi_t, hatH = d.sinh, d.cosh, d.v, d.phi_t, d.hat_H
     v2 = v**2
     om = phi_t**2
-    contraction = (phi_tt**2 / v2**2 + 3 * (2 * phi_t / np.tan(2 * theta))**2
+    contraction = (d.phi_tt**2 / v2**2 + 3 * (2 * phi_t / np.tan(2 * theta))**2
                    + (4 * n - 8) * (phi_t / np.tan(theta))**2 + 6 * om)
     return (4 * (n + 2) + contraction / (v2 * sh**2) + 6 * om / v2
             + (2 * ch / (v * sh)) * (H - hatH + hatH * om / (v * (v + 1)))
@@ -248,10 +267,9 @@ def A_norm_sq(profile: RadialProfile, derivs: ProfileDerivatives,
     """
     S = shape_operator_adapted(profile, derivs, k)
     traced = float(np.einsum("ij,ji->", S, S))
-    H = mean_curvature_reduced(profile, derivs, k)
-    closed = float(_a_norm_sq_identity(
-        profile.n, profile.theta[k], profile.rho[k], derivs.phi_t[k],
-        derivs.phi_tt[k], derivs.v[k], hat_H(profile.n, profile.rho[k]), H))
+    node = ProfileDerivatives._make(field[k] for field in derivs)
+    closed = float(_a_norm_sq_identity(profile.n, profile.theta[k], node,
+                                       node.H))
     if abs(traced - closed) > 1e-8:
         raise ValueError(
             f"|A|^2 cross-check failed at node {k}: "
@@ -266,9 +284,7 @@ def a_norm_sq_profile(profile: RadialProfile, derivs: ProfileDerivatives,
     The per-node A_norm_sq cross-checks this expression against the
     shape-operator trace; flow diagnostics use this form directly.
     """
-    return _a_norm_sq_identity(profile.n, profile.theta, profile.rho,
-                               derivs.phi_t, derivs.phi_tt, derivs.v,
-                               hat_H(profile.n, profile.rho), H)
+    return _a_norm_sq_identity(profile.n, profile.theta, derivs, H)
 
 
 def area_element(n: int, rho, v):
@@ -308,41 +324,44 @@ def orbit_integral(values, n: int) -> float:
     constant 1 integrates to Vol(S^{4n-1}) exactly.
     """
     values = np.asarray(values, dtype=float)
-    theta, _ = make_theta_grid(values.size)
-    return sphere_volume(n) * float(orbit_weights(theta, n) @ values)
+    grid = cached_grid(n, values.size)
+    return grid.volume * float(grid.weights @ values)
+
+
+def q_terms(profile: RadialProfile, derivs: ProfileDerivatives):
+    """Volume |M|, Q(M) and the flow's dQ/dt from one kernel evaluation.
+
+    Q(M) = |M|^{-1+1/(2n+1)} * integral of (H - hat_H) d mu is zero
+    exactly on geodesic spheres: the scale-invariant deviation from
+    sphericity whose flow limit detects non-constant qc-scalar curvature.
+    """
+    n = profile.n
+    H = derivs.H
+    dens = area_element(n, profile.rho, derivs.v)
+    vol = orbit_integral(dens, n)
+    pref = vol ** (-1 + 1 / (2 * n + 1))
+    Q = pref * orbit_integral((H - derivs.hat_H) * dens, n)
+
+    # dQ/dt: the scaling term, the |A|^2 dissipation against speed 1/H,
+    # and the sphere-comparison term.  The last integrand advances with
+    # the material radial rate <nu/H, d_rho> = 1/(vH): the hat_H'(rho)
+    # factor (4n-1)/sinh^2 - 3/cosh^2 measures radius change of the
+    # comparison sphere, not of the graph coordinate, so the v of the
+    # coordinate gauge divides out.
+    sh, ch = derivs.sinh, derivs.cosh
+    A2 = _a_norm_sq_identity(n, profile.theta, derivs, H)
+    q_rhs = (Q / (2 * n + 1)
+             - pref * orbit_integral((A2 - 4 * (n + 2)) / H * dens, n)
+             + pref * orbit_integral(
+                 ((4 * n - 1) / sh**2 - 3 / ch**2) / (derivs.v * H) * dens, n))
+    return vol, Q, q_rhs
 
 
 def total_volume(profile: RadialProfile) -> float:
     """Hypersurface volume |M| of the radial graph, i.e. its total area."""
-    derivs = profile_derivatives(profile)
-    dens = area_element(profile.n, profile.rho, derivs.v)
-    return orbit_integral(dens, profile.n)
+    return q_terms(profile, profile_derivatives(profile))[0]
 
 
 def Q_functional(profile: RadialProfile) -> float:
-    """Q(M) = |M|^{-1+1/(2n+1)} * integral of (H - hat_H) d mu.
-
-    Zero exactly on geodesic spheres; the scale-invariant deviation from
-    sphericity whose flow limit detects non-constant qc-scalar curvature.
-    """
-    n = profile.n
-    derivs = profile_derivatives(profile)
-    H = mean_curvature_profile(profile, derivs)
-    dens = area_element(n, profile.rho, derivs.v)
-    vol = orbit_integral(dens, n)
-    integral = orbit_integral((H - hat_H(n, profile.rho)) * dens, n)
-    return vol ** (-1 + 1 / (2 * n + 1)) * integral
-
-
-def shape_point_data(profile: RadialProfile, derivs: ProfileDerivatives,
-                     k: int) -> ShapePointData:
-    """Bundle the pointwise extrinsic quantities at node k."""
-    H = mean_curvature_reduced(profile, derivs, k)
-    return ShapePointData(
-        H=H,
-        H_hat=float(hat_H(profile.n, profile.rho[k])),
-        v=float(derivs.v[k]),
-        A_norm_sq=A_norm_sq(profile, derivs, k),
-        area_density=float(area_element(profile.n, profile.rho[k],
-                                        derivs.v[k])),
-    )
+    """Q(M) = |M|^{-1+1/(2n+1)} * integral of (H - hat_H) d mu."""
+    return q_terms(profile, profile_derivatives(profile))[1]

@@ -8,8 +8,9 @@ Output contract per run directory:
   decay.dat             gnuplot-ready decay table (# comment header)
 
 Exit codes: 0 success, 1 configuration or verification failure, 2 mean
-convexity lost, 3 step-size collapse.  Sweeps run one cell per worker
-process and classify failures per cell without aborting the sweep.
+convexity lost, 3 step-size collapse, 4 non-finite state.  Sweeps run
+one cell per worker process and classify failures per cell without
+aborting the sweep.
 """
 
 import csv
@@ -25,8 +26,9 @@ from typing import Optional, Sequence, Tuple
 from . import ambient
 from .config import (ConfigError, ExperimentConfig, build_initial_profile,
                      check_mean_convexity, override_config, validate_config)
-from .flow import (DiagnosticsRecord, FlowState, MeanConvexityLost,
-                   StepControl, StiffnessError, run_flow)
+from .flow import (DiagnosticsRecord, FlowError, FlowState,
+                   MeanConvexityLost, NonFiniteState, StepControl,
+                   StiffnessError, run_flow)
 from .limits import constancy_verdict, extract_conformal_factor, fit_decay_rate
 
 logger = logging.getLogger(__name__)
@@ -35,6 +37,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CONVEXITY_LOST = 2
 EXIT_STIFFNESS = 3
+EXIT_NONFINITE = 4
+
+FLOW_EXIT_CODES = {MeanConvexityLost: EXIT_CONVEXITY_LOST,
+                   StiffnessError: EXIT_STIFFNESS,
+                   NonFiniteState: EXIT_NONFINITE}
 
 VERDICT_TOL = 1e-6  # range threshold separating CONSTANT from NON_CONSTANT
 FIT_T_MIN = 10.0    # decay fits skip the initial layer
@@ -129,15 +136,10 @@ def run_experiment(cfg: ExperimentConfig,
     try:
         run_flow(state0, ctrl, observers=[observer],
                  record_every=cfg.snapshot_every)
-    except MeanConvexityLost as err:
+    except tuple(FLOW_EXIT_CODES) as err:
         logger.error("run failed, %s", err)
         _write_diagnostics(out, records)
-        return ExperimentResult(EXIT_CONVEXITY_LOST, str(out), None,
-                                _min_H(records))
-    except StiffnessError as err:
-        logger.error("run failed, %s", err)
-        _write_diagnostics(out, records)
-        return ExperimentResult(EXIT_STIFFNESS, str(out), None,
+        return ExperimentResult(FLOW_EXIT_CODES[type(err)], str(out), None,
                                 _min_H(records))
 
     _write_diagnostics(out, records)
@@ -198,8 +200,9 @@ def _sweep_cell(item):
     }
     try:
         result = run_experiment(cfg, out_dir=out_dir)
-    except ConfigError as err:
-        logger.error("sweep cell %s refused: %s", _cell_name(overrides), err)
+    except (ConfigError, FlowError, ValueError, OSError) as err:
+        logger.error("sweep cell %s failed: %s: %s", _cell_name(overrides),
+                     type(err).__name__, err)
         return row
     if result.min_H_over_run is not None:
         row["min_H_over_run"] = repr(result.min_H_over_run)

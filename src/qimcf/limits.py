@@ -13,8 +13,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (RadialProfile, orbit_integral, orbit_weights,
-                       reduced_weight)
+from .geometry import RadialProfile, cached_grid, orbit_integral
 
 T_USABLE = 10.0  # snapshots earlier than this sit in the initial layer
 
@@ -36,8 +35,7 @@ class ConformalFactor:
 
 
 def _centered_f(profile: RadialProfile) -> np.ndarray:
-    wts = orbit_weights(profile.theta, profile.n)
-    return profile.rho - float(wts @ profile.rho)
+    return profile.rho - float(profile.grid.weights @ profile.rho)
 
 
 def extract_conformal_factor(
@@ -92,12 +90,11 @@ def limit_Q(factor: ConformalFactor, n: int) -> float:
     round Laplacian.  Vanishes iff f is constant (for invariant f);
     invariant under f -> f + const by homogeneity of the two factors.
     """
-    theta = factor.theta
-    dtheta = (np.pi / 2) / theta.size
+    grid = cached_grid(n, factor.theta.size)
     m = 2 * n + 1
     z = np.exp(-factor.f)
-    zp, zpp = _derivatives4(z, dtheta)
-    lap = zpp + reduced_weight(n, theta) * zp
+    zp, zpp = _derivatives4(z, grid.dtheta)
+    lap = zpp + grid.w * zp
     weight = np.exp(2 * m * factor.f)
     num = orbit_integral(weight * (z * lap - m * zp**2), n)
     den = orbit_integral(weight, n)

@@ -120,6 +120,8 @@ def test_duplicate_key():
     ("[time]\ncfl_safety = 0", "cfl_safety must be in (0,1]"),
     ("[output]\nsnapshot_every = 0", "snapshot_every must be positive"),
     ("[verify]\nambient_samples = 0", "ambient_samples must be >= 1"),
+    ("[initial]\nkind = bump\nr0 = 0.05\namplitude = 0.1",
+     "min rho = -0.0499"),
 ])
 def test_invariant_violations(text, needle):
     e = err_of(text)

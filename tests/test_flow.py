@@ -7,7 +7,8 @@ from qimcf import (FlowState, MeanConvexityLost, RadialProfile, StepControl,
                    hat_H, initial_profile, integrate_sphere_ode,
                    make_theta_grid, pde_rhs, q_evolution_rhs, run_flow,
                    sphere_ode_rhs, step)
-from qimcf.flow import StiffnessError, diagnostics_record
+from qimcf.flow import (NonFiniteState, StiffnessError, _require_mean_convex,
+                        diagnostics_record)
 
 SPHERE_RHS_2_1 = 0.08713815200031506  # sinh cosh / (7 cosh^2 + 3 sinh^2) at 1
 
@@ -83,6 +84,50 @@ def test_pde_rhs_mean_convexity_error():
     assert err.value.H <= 0
     assert 0 <= err.value.node < 128
     assert err.value.t == 0.0
+
+
+def test_non_finite_H_is_not_mean_convexity_loss():
+    theta = np.array([0.1, 0.2, 0.3])
+    # NaN compares False both ways, so H <= 0 alone would let this pass
+    with pytest.raises(NonFiniteState) as err:
+        _require_mean_convex(np.array([5.0, np.nan, 5.0]), 1.5, theta)
+    assert (err.value.t, err.value.node, err.value.theta) == (1.5, 1, 0.2)
+    assert "node 1" in str(err.value) and "t=1.5" in str(err.value)
+    with pytest.raises(NonFiniteState):
+        _require_mean_convex(np.array([-1.0, np.inf, 5.0]), 0.0, theta)
+    with pytest.raises(MeanConvexityLost):
+        _require_mean_convex(np.array([5.0, -1.0, 5.0]), 0.0, theta)
+
+
+def test_step_reports_overflowed_node():
+    # sinh(800) overflows; a neighbour of the spike has H < 0, but the
+    # overflowed node is what the error names
+    theta, _ = make_theta_grid(64)
+    rho = np.full(64, 3.0)
+    rho[40] = 800.0
+    state = FlowState(t=2.0, profile=RadialProfile(n=2, theta=theta, rho=rho))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteState) as err:
+            step(state, StepControl(t_end=3.0))
+    assert (err.value.t, err.value.node) == (2.0, 40)
+    assert err.value.theta == theta[40]
+
+
+def test_diagnostics_record_evaluates_once(monkeypatch):
+    import qimcf.flow
+    import qimcf.geometry
+    calls = []
+    kernel = qimcf.geometry.evaluate
+
+    def counting(grid, rho):
+        calls.append(rho.size)
+        return kernel(grid, rho)
+
+    monkeypatch.setattr(qimcf.geometry, "evaluate", counting)
+    monkeypatch.setattr(qimcf.flow, "evaluate", counting)
+    diagnostics_record(FlowState(t=0.0, profile=initial_profile(
+        2, 128, "bump", r0=3.0, amplitude=0.1)))
+    assert calls == [128]
 
 
 def test_step_preserves_constancy():

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from qimcf import (A_norm_sq, Q_functional, RadialProfile, area_element,
-                   general_mean_curvature, hat_H, initial_profile,
+                   cached_grid, evaluate, general_mean_curvature, hat_H,
+                   initial_profile,
                    make_theta_grid, mean_curvature_profile,
                    mean_curvature_reduced, orbit_integral,
                    profile_derivatives, reduced_weight,
                    shape_operator_adapted, sphere_volume, total_volume)
-from qimcf.geometry import ProfileDerivatives, shape_point_data
 
 COTH1 = 1.3130352854993313      # coth(1)
 TWO_COTH2 = 2.0746294414550962  # 2 coth(2) = coth(1) + tanh(1)
@@ -77,6 +77,30 @@ def test_profile_invariants():
     assert abs(prof.dtheta - (np.pi / 2) / 256) < 1e-16
     # cell-centered: no endpoint nodes
     assert prof.theta[0] > 0 and prof.theta[-1] < np.pi / 2
+
+
+def test_grid_is_cached_and_read_only():
+    grid = cached_grid(2, 128)
+    assert cached_grid(2, 128) is grid
+    assert cached_grid(3, 128) is not grid
+    theta, dtheta = make_theta_grid(128)
+    assert np.array_equal(grid.theta, theta) and grid.dtheta == dtheta
+    assert np.array_equal(grid.w, reduced_weight(2, theta))
+    assert abs(grid.volume * grid.weights.sum() - VOL_S7) < 1e-10
+    for arr in (grid.theta, grid.w, grid.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(ValueError):
+        cached_grid(1, 128)
+
+
+def test_kernel_H_is_shape_operator_trace_at_every_node():
+    for n in (2, 3):
+        prof = bump(n=n, N=256)
+        d = evaluate(prof.grid, prof.rho)
+        trace = [np.trace(shape_operator_adapted(prof, d, k))
+                 for k in range(256)]
+        assert np.max(np.abs(d.H - trace)) < 1e-10
 
 
 def test_derivatives_constant_profile():
@@ -221,8 +245,7 @@ def test_a_norm_sq_cross_check_trips_on_inconsistent_data():
     # two routes, which is exactly what the guard is for
     prof = bump(N=64)
     d = profile_derivatives(prof)
-    broken = ProfileDerivatives(phi_t=d.phi_t, phi_tt=d.phi_tt,
-                                v=np.ones_like(d.v), w=d.w)
+    broken = d._replace(v=np.ones_like(d.v))
     with pytest.raises(ValueError):
         A_norm_sq(prof, broken, 20)
 
@@ -272,14 +295,3 @@ def test_total_volume_and_Q():
     q1 = Q_functional(bump(N=512))
     q2 = Q_functional(bump(N=1024))
     assert abs(q1 - q2) < 1e-6
-
-
-def test_shape_point_data_bundle():
-    prof = bump(N=64)
-    d = profile_derivatives(prof)
-    pt = shape_point_data(prof, d, 20)
-    assert abs(pt.H - mean_curvature_reduced(prof, d, 20)) < 1e-14
-    assert abs(pt.H_hat - hat_H(2, prof.rho[20])) < 1e-14
-    assert pt.v >= 1.0
-    assert pt.area_density > 0
-    assert pt.A_norm_sq > 0

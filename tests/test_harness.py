@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from qimcf import (ConfigError, DiagnosticsRecord, ExperimentConfig,
-                   MeanConvexityLost, StiffnessError, make_theta_grid,
-                   run_experiment, sweep)
+                   MeanConvexityLost, NonFiniteState, StiffnessError,
+                   make_theta_grid, run_experiment, sweep)
 from qimcf.cli import main
 from qimcf.config import override_config
 from qimcf.flow import diagnostics_record
-from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONVEXITY_LOST, EXIT_OK,
-                           EXIT_STIFFNESS, SWEEP_COLUMNS, resolve_out_dir,
+from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONVEXITY_LOST,
+                           EXIT_NONFINITE, EXIT_OK, EXIT_STIFFNESS,
+                           SWEEP_COLUMNS, resolve_out_dir,
                            verify_ambient_report)
 
 CONFIG_TEXT = """\
@@ -135,6 +136,7 @@ def test_too_short_run_is_rejected(tmp_path):
 @pytest.mark.parametrize("exc,code", [
     (MeanConvexityLost(0.7, 3, 0.05, -0.2), EXIT_CONVEXITY_LOST),
     (StiffnessError(0.7, 1e-14), EXIT_STIFFNESS),
+    (NonFiniteState(0.7, 3, 0.05, float("nan")), EXIT_NONFINITE),
 ])
 def test_integration_failure_exit_codes(tmp_path, monkeypatch, exc, code):
     def fake_run_flow(state0, ctrl, observers=(), record_every=0.5):
@@ -199,6 +201,33 @@ def test_sweep_failed_cell_keeps_row(tmp_path):
     assert bad["amplitude"] == repr(0.9)
     # the cell was refused before any directory was created
     assert not (tmp_path / "sw" / "amplitude=0.9").exists()
+
+
+def test_sweep_survives_non_positive_initial_profile(tmp_path):
+    rows = sweep(fast_cfg(), [("initial.r0", ["0.05", "3.0"])],
+                 out_dir=str(tmp_path / "sw"), max_workers=1)
+    assert [r["verdict"] for r in rows] == ["FAILED", "NON_CONSTANT"]
+    with open(tmp_path / "sw" / "sweep.csv", encoding="utf-8") as fh:
+        srows = list(csv.reader(fh))
+    assert [r[4] for r in srows[1:]] == ["FAILED", "NON_CONSTANT"]
+
+
+@pytest.mark.parametrize("exc", [
+    OSError("disk full"), ValueError("bad array"),
+    NonFiniteState(0.7, 3, 0.05, float("nan"))])
+def test_sweep_cell_failure_keeps_other_cells(tmp_path, monkeypatch, exc):
+    real = run_experiment
+
+    def flaky(cfg, out_dir=None):
+        if cfg.initial_amplitude == 0.0:
+            raise exc
+        return real(cfg, out_dir=out_dir)
+
+    monkeypatch.setattr("qimcf.harness.run_experiment", flaky)
+    rows = sweep(fast_cfg(), [("initial.amplitude", ["0", "0.1"])],
+                 out_dir=str(tmp_path / "sw"), max_workers=1)
+    assert [r["verdict"] for r in rows] == ["FAILED", "NON_CONSTANT"]
+    assert (tmp_path / "sw" / "sweep.csv").exists()
 
 
 def test_sweep_product_order_and_naming(tmp_path):
