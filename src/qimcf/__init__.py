@@ -6,21 +6,19 @@ mean curvature flow, monitors the quantities that control long-time
 behavior, and analyzes the sub-Riemannian conformal limit.
 """
 
-from .ambient import (BergerParams, TangentFrame, apply_J, berger_inner,
-                      curvature_tensor, hopf_frame, ricci_check, sectional,
+from .ambient import (apply_J, curvature_tensor, ricci_check, sectional,
                       verify_ambient)
 from .config import ConfigError, ExperimentConfig, parse_config
 from .flow import (DiagnosticsRecord, FlowError, FlowState,
                    MeanConvexityLost, NonFiniteState, StepControl,
                    StiffnessError, initial_profile, integrate_sphere_ode,
-                   pde_rhs, q_evolution_rhs, run_flow, sphere_ode_rhs, step)
+                   pde_rhs, run_flow, sphere_ode_rhs, step)
 from .geometry import (A_norm_sq, Grid, ProfileDerivatives, Q_functional,
                        RadialProfile, area_element, cached_grid, evaluate,
                        general_mean_curvature, hat_H, make_theta_grid,
                        mean_curvature_profile, mean_curvature_reduced,
                        orbit_integral, orbit_weights, profile_derivatives,
-                       reduced_weight, shape_operator_adapted, sphere_volume,
-                       total_volume)
+                       reduced_weight, shape_operator_adapted, sphere_volume)
 from .harness import ExperimentResult, run_experiment, sweep, verify_ambient_report
 from .limits import (ConformalFactor, ConstancyVerdict, constancy_verdict,
                      extract_conformal_factor, fit_decay_rate, limit_Q)

@@ -6,16 +6,10 @@ three complex structures J1, J2, J3 act blockwise by LEFT multiplication
 with the imaginary units i, j, k (so J1 e0 = e1 and J1 J2 = J3).
 
 The curvature tensor of quaternionic hyperbolic space is evaluated in the
-unit-tangent-space model: the metric is the Euclidean inner product unless
-a different bilinear form is injected through the ``inner`` argument.
+unit-tangent-space model, where the metric is the Euclidean inner product.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
 import numpy as np
-
-Inner = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -44,102 +38,16 @@ def apply_J(i: int, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-@dataclass(frozen=True)
-class BergerParams:
-    """Berger deformation parameter; lambda_ = 1 recovers the round metric."""
-
-    lambda_: float
-
-    def __post_init__(self):
-        if not self.lambda_ > 0:
-            raise ValueError(f"Berger parameter must be positive, got {self.lambda_}")
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Orthonormal tangent frame of S^{4n-1} at base_point.
-
-    vertical holds the three Hopf fields xi_i = J_i(base_point); horizontal
-    holds the remaining 4n-4 directions, closed under every J_i.
-    """
-
-    base_point: np.ndarray
-    vertical: tuple
-    horizontal: tuple
-
-    @property
-    def n(self) -> int:
-        return self.base_point.shape[-1] // 4
-
-    def vectors(self) -> list:
-        """All 4n-1 frame vectors, vertical first."""
-        return list(self.vertical) + list(self.horizontal)
-
-
-def hopf_frame(z: np.ndarray) -> TangentFrame:
-    """Tangent frame at a unit point z: Hopf fields plus horizontal completion.
-
-    The horizontal part is built deterministically: standard basis vectors
-    are run through modified Gram-Schmidt (with one re-orthogonalization
-    pass) against everything accepted so far; each surviving seed s brings
-    its quaternionic span {s, J1 s, J2 s, J3 s}, which is automatically
-    orthonormal and J-closed.
-    """
-    z = np.asarray(z, dtype=float)
-    dim = z.shape[-1]
-    if z.ndim != 1 or dim % 4 != 0:
-        raise ValueError("base point must be a single vector of length 4n")
-    if abs(np.linalg.norm(z) - 1.0) > 1e-12:
-        raise ValueError(f"base point must be unit, |z| = {np.linalg.norm(z)!r}")
-
-    vertical = tuple(apply_J(i, z) for i in (1, 2, 3))
-    accepted = [z, *vertical]
-    horizontal = []
-    for k in range(dim):
-        if len(horizontal) == dim - 4:
-            break
-        seed = np.zeros(dim)
-        seed[k] = 1.0
-        for _ in range(2):  # MGS with re-orthogonalization
-            for b in accepted:
-                seed = seed - (seed @ b) * b
-        norm = np.linalg.norm(seed)
-        if norm < 1e-8:
-            continue
-        seed /= norm
-        group = [seed] + [apply_J(i, seed) for i in (1, 2, 3)]
-        accepted.extend(group)
-        horizontal.extend(group)
-    return TangentFrame(base_point=z, vertical=vertical, horizontal=tuple(horizontal))
-
-
-def berger_inner(params: BergerParams, frame: TangentFrame,
-                 u_coords: Sequence[float], v_coords: Sequence[float]) -> float:
-    """Berger metric e_lambda in frame coordinates (3 vertical, then horizontal).
-
-    e_lambda = lambda * (vertical dot) + (horizontal dot); lambda_=1 is the
-    round metric sigma.
-    """
-    u = np.asarray(u_coords, dtype=float)
-    v = np.asarray(v_coords, dtype=float)
-    want = 4 * frame.n - 1
-    if u.shape != (want,) or v.shape != (want,):
-        raise ValueError(f"coordinate sequences must have length {want}")
-    return float(params.lambda_ * (u[:3] @ v[:3]) + u[3:] @ v[3:])
-
-
-def curvature_tensor(X, Y, Z, W, inner: Optional[Inner] = None) -> np.ndarray:
+def curvature_tensor(X, Y, Z, W) -> np.ndarray:
     """Curvature R(X,Y,Z,W) of HH^n (sectional range [-4,-1] convention).
 
     R = -g(X,Z)g(Y,W) + g(X,W)g(Y,Z)
         - sum_i [ g(X,J_i Z)g(Y,J_i W) - g(X,J_i W)g(Y,J_i Z) ]
         - 2 sum_i g(X,J_i Y) g(Z,J_i W)
 
-    ``inner`` defaults to the Euclidean product of the unit-tangent-space
-    model; any symmetric bilinear form can be injected instead.  Broadcasts
-    over batch axes.
+    with g the Euclidean product.  Broadcasts over batch axes.
     """
-    g = inner if inner is not None else _euclidean
+    g = _euclidean
     X, Y, Z, W = (np.asarray(a, dtype=float) for a in (X, Y, Z, W))
     val = -g(X, Z) * g(Y, W) + g(X, W) * g(Y, Z)
     for i in (1, 2, 3):
@@ -149,14 +57,14 @@ def curvature_tensor(X, Y, Z, W, inner: Optional[Inner] = None) -> np.ndarray:
     return val
 
 
-def sectional(X, Y, inner: Optional[Inner] = None) -> np.ndarray:
+def sectional(X, Y) -> np.ndarray:
     """Sectional curvature of the plane span{X, Y}, X, Y orthonormal.
 
     K = -1 - 3 sum_i g(X, J_i Y)^2, which lies in [-4, -1]: the extremes
     are attained on quaternionic planes (Y in span{J_i X}) and on totally
     real planes.
     """
-    g = inner if inner is not None else _euclidean
+    g = _euclidean
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     bad = (np.abs(g(X, X) - 1) > 1e-8) | (np.abs(g(Y, Y) - 1) > 1e-8) \

@@ -60,7 +60,6 @@ class ExperimentConfig:
     cfl_safety: float = 0.4
     output_dir: str = "out"
     snapshot_every: float = 0.5
-    ambient_samples: int = 1000
 
 
 # (section, key) -> (attribute, converter); the global n has section "".
@@ -75,7 +74,6 @@ _SCHEMA = {
     ("time", "cfl_safety"): ("cfl_safety", float),
     ("output", "dir"): ("output_dir", str),
     ("output", "snapshot_every"): ("snapshot_every", float),
-    ("verify", "ambient_samples"): ("ambient_samples", int),
 }
 
 _SECTIONS = {s for s, _ in _SCHEMA if s}
@@ -106,9 +104,6 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.snapshot_every <= 0:
         raise ConfigError(
             f"output.snapshot_every must be positive, got {cfg.snapshot_every}")
-    if cfg.ambient_samples < 1:
-        raise ConfigError(
-            f"verify.ambient_samples must be >= 1, got {cfg.ambient_samples}")
 
 
 def build_initial_profile(cfg: ExperimentConfig):
@@ -180,21 +175,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def override_config(cfg: ExperimentConfig, dotted_key: str,
                     value: str) -> ExperimentConfig:
-    """Replace one field addressed by its config name (e.g. initial.tau).
+    """Replace one field addressed as section.key (e.g. initial.tau) or n.
 
     Used by parameter sweeps; the value string goes through the same
-    converter as the parser.  Bare attribute names are accepted too.
+    converter as the parser.
     """
-    section, _, key = dotted_key.partition(".")
-    if not key:
-        section, key = "", dotted_key
-    if (section, key) in _SCHEMA:
-        attr, conv = _SCHEMA[(section, key)]
-    else:
-        by_attr = {a: c for a, c in _SCHEMA.values()}
-        if dotted_key not in by_attr:
-            raise ConfigError(f"unknown config key {dotted_key!r}")
-        attr, conv = dotted_key, by_attr[dotted_key]
+    section, _, key = dotted_key.rpartition(".")
+    if (section, key) not in _SCHEMA:
+        raise ConfigError(f"unknown config key {dotted_key!r}")
+    attr, conv = _SCHEMA[(section, key)]
     try:
         converted = conv(value)
     except ValueError:

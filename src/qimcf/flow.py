@@ -107,9 +107,6 @@ class DiagnosticsRecord:
     q_rhs: float
     drift: float
 
-    FIELDS = ("t", "rho_min", "rho_max", "rho_mean", "H_min", "H_max",
-              "sup_grad_phi_sq", "volume", "Q", "q_rhs", "drift")
-
 
 def initial_profile(n: int, grid_size: int, kind: str, r0: float = 1.0,
                     amplitude: float = 0.0, tau: float = 4.0) -> RadialProfile:
@@ -223,11 +220,6 @@ def step(state: FlowState, ctrl: StepControl,
                                 rho=rho + 0.5 * dt * (k1 + k2))
     return FlowState(t=state.t + dt, profile=new_profile,
                      step_count=state.step_count + 1, last_dt=dt)
-
-
-def q_evolution_rhs(state: FlowState) -> float:
-    """Right-hand side of dQ/dt for the current profile."""
-    return q_terms(state.profile, profile_derivatives(state.profile))[2]
 
 
 def diagnostics_record(state: FlowState) -> DiagnosticsRecord:

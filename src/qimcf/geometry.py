@@ -31,7 +31,10 @@ def make_theta_grid(grid_size: int):
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radial graph rho(theta) on the cell-centered grid of N nodes, n >= 2."""
+    """Radial graph rho(theta) on the cell-centered grid of N nodes, n >= 2.
+
+    theta must be that grid: the kernel evaluates on cached_grid(n, N).
+    """
 
     n: int
     theta: np.ndarray
@@ -44,10 +47,14 @@ class RadialProfile:
         rho = np.asarray(self.rho, dtype=float)
         if theta.ndim != 1 or theta.shape != rho.shape:
             raise ValueError("theta and rho must be 1d arrays of equal length")
+        grid = cached_grid(self.n, theta.size)
+        if theta is not grid.theta and not np.array_equal(theta, grid.theta):
+            raise ValueError(
+                f"theta must be the cell-centered grid of {theta.size} nodes")
         if not (rho > 0).all():
             raise ValueError(
                 f"rho must be positive everywhere, min rho = {rho.min():.6g}")
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", grid.theta)
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -56,7 +63,7 @@ class RadialProfile:
 
     @property
     def dtheta(self) -> float:
-        return (np.pi / 2) / self.grid_size
+        return self.grid.dtheta
 
     @property
     def grid(self) -> "Grid":
@@ -80,7 +87,8 @@ def hat_H(n: int, rho):
     """Mean curvature of the geodesic sphere of radius rho.
 
     (4n-1) coth(rho) + 3 tanh(rho); tends to 4n+2 (the horosphere value)
-    as rho grows and blows up like (4n-1)/rho at the origin.
+    as rho grows and blows up like (4n-1)/rho at the origin.  Apart from
+    the kernel, it is the oracle of the sphere tests in test_flow.py.
     """
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
@@ -165,13 +173,13 @@ def profile_derivatives(profile: RadialProfile) -> ProfileDerivatives:
 
 def mean_curvature_profile(profile: RadialProfile,
                            derivs: ProfileDerivatives) -> np.ndarray:
-    """Mean curvature at every node, as evaluated by the kernel."""
+    """Kernel mean curvature at every node; kept for test_acceptance.py."""
     return derivs.H
 
 
 def mean_curvature_reduced(profile: RadialProfile, derivs: ProfileDerivatives,
                            k: int) -> float:
-    """Mean curvature at node k, as evaluated by the kernel."""
+    """Kernel mean curvature at node k; kept for test_acceptance.py."""
     return float(derivs.H[k])
 
 
@@ -186,7 +194,8 @@ def general_mean_curvature(n: int, rho: float, v: float,
     where the contraction is phi_ij sigma~^{ji} of the deformed-metric
     Hessian and the last term collects the squared Hopf-direction
     derivatives of phi.  Invariant profiles have that term equal to zero
-    and reduce to mean_curvature_reduced.
+    and reduce to mean_curvature_reduced.  Not a pipeline path: the
+    oracle of test_mean_curvature_independent_evaluation (np.gradient).
     """
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
@@ -357,11 +366,6 @@ def q_terms(profile: RadialProfile, derivs: ProfileDerivatives):
     return vol, Q, q_rhs
 
 
-def total_volume(profile: RadialProfile) -> float:
-    """Hypersurface volume |M| of the radial graph, i.e. its total area."""
-    return q_terms(profile, profile_derivatives(profile))[0]
-
-
 def Q_functional(profile: RadialProfile) -> float:
-    """Q(M) = |M|^{-1+1/(2n+1)} * integral of (H - hat_H) d mu."""
+    """Q(M) from q_terms; kept for test_acceptance.py."""
     return q_terms(profile, profile_derivatives(profile))[1]

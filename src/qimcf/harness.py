@@ -19,7 +19,7 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -82,9 +82,9 @@ def _write_snapshot(out: Path, state: FlowState):
 
 
 def _write_diagnostics(out: Path, records: Sequence[DiagnosticsRecord]):
-    rows = [[repr(getattr(rec, name)) for name in DiagnosticsRecord.FIELDS]
-            for rec in records]
-    _write_csv(out / "diagnostics.csv", DiagnosticsRecord.FIELDS, rows)
+    names = [f.name for f in fields(DiagnosticsRecord)]
+    rows = [[repr(getattr(rec, name)) for name in names] for rec in records]
+    _write_csv(out / "diagnostics.csv", names, rows)
 
 
 def _write_decay_table(out: Path, records: Sequence[DiagnosticsRecord],

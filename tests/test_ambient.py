@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from qimcf import (BergerParams, apply_J, berger_inner, curvature_tensor,
-                   hopf_frame, ricci_check, sectional, verify_ambient)
+from qimcf import (apply_J, curvature_tensor, ricci_check, sectional,
+                   verify_ambient)
 
 
 def unit(dim, k):
@@ -46,48 +46,6 @@ def test_apply_J_batched_and_errors():
         apply_J(0, batch)
     with pytest.raises(ValueError):
         apply_J(1, rng.standard_normal(7))
-
-
-def test_hopf_frame_orthonormal_and_J_closed():
-    rng = np.random.default_rng(5)
-    for dim in (8, 12):
-        z = rng.standard_normal(dim)
-        z /= np.linalg.norm(z)
-        frame = hopf_frame(z)
-        assert len(frame.vertical) == 3
-        assert len(frame.horizontal) == dim - 4
-        vecs = [z] + frame.vectors()
-        G = np.array(vecs) @ np.array(vecs).T
-        assert np.allclose(G, np.eye(dim), atol=1e-12)
-        # horizontal distribution closed under each J_i
-        Hmat = np.array(frame.horizontal)
-        for i in (1, 2, 3):
-            proj = Hmat @ apply_J(i, Hmat).T
-            # J_i of a horizontal vector has unit norm inside the span
-            assert np.allclose(np.linalg.norm(proj, axis=1), 1.0, atol=1e-10)
-
-
-def test_hopf_frame_rejects_non_unit():
-    with pytest.raises(ValueError):
-        hopf_frame(np.ones(8))
-
-
-def test_berger_inner_round_and_scaled():
-    rng = np.random.default_rng(6)
-    z = rng.standard_normal(8)
-    z /= np.linalg.norm(z)
-    frame = hopf_frame(z)
-    u = rng.standard_normal(7)
-    v = rng.standard_normal(7)
-    round_val = berger_inner(BergerParams(1.0), frame, u, v)
-    assert abs(round_val - u @ v) < 1e-12
-    lam = 3.7
-    scaled = berger_inner(BergerParams(lam), frame, u, v)
-    assert abs(scaled - (lam * u[:3] @ v[:3] + u[3:] @ v[3:])) < 1e-12
-    with pytest.raises(ValueError):
-        BergerParams(0.0)
-    with pytest.raises(ValueError):
-        berger_inner(BergerParams(1.0), frame, u[:5], v[:5])
 
 
 def test_sectional_anchor_values():
@@ -133,19 +91,6 @@ def test_curvature_symmetries_and_bianchi():
         bianchi = (r + curvature_tensor(Y, Z, X, W)
                    + curvature_tensor(Z, X, Y, W))
         assert abs(bianchi) < 1e-10
-
-
-def test_curvature_injected_inner_product():
-    # scaling the bilinear form by c scales the tensor by c^2 (every term
-    # is a product of two metric contractions)
-    rng = np.random.default_rng(10)
-    c = 1.7
-    scaled = lambda a, b: c * np.einsum("...i,...i->...", a, b)
-    for _ in range(10):
-        X, Y, Z, W = (rng.standard_normal(8) for _ in range(4))
-        base = curvature_tensor(X, Y, Z, W)
-        assert abs(curvature_tensor(X, Y, Z, W, inner=scaled)
-                   - c**2 * base) < 1e-9 * max(1.0, abs(base))
 
 
 def test_ricci_constant():

@@ -26,9 +26,6 @@ cfl_safety = 0.3
 [output]
 dir = out/bump
 snapshot_every = 1.0
-
-[verify]
-ambient_samples = 500
 """
 
 
@@ -48,7 +45,6 @@ def test_full_config_roundtrip():
     assert cfg.cfl_safety == 0.3
     assert cfg.output_dir == "out/bump"
     assert cfg.snapshot_every == 1.0
-    assert cfg.ambient_samples == 500
 
 
 def test_comments_and_blank_lines_ignored():
@@ -71,9 +67,11 @@ def test_unknown_global_key():
 
 
 def test_unknown_section():
-    e = err_of("n = 2\n[quantum]")
-    assert e.line == 2
-    assert "unknown section" in str(e)
+    for text, line in (("n = 2\n[quantum]", 2),
+                       ("[verify]\nambient_samples = 5", 1)):
+        e = err_of(text)
+        assert e.line == line
+        assert "unknown section" in str(e)
 
 
 def test_key_not_valid_in_section():
@@ -119,7 +117,6 @@ def test_duplicate_key():
     ("[time]\ncfl_safety = 1.5", "cfl_safety must be in (0,1]"),
     ("[time]\ncfl_safety = 0", "cfl_safety must be in (0,1]"),
     ("[output]\nsnapshot_every = 0", "snapshot_every must be positive"),
-    ("[verify]\nambient_samples = 0", "ambient_samples must be >= 1"),
     ("[initial]\nkind = bump\nr0 = 0.05\namplitude = 0.1",
      "min rho = -0.0499"),
 ])
@@ -166,10 +163,11 @@ def test_override_dotted_key():
 
 
 def test_override_bare_attribute():
-    out = override_config(ExperimentConfig(), "grid_points", "64")
-    assert out.grid_points == 64
-    out = override_config(ExperimentConfig(), "t_end", "10")
-    assert out.t_end == 10.0
+    # sweep keys are section.key (or n); attribute names are not keys
+    with pytest.raises(ConfigError) as excinfo:
+        override_config(ExperimentConfig(), "t_end", "10")
+    assert "unknown config key 't_end'" in str(excinfo.value)
+    assert override_config(ExperimentConfig(), "n", "3").n == 3
 
 
 def test_override_unknown_key():

@@ -11,7 +11,8 @@ from qimcf import (A_norm_sq, Q_functional, RadialProfile, area_element,
                    make_theta_grid, mean_curvature_profile,
                    mean_curvature_reduced, orbit_integral,
                    profile_derivatives, reduced_weight,
-                   shape_operator_adapted, sphere_volume, total_volume)
+                   shape_operator_adapted, sphere_volume)
+from qimcf.geometry import q_terms
 
 COTH1 = 1.3130352854993313      # coth(1)
 TWO_COTH2 = 2.0746294414550962  # 2 coth(2) = coth(1) + tanh(1)
@@ -77,6 +78,13 @@ def test_profile_invariants():
     assert abs(prof.dtheta - (np.pi / 2) / 256) < 1e-16
     # cell-centered: no endpoint nodes
     assert prof.theta[0] > 0 and prof.theta[-1] < np.pi / 2
+    # the kernel evaluates on cached_grid(n, N), so any other theta would
+    # be ignored by H but used by the shape operator
+    off_grid = np.linspace(0.05, 1.5, 64)
+    with pytest.raises(ValueError, match="cell-centered grid of 64 nodes"):
+        RadialProfile(n=2, theta=off_grid, rho=np.full(64, 2.0))
+    prof = RadialProfile(n=2, theta=theta.copy(), rho=np.full(64, 2.0))
+    assert prof.theta is prof.grid.theta
 
 
 def test_grid_is_cached_and_read_only():
@@ -289,7 +297,8 @@ def test_orbit_integral_refinement():
 
 def test_total_volume_and_Q():
     sphere = initial_profile(2, 256, "sphere", r0=1.0)
-    assert abs(total_volume(sphere) - TOTAL_VOL_2_1) < 1e-9
+    volume = q_terms(sphere, profile_derivatives(sphere))[0]
+    assert abs(volume - TOTAL_VOL_2_1) < 1e-9
     assert Q_functional(sphere) == 0.0
     # self-convergence of Q under refinement
     q1 = Q_functional(bump(N=512))

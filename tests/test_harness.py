@@ -1,6 +1,7 @@
 """Experiment harness: artifacts, exit codes, sweeps, and the CLI."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -66,7 +67,7 @@ def test_run_experiment_artifacts(tmp_path):
 
     with open(out / "diagnostics.csv", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(DiagnosticsRecord.FIELDS)
+    assert rows[0] == [f.name for f in dataclasses.fields(DiagnosticsRecord)]
     assert len(rows) == 44
     assert float(rows[1][0]) == 0.0
     assert float(rows[-1][0]) == 21.0
