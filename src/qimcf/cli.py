@@ -61,7 +61,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify_ambient(args) -> int:
-    report, checks, ok = verify_ambient_report(args.n, args.samples)
+    try:
+        report, checks, ok = verify_ambient_report(args.n, args.samples)
+    except ValueError as err:
+        print(f"verify-ambient: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"ambient verification, n={args.n}, {args.samples} samples:")
     print(f"  sectional range observed [{report['sectional_min']:.6f}, "
           f"{report['sectional_max']:.6f}]")

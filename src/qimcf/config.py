@@ -26,12 +26,13 @@ Example:
     snapshot_every = 0.5
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import initial_profile
+from .flow import RECORD_SNAP, initial_profile
 from .geometry import profile_derivatives
+from .limits import T_USABLE
 
 INITIAL_KINDS = ("sphere", "bump", "tau_family")
 
@@ -79,6 +80,19 @@ _SCHEMA = {
 _SECTIONS = {s for s, _ in _SCHEMA if s}
 
 
+def _convert(section: str, key: str, value: str, name: str, line: int = None):
+    """(attribute, converted value) of one config entry, or None when the
+    schema has no such key; a bad value is refused citing ``name``."""
+    if (section, key) not in _SCHEMA:
+        return None
+    attr, conv = _SCHEMA[(section, key)]
+    try:
+        return attr, conv(value)
+    except ValueError:
+        raise ConfigError(f"{name!r} expects {conv.__name__}, got {value!r}",
+                          line)
+
+
 def validate_config(cfg: ExperimentConfig):
     """Invariant checks shared by the parser and programmatic construction."""
     if cfg.n < 2:
@@ -104,6 +118,20 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.snapshot_every <= 0:
         raise ConfigError(
             f"output.snapshot_every must be positive, got {cfg.snapshot_every}")
+    # run_flow records at min(k * snapshot_every, t_end); the limit analysis
+    # needs the first record at t >= T_USABLE to be followed by another.
+    # ceil of the rounded quotient can miss that first k by one either way.
+    every = cfg.snapshot_every
+    k = max(1.0, np.ceil(T_USABLE / every))
+    if k > 1 and (k - 1) * every >= T_USABLE:
+        k -= 1
+    elif k * every < T_USABLE:
+        k += 1
+    if not k * every < cfg.t_end - RECORD_SNAP:
+        raise ConfigError(
+            f"limit analysis needs two records at t >= {T_USABLE:g}; "
+            f"time.t_end = {cfg.t_end:g} with output.snapshot_every = "
+            f"{every:g} gives fewer")
 
 
 def build_initial_profile(cfg: ExperimentConfig):
@@ -152,19 +180,16 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"expected key = value, got {line!r}", lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if (section, key) not in _SCHEMA:
+        entry = _convert(section, key, value, key, lineno)
+        if entry is None:
             where = f"[{section}]" if section else "the global scope"
             raise ConfigError(f"unknown key {key!r} in {where}", lineno)
-        attr, conv = _SCHEMA[(section, key)]
+        attr, converted = entry
         if attr in seen:
             raise ConfigError(
                 f"duplicate key {key!r} (first set on line {seen[attr]})",
                 lineno)
-        try:
-            values[attr] = conv(value)
-        except ValueError:
-            raise ConfigError(
-                f"{key!r} expects {conv.__name__}, got {value!r}", lineno)
+        values[attr] = converted
         seen[attr] = lineno
 
     cfg = ExperimentConfig(**values)
@@ -181,16 +206,9 @@ def override_config(cfg: ExperimentConfig, dotted_key: str,
     converter as the parser.
     """
     section, _, key = dotted_key.rpartition(".")
-    if (section, key) not in _SCHEMA:
+    entry = _convert(section, key, value, dotted_key)
+    if entry is None:
         raise ConfigError(f"unknown config key {dotted_key!r}")
-    attr, conv = _SCHEMA[(section, key)]
-    try:
-        converted = conv(value)
-    except ValueError:
-        raise ConfigError(f"{dotted_key!r} expects {conv.__name__}, "
-                          f"got {value!r}")
-    kwargs = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    kwargs[attr] = converted
-    out = ExperimentConfig(**kwargs)
+    out = replace(cfg, **dict([entry]))
     validate_config(out)
     return out

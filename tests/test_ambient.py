@@ -66,6 +66,7 @@ def test_sectional_anchor_values():
 
 def test_sectional_range_random_pairs():
     rng = np.random.default_rng(8)
+    pairs, values = [], []
     for _ in range(200):
         X = rng.standard_normal(8)
         X /= np.linalg.norm(X)
@@ -76,6 +77,13 @@ def test_sectional_range_random_pairs():
         assert -4.0 - 1e-12 <= K <= -1.0 + 1e-12
         # definition agrees with the full tensor
         assert abs(K - curvature_tensor(X, Y, X, Y)) < 1e-12
+        pairs.append((X, Y))
+        values.append(K)
+    # one batched call per function gives the per-pair values
+    X, Y = np.stack(pairs, axis=1)
+    assert np.allclose(sectional(X, Y), values, rtol=0, atol=1e-14)
+    assert np.allclose(curvature_tensor(X, Y, X, Y), values, rtol=0,
+                       atol=1e-12)
     with pytest.raises(ValueError):
         sectional(np.ones(8), np.ones(8))
 

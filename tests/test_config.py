@@ -119,6 +119,9 @@ def test_duplicate_key():
     ("[output]\nsnapshot_every = 0", "snapshot_every must be positive"),
     ("[initial]\nkind = bump\nr0 = 0.05\namplitude = 0.1",
      "min rho = -0.0499"),
+    ("[time]\nt_end = 10.0", "limit analysis needs two records at t >= 10"),
+    ("[time]\nt_end = 40\n[output]\nsnapshot_every = 50",
+     "limit analysis needs two records at t >= 10"),
 ])
 def test_invariant_violations(text, needle):
     e = err_of(text)
@@ -152,6 +155,15 @@ def test_validate_config_is_reusable():
     validate_config(ExperimentConfig())
     with pytest.raises(ConfigError):
         validate_config(ExperimentConfig(grid_points=8))
+
+
+def test_record_window_boundary():
+    # the accepted sides of the refusals in test_invariant_violations:
+    # records at 10 and 10.4, and at 50 and 60, are two at t >= 10
+    validate_config(ExperimentConfig(t_end=10.4, snapshot_every=0.5))
+    validate_config(ExperimentConfig(t_end=60.0, snapshot_every=50.0))
+    with pytest.raises(ConfigError, match="limit analysis"):
+        override_config(ExperimentConfig(), "output.snapshot_every", "50")
 
 
 def test_override_dotted_key():

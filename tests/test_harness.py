@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qimcf import (ConfigError, DiagnosticsRecord, ExperimentConfig,
-                   MeanConvexityLost, NonFiniteState, StiffnessError,
+                   MeanConvexityLost, NonFiniteState, StiffnessError, ambient,
                    make_theta_grid, run_experiment, sweep)
 from qimcf.cli import main
 from qimcf.config import override_config
@@ -130,8 +130,7 @@ def test_too_short_run_is_rejected(tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         run_experiment(fast_cfg(t_end=5.0), out_dir=str(out))
     assert "limit analysis" in str(excinfo.value)
-    assert (out / "diagnostics.csv").exists()
-    assert not (out / "report.json").exists()
+    assert not out.exists()  # refused before any integration or output
 
 
 @pytest.mark.parametrize("exc,code", [
@@ -232,18 +231,18 @@ def test_sweep_cell_failure_keeps_other_cells(tmp_path, monkeypatch, exc):
 
 
 def test_sweep_product_order_and_naming(tmp_path):
-    base = fast_cfg(initial_kind="tau_family", t_end=1.0)
+    # the shortest t_end on the 0.5 record cadence that leaves the limit
+    # analysis two records at t >= 10
+    base = fast_cfg(initial_kind="tau_family", t_end=10.5)
     rows = sweep(base, [("initial.tau", ["4.0", "4.5"]),
                         ("initial.amplitude", ["0.0", "0.1"])],
                  out_dir=str(tmp_path / "sw"), max_workers=1)
     assert len(rows) == 4
     assert [(r["tau"], r["amplitude"]) for r in rows] == [
         ("4.0", "0.0"), ("4.0", "0.1"), ("4.5", "0.0"), ("4.5", "0.1")]
-    # t_end is far too short for limit analysis, so every cell fails,
-    # but the flow data itself is still on disk
-    assert all(r["verdict"] == "FAILED" for r in rows)
-    assert (tmp_path / "sw" / "tau=4.5_amplitude=0.1"
-            / "diagnostics.csv").exists()
+    for name in ("tau=4.0_amplitude=0.0", "tau=4.0_amplitude=0.1",
+                 "tau=4.5_amplitude=0.0", "tau=4.5_amplitude=0.1"):
+        assert (tmp_path / "sw" / name / "diagnostics.csv").exists()
 
 
 def test_sweep_requires_axes(tmp_path):
@@ -260,6 +259,20 @@ def test_verify_ambient_report():
         assert value < tol
     assert -4.0 - 1e-10 <= report["sectional_min"]
     assert report["sectional_max"] <= -1.0 + 1e-10
+
+
+@pytest.mark.parametrize("name,broken,check", [
+    ("curvature_tensor", lambda real: lambda *a: 1.001 * real(*a),
+     "ricci_max_error"),
+    ("sectional", lambda real: lambda X, Y: real(X, Y) + 0.5,
+     "sectional_range_violation"),
+])
+def test_verify_ambient_report_can_fail(monkeypatch, name, broken, check):
+    monkeypatch.setattr(ambient, name, broken(getattr(ambient, name)))
+    report, checks, ok = verify_ambient_report(2, 200, seed=1)
+    assert not ok
+    assert report[check] > AMBIENT_TOLERANCES[check]
+    assert (check, report[check], AMBIENT_TOLERANCES[check], False) in checks
 
 
 def test_cli_run(tmp_path, capsys):
@@ -307,3 +320,14 @@ def test_cli_verify_ambient(capsys):
     assert code == 0
     assert out.count("PASS") == 6
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--n", "1"), ("--samples", "0"), ("--samples", "-3")])
+def test_cli_verify_ambient_bad_input(capsys, flag, value):
+    code = main(["verify-ambient", flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("verify-ambient: need n >= 2")
