@@ -6,6 +6,9 @@ mean curvature flow, monitors the quantities that control long-time
 behavior, and analyzes the sub-Riemannian conformal limit.
 """
 
+# set before the submodule imports: harness writes it into report.json
+__version__ = "0.1.0"
+
 from .ambient import (apply_J, curvature_tensor, ricci_check, sectional,
                       verify_ambient)
 from .config import ConfigError, ExperimentConfig, parse_config
@@ -22,5 +25,3 @@ from .geometry import (A_norm_sq, Grid, ProfileDerivatives, Q_functional,
 from .harness import ExperimentResult, run_experiment, sweep, verify_ambient_report
 from .limits import (ConformalFactor, ConstancyVerdict, constancy_verdict,
                      extract_conformal_factor, fit_decay_rate, limit_Q)
-
-__version__ = "0.1.0"

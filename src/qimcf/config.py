@@ -26,6 +26,7 @@ Example:
     snapshot_every = 0.5
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,18 +121,55 @@ def validate_config(cfg: ExperimentConfig):
             f"output.snapshot_every must be positive, got {cfg.snapshot_every}")
     # run_flow records at min(k * snapshot_every, t_end); the limit analysis
     # needs the first record at t >= T_USABLE to be followed by another.
-    # ceil of the rounded quotient can miss that first k by one either way.
     every = cfg.snapshot_every
-    k = max(1.0, np.ceil(T_USABLE / every))
-    if k > 1 and (k - 1) * every >= T_USABLE:
-        k -= 1
-    elif k * every < T_USABLE:
-        k += 1
+    k = _first_record_index(every, T_USABLE)
     if not k * every < cfg.t_end - RECORD_SNAP:
         raise ConfigError(
             f"limit analysis needs two records at t >= {T_USABLE:g}; "
             f"time.t_end = {cfg.t_end:g} with output.snapshot_every = "
             f"{every:g} gives fewer")
+    clash = _snapshot_name_clash(cfg.t_end, every)
+    if clash is not None:
+        raise ConfigError(
+            f"records at t = {clash[0]!r} and t = {clash[1]!r} would both "
+            f"be written to snapshot_t{clash[0]:g}.csv; time.t_end and "
+            f"output.snapshot_every must give record times that differ "
+            f"in six significant digits")
+
+
+def _first_record_index(every: float, t: float) -> float:
+    """Smallest k >= 1 with k * every >= t, in run_flow's arithmetic."""
+    # ceil of the rounded quotient can miss that k by one either way
+    k = max(1.0, float(np.ceil(t / every)))
+    if k > 1 and (k - 1) * every >= t:
+        k -= 1
+    elif k * every < t:
+        k += 1
+    return k
+
+
+def _snapshot_name_clash(t_end: float, every: float):
+    """Two neighbouring record times with the same snapshot name, or None.
+
+    Names format t with :g, six significant digits, so they never fall as
+    t rises and only neighbours can share one.  Neighbours further apart
+    than the rounding step 10**(floor(log10 t) - 5) at the later one never
+    do, so the scan runs down from t_end only while the spacing is within
+    that step.
+    """
+    k = _first_record_index(every, t_end - RECORD_SNAP)
+    later = min(k * every, t_end)
+    later_name = f"{later:g}"
+    while k > 1:
+        k -= 1
+        t = k * every
+        name = f"{t:g}"
+        if name == later_name:
+            return t, later
+        if every > 1.000000001 * 10.0 ** (math.floor(math.log10(t)) - 5):
+            return None
+        later, later_name = t, name
+    return None
 
 
 def build_initial_profile(cfg: ExperimentConfig):

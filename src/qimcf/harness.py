@@ -4,7 +4,8 @@ Output contract per run directory:
 
   diagnostics.csv       one row per record time, schema DiagnosticsRecord
   snapshot_t{T}.csv     theta,rho profile at each record time
-  report.json           limit-analysis summary (success only, never partial)
+  report.json           limit-analysis summary and how the run was made
+                        (success only, never partial)
   decay.dat             gnuplot-ready decay table (# comment header)
 
 Exit codes: 0 success, 1 configuration or verification failure, 2 mean
@@ -14,6 +15,7 @@ aborting the sweep.
 """
 
 import csv
+import functools
 import itertools
 import json
 import logging
@@ -23,12 +25,13 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from . import ambient
+from . import __version__, ambient
 from .config import (ConfigError, ExperimentConfig, build_initial_profile,
                      check_mean_convexity, override_config, validate_config)
 from .flow import (DiagnosticsRecord, FlowError, FlowState,
                    MeanConvexityLost, NonFiniteState, StepControl,
                    StiffnessError, run_flow)
+from .geometry import cached_grid
 from .limits import constancy_verdict, extract_conformal_factor, fit_decay_rate
 
 logger = logging.getLogger(__name__)
@@ -73,12 +76,23 @@ def _write_csv(path: Path, header: Sequence[str], rows):
         writer.writerows(rows)
 
 
+@functools.lru_cache(maxsize=64)
+def _theta_column(n: int, grid_size: int) -> tuple:
+    """repr(theta) + "," per node of cached_grid(n, grid_size)."""
+    theta = cached_grid(n, grid_size).theta
+    return tuple(repr(x) + "," for x in theta.tolist())
+
+
 def _write_snapshot(out: Path, state: FlowState):
-    path = out / f"snapshot_t{state.t:g}.csv"
+    """theta,rho CSV, in the bytes csv.writer gives with LF line ends."""
+    profile = state.profile
+    theta = _theta_column(profile.n, profile.grid_size)
     # repr of a Python float round-trips exactly (numpy scalars do not)
-    rows = zip((repr(float(x)) for x in state.profile.theta),
-               (repr(float(x)) for x in state.profile.rho))
-    _write_csv(path, ("theta", "rho"), rows)
+    rows = "".join(prefix + repr(r) + "\n"
+                   for prefix, r in zip(theta, profile.rho.tolist()))
+    with open(out / f"snapshot_t{state.t:g}.csv", "w", encoding="utf-8",
+              newline="") as fh:
+        fh.write("theta,rho\n" + rows)
 
 
 def _write_diagnostics(out: Path, records: Sequence[DiagnosticsRecord]):
@@ -134,8 +148,8 @@ def run_experiment(cfg: ExperimentConfig,
         _write_snapshot(out, state)
 
     try:
-        run_flow(state0, ctrl, observers=[observer],
-                 record_every=cfg.snapshot_every)
+        final, _ = run_flow(state0, ctrl, observers=[observer],
+                            record_every=cfg.snapshot_every)
     except tuple(FLOW_EXIT_CODES) as err:
         logger.error("run failed, %s", err)
         _write_diagnostics(out, records)
@@ -165,6 +179,14 @@ def run_experiment(cfg: ExperimentConfig,
             "H": _fit_or_none(h_series, FIT_T_MIN),
         },
         "cauchy_residual": factor.cauchy_residual,
+        "steps": final.step_count,
+        "dt_max": ctrl.dt_max,
+        "cfl_safety": ctrl.cfl_safety,
+        "snapshot_every": cfg.snapshot_every,
+        "initial": {"kind": cfg.initial_kind, "r0": cfg.initial_r0,
+                    "amplitude": cfg.initial_amplitude,
+                    "tau": cfg.initial_tau},
+        "version": __version__,
     }
     with open(out / "report.json", "w", encoding="utf-8",
               newline="\n") as fh:

@@ -122,6 +122,10 @@ def test_duplicate_key():
     ("[time]\nt_end = 10.0", "limit analysis needs two records at t >= 10"),
     ("[time]\nt_end = 40\n[output]\nsnapshot_every = 50",
      "limit analysis needs two records at t >= 10"),
+    ("[time]\nt_end = 10.50001",
+     "would both be written to snapshot_t10.5.csv"),
+    ("[time]\nt_end = 20\n[output]\nsnapshot_every = 1e-5",
+     "would both be written to snapshot_t20.csv"),
 ])
 def test_invariant_violations(text, needle):
     e = err_of(text)

@@ -179,6 +179,23 @@ def test_step_cfl_binds_at_small_radius():
     assert abs(dt_b - dt_a / 2) < 1e-15
 
 
+@pytest.mark.parametrize("kind,radius,N", [
+    ("bump", 3.0, 256), ("bump", 3.0, 512),
+    ("tau_family", 4.0, 256), ("tau_family", 4.0, 512)])
+@pytest.mark.parametrize("shift", [-0.01, 0.01])
+@pytest.mark.parametrize("scale", [0.98, 1.02])
+def test_step_dt_max_binds_on_reference_runs(kind, radius, N, shift, scale):
+    # the reference runs (amplitude 0.1, t_end 40), with r0/tau shifted by
+    # 0.01 and amplitude scaled by 0.98/1.02, step at dt_max, not at the
+    # CFL bound; t = 0 has the tightest bound, which grows with rho
+    key = "r0" if kind == "bump" else "tau"
+    profile = initial_profile(2, N, kind, amplitude=0.1 * scale,
+                              **{key: radius + shift})
+    ctrl = StepControl(t_end=40.0)
+    assert step(FlowState(t=0.0, profile=profile), ctrl).last_dt == \
+        ctrl.dt_max
+
+
 def test_step_control_validation():
     with pytest.raises(ValueError):
         StepControl(t_end=1.0, cfl_safety=0.0)

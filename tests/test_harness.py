@@ -2,21 +2,24 @@
 
 import csv
 import dataclasses
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qimcf
 from qimcf import (ConfigError, DiagnosticsRecord, ExperimentConfig,
-                   MeanConvexityLost, NonFiniteState, StiffnessError, ambient,
-                   make_theta_grid, run_experiment, sweep)
+                   FlowState, MeanConvexityLost, NonFiniteState, StepControl,
+                   StiffnessError, ambient, initial_profile, make_theta_grid,
+                   run_experiment, sweep)
 from qimcf.cli import main
-from qimcf.config import override_config
+from qimcf.config import build_initial_profile, override_config
 from qimcf.flow import diagnostics_record
 from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONVEXITY_LOST,
                            EXIT_NONFINITE, EXIT_OK, EXIT_STIFFNESS,
-                           SWEEP_COLUMNS, resolve_out_dir,
+                           SWEEP_COLUMNS, _write_snapshot, resolve_out_dir,
                            verify_ambient_report)
 
 CONFIG_TEXT = """\
@@ -81,15 +84,29 @@ def test_run_experiment_artifacts(tmp_path):
     assert report == result.report
     assert set(report) == {"n", "grid_size", "t_end", "f_range", "limit_Q",
                            "Q_final", "verdict", "decay_rates",
-                           "cauchy_residual"}
+                           "cauchy_residual", "steps", "dt_max",
+                           "cfl_safety", "snapshot_every", "initial",
+                           "version"}
     assert set(report["decay_rates"]) == {"grad_phi", "H"}
+    dt_max = StepControl(t_end=21.0).dt_max
+    assert report["dt_max"] == dt_max
+    assert report["steps"] == round(21.0 / dt_max)
+    assert report["cfl_safety"] == 0.4
+    assert report["snapshot_every"] == 0.5
+    assert report["initial"] == {"kind": "bump", "r0": 3.0,
+                                 "amplitude": 0.1, "tau": 4.0}
+    assert report["version"] == qimcf.__version__
     assert report["verdict"] == "NON_CONSTANT"
     assert report["decay_rates"]["grad_phi"] < -0.1
 
 
 def test_snapshot_roundtrip(tmp_path):
     out = tmp_path / "run"
-    result = run_experiment(fast_cfg(t_end=11.0), out_dir=str(out))
+    cfg = fast_cfg(t_end=11.0)
+    result = run_experiment(cfg, out_dir=str(out))
+    with open(out / "snapshot_t0.csv", encoding="utf-8") as fh:
+        rho0 = np.array([float(r[1]) for r in list(csv.reader(fh))[1:]])
+    assert np.array_equal(rho0, build_initial_profile(cfg).rho)
     with open(out / "snapshot_t11.csv", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["theta", "rho"]
@@ -101,6 +118,21 @@ def test_snapshot_roundtrip(tmp_path):
     assert np.all(rho > 0)
     # too few post-layer records to fit a rate, and that is not an error
     assert result.report["decay_rates"]["grad_phi"] is None
+
+
+def test_snapshot_bytes(tmp_path):
+    # what csv.writer(lineterminator="\n") writes for repr'd Python floats
+    profile = initial_profile(2, 32, "bump", r0=3.0, amplitude=0.1)
+    _write_snapshot(tmp_path, FlowState(t=2.5, profile=profile))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("theta", "rho"))
+    writer.writerows((repr(float(th)), repr(float(r)))
+                     for th, r in zip(profile.theta, profile.rho))
+    written = (tmp_path / "snapshot_t2.5.csv").read_bytes()
+    assert written == expected.getvalue().encode("ascii")
+    assert written.split(b"\n")[:2] == [
+        b"theta,rho", b"0.02454369260617026,3.0998795456205173"]
 
 
 def test_run_experiment_deterministic(tmp_path):
