@@ -51,12 +51,10 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     rows = sweep(cfg, _parse_vary(args.vary), out_dir=args.out)
-    failed = sum(1 for row in rows if row["verdict"] == "FAILED")
+    failed = sum(1 for row in rows if row["exit_code"] != EXIT_OK)
     print(f"sweep complete: {len(rows)} cells, {failed} failed")
     for row in rows:
-        print("  " + ", ".join(f"{c}={row[c]}" for c in
-                               ("tau", "amplitude", "Q_final", "limit_Q",
-                                "verdict")))
+        print("  " + ", ".join(f"{c}={v}" for c, v in row.items()))
     return EXIT_OK if failed == 0 else EXIT_CONFIG
 
 

@@ -26,8 +26,8 @@ Example:
     snapshot_every = 0.5
 """
 
-import math
 from dataclasses import dataclass, replace
+from typing import Tuple
 
 import numpy as np
 
@@ -119,22 +119,14 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.snapshot_every <= 0:
         raise ConfigError(
             f"output.snapshot_every must be positive, got {cfg.snapshot_every}")
-    # run_flow records at min(k * snapshot_every, t_end); the limit analysis
-    # needs the first record at t >= T_USABLE to be followed by another.
+    # the limit analysis needs the first record at t >= T_USABLE to be
+    # followed by another
     every = cfg.snapshot_every
-    k = _first_record_index(every, T_USABLE)
-    if not k * every < cfg.t_end - RECORD_SNAP:
+    if _first_record_index(every, T_USABLE) >= last_record(cfg)[0]:
         raise ConfigError(
             f"limit analysis needs two records at t >= {T_USABLE:g}; "
             f"time.t_end = {cfg.t_end:g} with output.snapshot_every = "
             f"{every:g} gives fewer")
-    clash = _snapshot_name_clash(cfg.t_end, every)
-    if clash is not None:
-        raise ConfigError(
-            f"records at t = {clash[0]!r} and t = {clash[1]!r} would both "
-            f"be written to snapshot_t{clash[0]:g}.csv; time.t_end and "
-            f"output.snapshot_every must give record times that differ "
-            f"in six significant digits")
 
 
 def _first_record_index(every: float, t: float) -> float:
@@ -148,28 +140,12 @@ def _first_record_index(every: float, t: float) -> float:
     return k
 
 
-def _snapshot_name_clash(t_end: float, every: float):
-    """Two neighbouring record times with the same snapshot name, or None.
-
-    Names format t with :g, six significant digits, so they never fall as
-    t rises and only neighbours can share one.  Neighbours further apart
-    than the rounding step 10**(floor(log10 t) - 5) at the later one never
-    do, so the scan runs down from t_end only while the spacing is within
-    that step.
-    """
-    k = _first_record_index(every, t_end - RECORD_SNAP)
-    later = min(k * every, t_end)
-    later_name = f"{later:g}"
-    while k > 1:
-        k -= 1
-        t = k * every
-        name = f"{t:g}"
-        if name == later_name:
-            return t, later
-        if every > 1.000000001 * 10.0 ** (math.floor(math.log10(t)) - 5):
-            return None
-        later, later_name = t, name
-    return None
+def last_record(cfg: ExperimentConfig) -> Tuple[int, float]:
+    """Index and time of run_flow's last record: t_end, or k * every when
+    that falls within RECORD_SNAP below t_end."""
+    every = cfg.snapshot_every
+    k = _first_record_index(every, cfg.t_end - RECORD_SNAP)
+    return int(k), min(k * every, cfg.t_end)
 
 
 def build_initial_profile(cfg: ExperimentConfig):

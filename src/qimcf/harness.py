@@ -3,7 +3,8 @@
 Output contract per run directory:
 
   diagnostics.csv       one row per record time, schema DiagnosticsRecord
-  snapshot_t{T}.csv     theta,rho profile at each record time
+  snapshot_{K}_t{T}.csv theta,rho profile at record K (zero-padded to
+                        the width of the last index) and time T
   report.json           limit-analysis summary and how the run was made
                         (success only, never partial)
   decay.dat             gnuplot-ready decay table (# comment header)
@@ -27,12 +28,14 @@ from typing import Optional, Sequence, Tuple
 
 from . import __version__, ambient
 from .config import (ConfigError, ExperimentConfig, build_initial_profile,
-                     check_mean_convexity, override_config, validate_config)
+                     check_mean_convexity, last_record, override_config,
+                     validate_config)
 from .flow import (DiagnosticsRecord, FlowError, FlowState,
                    MeanConvexityLost, NonFiniteState, StepControl,
                    StiffnessError, run_flow)
-from .geometry import cached_grid
-from .limits import constancy_verdict, extract_conformal_factor, fit_decay_rate
+from .geometry import RadialProfile, cached_grid
+from .limits import (LimitSnapshots, constancy_verdict,
+                     extract_conformal_factor, fit_decay_rate)
 
 logger = logging.getLogger(__name__)
 
@@ -49,8 +52,8 @@ FLOW_EXIT_CODES = {MeanConvexityLost: EXIT_CONVEXITY_LOST,
 VERDICT_TOL = 1e-6  # range threshold separating CONSTANT from NON_CONSTANT
 FIT_T_MIN = 10.0    # decay fits skip the initial layer
 
-SWEEP_COLUMNS = ("tau", "amplitude", "Q_final", "limit_Q", "verdict",
-                 "min_H_over_run")
+SWEEP_RESULT_COLUMNS = ("Q_final", "limit_Q", "verdict", "min_H_over_run",
+                        "exit_code")
 
 
 @dataclass(frozen=True)
@@ -83,15 +86,13 @@ def _theta_column(n: int, grid_size: int) -> tuple:
     return tuple(repr(x) + "," for x in theta.tolist())
 
 
-def _write_snapshot(out: Path, state: FlowState):
+def _write_snapshot(path: Path, profile: RadialProfile):
     """theta,rho CSV, in the bytes csv.writer gives with LF line ends."""
-    profile = state.profile
     theta = _theta_column(profile.n, profile.grid_size)
     # repr of a Python float round-trips exactly (numpy scalars do not)
     rows = "".join(prefix + repr(r) + "\n"
                    for prefix, r in zip(theta, profile.rho.tolist()))
-    with open(out / f"snapshot_t{state.t:g}.csv", "w", encoding="utf-8",
-              newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("theta,rho\n" + rows)
 
 
@@ -102,14 +103,12 @@ def _write_diagnostics(out: Path, records: Sequence[DiagnosticsRecord]):
 
 
 def _write_decay_table(out: Path, records: Sequence[DiagnosticsRecord],
-                       n: int):
+                       h_dev: Sequence[float]):
     """Decay table for plotting: t, sup(phi')^2, max|H - (4n+2)|, |Q|."""
-    horo = 4 * n + 2
     with open(out / "decay.dat", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# t sup_grad_phi_sq H_dev_max abs_Q\n")
-        for rec in records:
-            h_dev = max(abs(rec.H_min - horo), abs(rec.H_max - horo))
-            fh.write(f"{rec.t!r} {rec.sup_grad_phi_sq!r} {h_dev!r} "
+        for rec, dev in zip(records, h_dev):
+            fh.write(f"{rec.t!r} {rec.sup_grad_phi_sq!r} {dev!r} "
                      f"{abs(rec.Q)!r}\n")
 
 
@@ -139,13 +138,17 @@ def run_experiment(cfg: ExperimentConfig,
     state0 = FlowState(t=0.0, profile=build_initial_profile(cfg))
     ctrl = StepControl(t_end=cfg.t_end, cfl_safety=cfg.cfl_safety)
 
+    last_index, last_t = last_record(cfg)
+    width = len(str(last_index))
     records = []
-    snapshots = []
+    limit_snapshots = LimitSnapshots(last_t)
 
     def observer(state, record):
+        _write_snapshot(
+            out / f"snapshot_{len(records):0{width}d}_t{state.t:g}.csv",
+            state.profile)
         records.append(record)
-        snapshots.append((state.t, state.profile))
-        _write_snapshot(out, state)
+        limit_snapshots.add(state.t, state.profile)
 
     try:
         final, _ = run_flow(state0, ctrl, observers=[observer],
@@ -156,16 +159,16 @@ def run_experiment(cfg: ExperimentConfig,
         return ExperimentResult(FLOW_EXIT_CODES[type(err)], str(out), None,
                                 _min_H(records))
 
+    horo = 4 * cfg.n + 2
+    h_dev = [max(abs(r.H_min - horo), abs(r.H_max - horo)) for r in records]
     _write_diagnostics(out, records)
-    _write_decay_table(out, records, cfg.n)
+    _write_decay_table(out, records, h_dev)
 
-    factor = extract_conformal_factor(snapshots)
+    factor = extract_conformal_factor(limit_snapshots.kept)
     verdict = constancy_verdict(factor, VERDICT_TOL)
 
-    horo = 4 * cfg.n + 2
     grad_series = [(r.t, r.sup_grad_phi_sq) for r in records]
-    h_series = [(r.t, max(abs(r.H_min - horo), abs(r.H_max - horo)))
-                for r in records]
+    h_series = [(r.t, dev) for r, dev in zip(records, h_dev)]
     report = {
         "n": cfg.n,
         "grid_size": cfg.grid_points,
@@ -199,33 +202,28 @@ def _min_H(records) -> Optional[float]:
     return min((r.H_min for r in records), default=None)
 
 
-def _cell_name(overrides: Sequence[Tuple[str, str]]) -> str:
-    return "_".join(f"{key.rpartition('.')[2]}={val}"
-                    for key, val in overrides)
+def _cell_name(labels: dict) -> str:
+    return "_".join(f"{key}={val}" for key, val in labels.items())
 
 
 def _sweep_cell(item):
     """Worker body: run one cell, classify, never raise across the pool."""
-    cfg, out_dir, overrides = item
-    row = {
-        "tau": repr(cfg.initial_tau),
-        "amplitude": repr(cfg.initial_amplitude),
-        "Q_final": "",
-        "limit_Q": "",
-        "verdict": "FAILED",
-        "min_H_over_run": "",
-    }
+    cfg, out_dir, labels = item
+    row = dict(labels, Q_final="", limit_Q="", verdict="FAILED",
+               min_H_over_run="")
     try:
         result = run_experiment(cfg, out_dir=out_dir)
     except (ConfigError, FlowError, ValueError, OSError) as err:
-        logger.error("sweep cell %s failed: %s: %s", _cell_name(overrides),
+        logger.error("sweep cell %s failed: %s: %s", _cell_name(labels),
                      type(err).__name__, err)
+        row["exit_code"] = FLOW_EXIT_CODES.get(type(err), EXIT_CONFIG)
         return row
+    row["exit_code"] = result.exit_code
     if result.min_H_over_run is not None:
         row["min_H_over_run"] = repr(result.min_H_over_run)
     if result.exit_code != EXIT_OK:
         logger.error("sweep cell %s failed with exit code %d",
-                     _cell_name(overrides), result.exit_code)
+                     _cell_name(labels), result.exit_code)
         return row
     row["Q_final"] = repr(result.report["Q_final"])
     row["limit_Q"] = repr(result.report["limit_Q"])
@@ -242,13 +240,16 @@ def sweep(cfg: ExperimentConfig,
     vary is a sequence of (config key, value strings); cells are laid out
     in lexicographic order of the given axes.  Each cell writes a full
     run directory under the sweep output dir; the aggregate sweep.csv is
-    written single-threaded at the end.  Failed cells keep their verdict
-    FAILED row (numeric columns empty) and do not stop the sweep.
+    written single-threaded at the end, one row per cell: the values of
+    the varied keys under their short names (as in the cell directory
+    names), then SWEEP_RESULT_COLUMNS.  Failed cells keep their row, with
+    verdict FAILED, their exit code and empty numeric columns, and do not
+    stop the sweep.
 
     Returns the aggregate rows as dicts in cell order.
     """
-    if not vary:
-        raise ConfigError("sweep needs at least one key to vary")
+    if not vary or len({key for key, _ in vary}) < len(vary):
+        raise ConfigError("sweep needs at least one key to vary, each once")
     base = resolve_out_dir(cfg, out_dir)
     base.mkdir(parents=True, exist_ok=True)
 
@@ -258,7 +259,8 @@ def sweep(cfg: ExperimentConfig,
         cell_cfg = cfg
         for key, val in combo:
             cell_cfg = override_config(cell_cfg, key, val)
-        items.append((cell_cfg, str(base / _cell_name(combo)), combo))
+        labels = {key.rpartition(".")[2]: val for key, val in combo}
+        items.append((cell_cfg, str(base / _cell_name(labels)), labels))
 
     workers = max_workers or min(len(items), os.cpu_count() or 1)
     if workers > 1:
@@ -267,8 +269,9 @@ def sweep(cfg: ExperimentConfig,
     else:
         rows = [_sweep_cell(item) for item in items]
 
-    _write_csv(base / "sweep.csv", SWEEP_COLUMNS,
-               [[row[c] for c in SWEEP_COLUMNS] for row in rows])
+    columns = list(items[0][2]) + list(SWEEP_RESULT_COLUMNS)
+    _write_csv(base / "sweep.csv", columns,
+               [[row[c] for c in columns] for row in rows])
     return rows
 
 

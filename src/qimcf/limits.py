@@ -38,6 +38,26 @@ def _centered_f(profile: RadialProfile) -> np.ndarray:
     return profile.rho - float(profile.grid.weights @ profile.rho)
 
 
+class LimitSnapshots:
+    """The two snapshots extract_conformal_factor reads, kept on the fly.
+
+    Fed a run's snapshots in time order, t_final being the last one's time,
+    kept holds the latest usable one (t >= T_USABLE) and, before it, the
+    usable one nearest t_final / 2 (the earlier on a tie): two profiles,
+    however many records the run writes.
+    """
+
+    def __init__(self, t_final: float):
+        self.t_half, self.kept = t_final / 2, []
+
+    def add(self, t: float, profile: RadialProfile):
+        if t >= T_USABLE:
+            if len(self.kept) == 2:
+                half, latest = (abs(s[0] - self.t_half) for s in self.kept)
+                del self.kept[1 if half <= latest else 0]
+            self.kept.append((t, profile))
+
+
 def extract_conformal_factor(
         snapshots: Sequence[Tuple[float, RadialProfile]]) -> ConformalFactor:
     """Read f off the latest snapshot, normalized to zero orbit mean.
@@ -46,16 +66,18 @@ def extract_conformal_factor(
     quantity (limit_Q is invariant, the range ignores it), so the
     orbit-weighted mean is removed; that also makes runs with different
     initial radii directly comparable.  Requires at least two snapshots
-    at t >= 10; the second-latest time closest to half the final one
-    supplies the Cauchy residual.
+    at t >= 10; the earlier one closest to half the final time (see
+    LimitSnapshots) supplies the Cauchy residual.
     """
     usable = sorted((float(t), p) for t, p in snapshots if t >= T_USABLE)
     if len(usable) < 2:
         raise ValueError(
             f"need at least two snapshots at t >= {T_USABLE}, "
             f"got {len(usable)}")
-    t_final, final = usable[-1]
-    half_t, half = min(usable[:-1], key=lambda tp: abs(tp[0] - t_final / 2))
+    pair = LimitSnapshots(usable[-1][0])
+    for t, profile in usable:
+        pair.add(t, profile)
+    (_, half), (t_final, final) = pair.kept
     f = _centered_f(final)
     residual = float(np.max(np.abs(f - _centered_f(half))))
     return ConformalFactor(n=final.n, theta=final.theta, f=f,

@@ -11,16 +11,18 @@ import pytest
 
 import qimcf
 from qimcf import (ConfigError, DiagnosticsRecord, ExperimentConfig,
-                   FlowState, MeanConvexityLost, NonFiniteState, StepControl,
-                   StiffnessError, ambient, initial_profile, make_theta_grid,
-                   run_experiment, sweep)
+                   MeanConvexityLost, NonFiniteState, StepControl,
+                   StiffnessError, ambient, harness, initial_profile,
+                   make_theta_grid, run_experiment, sweep)
 from qimcf.cli import main
 from qimcf.config import build_initial_profile, override_config
 from qimcf.flow import diagnostics_record
-from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONVEXITY_LOST,
-                           EXIT_NONFINITE, EXIT_OK, EXIT_STIFFNESS,
-                           SWEEP_COLUMNS, _write_snapshot, resolve_out_dir,
+from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONFIG,
+                           EXIT_CONVEXITY_LOST, EXIT_NONFINITE, EXIT_OK,
+                           EXIT_STIFFNESS, SWEEP_RESULT_COLUMNS, VERDICT_TOL,
+                           _write_snapshot, resolve_out_dir,
                            verify_ambient_report)
+from qimcf.limits import constancy_verdict, extract_conformal_factor
 
 CONFIG_TEXT = """\
 n = 2
@@ -64,9 +66,10 @@ def test_run_experiment_artifacts(tmp_path):
 
     names = {p.name for p in out.iterdir()}
     assert {"diagnostics.csv", "decay.dat", "report.json"} <= names
-    snaps = [s for s in names if s.startswith("snapshot_t")]
+    snaps = [s for s in names if s.startswith("snapshot_")]
     assert len(snaps) == 43  # t = 0, 0.5, ..., 21
-    assert {"snapshot_t0.csv", "snapshot_t10.5.csv", "snapshot_t21.csv"} <= names
+    assert {"snapshot_00_t0.csv", "snapshot_21_t10.5.csv",
+            "snapshot_42_t21.csv"} <= names
 
     with open(out / "diagnostics.csv", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -104,10 +107,10 @@ def test_snapshot_roundtrip(tmp_path):
     out = tmp_path / "run"
     cfg = fast_cfg(t_end=11.0)
     result = run_experiment(cfg, out_dir=str(out))
-    with open(out / "snapshot_t0.csv", encoding="utf-8") as fh:
+    with open(out / "snapshot_00_t0.csv", encoding="utf-8") as fh:
         rho0 = np.array([float(r[1]) for r in list(csv.reader(fh))[1:]])
     assert np.array_equal(rho0, build_initial_profile(cfg).rho)
-    with open(out / "snapshot_t11.csv", encoding="utf-8") as fh:
+    with open(out / "snapshot_22_t11.csv", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["theta", "rho"]
     theta = np.array([float(r[0]) for r in rows[1:]])
@@ -123,13 +126,13 @@ def test_snapshot_roundtrip(tmp_path):
 def test_snapshot_bytes(tmp_path):
     # what csv.writer(lineterminator="\n") writes for repr'd Python floats
     profile = initial_profile(2, 32, "bump", r0=3.0, amplitude=0.1)
-    _write_snapshot(tmp_path, FlowState(t=2.5, profile=profile))
+    _write_snapshot(tmp_path / "snap.csv", profile)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(("theta", "rho"))
     writer.writerows((repr(float(th)), repr(float(r)))
                      for th, r in zip(profile.theta, profile.rho))
-    written = (tmp_path / "snapshot_t2.5.csv").read_bytes()
+    written = (tmp_path / "snap.csv").read_bytes()
     assert written == expected.getvalue().encode("ascii")
     assert written.split(b"\n")[:2] == [
         b"theta,rho", b"0.02454369260617026,3.0998795456205173"]
@@ -140,9 +143,62 @@ def test_run_experiment_deterministic(tmp_path):
     run_experiment(cfg, out_dir=str(tmp_path / "a"))
     run_experiment(cfg, out_dir=str(tmp_path / "b"))
     for name in ("diagnostics.csv", "report.json", "decay.dat",
-                 "snapshot_t21.csv"):
+                 "snapshot_42_t21.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_snapshot_names_sort_in_time_order(tmp_path):
+    # 106 records, so the index is padded to three digits
+    out = tmp_path / "run"
+    run_experiment(fast_cfg(t_end=10.5, snapshot_every=0.1),
+                   out_dir=str(out))
+    names = sorted(p.name for p in out.glob("snapshot_*.csv"))
+    assert len(names) == 106
+    assert names[0] == "snapshot_000_t0.csv"
+    assert names[-1] == "snapshot_105_t10.5.csv"
+    times = [float(name[name.index("_t") + 2:-len(".csv")])
+             for name in names]
+    assert times == sorted(times)
+
+
+def test_limit_analysis_gets_two_profiles(tmp_path, monkeypatch):
+    passed = []
+
+    def spy(snapshots):
+        passed.append(list(snapshots))
+        return extract_conformal_factor(snapshots)
+
+    monkeypatch.setattr("qimcf.harness.extract_conformal_factor", spy)
+    run_experiment(fast_cfg(), out_dir=str(tmp_path / "run"))
+    assert len(passed) == 1
+    assert len(passed[0]) <= 2
+
+
+@pytest.mark.parametrize("t_end,every", [
+    (41.0, 1.0),          # 20 and 21 tie for nearest 41 / 2; 20 is taken
+    (40.25, 0.5),         # the last record is off the cadence
+    (41.0 + 1e-13, 1.0),  # the last record is at 41, not at t_end
+])
+def test_limit_analysis_matches_every_profile(tmp_path, monkeypatch,
+                                              t_end, every):
+    profiles = []
+    real_run_flow = harness.run_flow
+
+    def run_flow(state0, ctrl, observers=(), record_every=0.5):
+        def keep(state, record):
+            profiles.append((state.t, state.profile))
+        return real_run_flow(state0, ctrl, observers=[*observers, keep],
+                             record_every=record_every)
+
+    monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
+    result = run_experiment(fast_cfg(t_end=t_end, snapshot_every=every),
+                            out_dir=str(tmp_path / "run"))
+    factor = extract_conformal_factor(profiles)
+    verdict = constancy_verdict(factor, VERDICT_TOL)
+    assert result.report["limit_Q"] == verdict.limit_Q
+    assert result.report["f_range"] == verdict.f_range
+    assert result.report["cauchy_residual"] == factor.cauchy_residual
 
 
 def test_refusal_creates_no_files(tmp_path):
@@ -184,7 +240,7 @@ def test_integration_failure_exit_codes(tmp_path, monkeypatch, exc, code):
     assert result.report is None
     assert result.min_H_over_run > 0
     assert (out / "diagnostics.csv").exists()
-    assert (out / "snapshot_t0.csv").exists()
+    assert (out / "snapshot_00_t0.csv").exists()
     assert not (out / "report.json").exists()
     assert not (out / "decay.dat").exists()
 
@@ -213,11 +269,12 @@ def test_sweep_cells_match_individual_runs(tmp_path):
 
     with open(tmp_path / "sw" / "sweep.csv", encoding="utf-8") as fh:
         srows = list(csv.reader(fh))
-    assert srows[0] == list(SWEEP_COLUMNS)
+    assert srows[0] == ["amplitude", *SWEEP_RESULT_COLUMNS]
     assert len(srows) == 3
-    assert srows[1][4] == "CONSTANT"
-    assert srows[2][4] == "NON_CONSTANT"
-    assert srows[1][0] == repr(4.0)  # tau column carries the config value
+    assert srows[1][3] == "CONSTANT"
+    assert srows[2][3] == "NON_CONSTANT"
+    assert [r[0] for r in srows[1:]] == ["0", "0.1"]  # the varied values
+    assert [r[-1] for r in srows[1:]] == ["0", "0"]  # exit codes
 
 
 def test_sweep_failed_cell_keeps_row(tmp_path):
@@ -230,9 +287,40 @@ def test_sweep_failed_cell_keeps_row(tmp_path):
     assert bad["Q_final"] == ""
     assert bad["limit_Q"] == ""
     assert bad["min_H_over_run"] == ""
-    assert bad["amplitude"] == repr(0.9)
+    assert bad["amplitude"] == "0.9"
+    assert bad["exit_code"] == EXIT_CONFIG
     # the cell was refused before any directory was created
     assert not (tmp_path / "sw" / "amplitude=0.9").exists()
+
+
+def test_sweep_rows_name_the_varied_key(tmp_path, monkeypatch):
+    real_run_flow = harness.run_flow
+
+    def run_flow(state0, ctrl, observers=(), record_every=0.5):
+        if state0.profile.rho.mean() > 3.4:  # the r0 = 3.5 cell
+            for obs in observers:
+                obs(state0, diagnostics_record(state0))
+            raise StiffnessError(0.7, 1e-14)
+        return real_run_flow(state0, ctrl, observers, record_every)
+
+    monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
+    rows = sweep(fast_cfg(), [("initial.r0", ["2.5", "3.5", "3.0"])],
+                 out_dir=str(tmp_path / "sw"), max_workers=1)
+    with open(tmp_path / "sw" / "sweep.csv", encoding="utf-8") as fh:
+        srows = list(csv.reader(fh))
+    assert srows[0] == ["r0", *SWEEP_RESULT_COLUMNS]
+    assert [(r[0], r[3], r[-1]) for r in srows[1:]] == [
+        ("2.5", "NON_CONSTANT", "0"), ("3.5", "FAILED", str(EXIT_STIFFNESS)),
+        ("3.0", "NON_CONSTANT", "0")]
+    assert rows[1]["exit_code"] == EXIT_STIFFNESS
+    assert rows[1]["min_H_over_run"] != ""
+    assert (tmp_path / "sw" / "r0=3.5" / "diagnostics.csv").exists()
+    assert not (tmp_path / "sw" / "r0=3.5" / "report.json").exists()
+    for row in (rows[0], rows[2]):
+        report = json.loads((tmp_path / "sw" / f"r0={row['r0']}"
+                             / "report.json").read_text(encoding="utf-8"))
+        assert repr(report["limit_Q"]) == row["limit_Q"]
+    assert rows[0]["limit_Q"] != rows[2]["limit_Q"]
 
 
 def test_sweep_survives_non_positive_initial_profile(tmp_path):
@@ -241,7 +329,9 @@ def test_sweep_survives_non_positive_initial_profile(tmp_path):
     assert [r["verdict"] for r in rows] == ["FAILED", "NON_CONSTANT"]
     with open(tmp_path / "sw" / "sweep.csv", encoding="utf-8") as fh:
         srows = list(csv.reader(fh))
-    assert [r[4] for r in srows[1:]] == ["FAILED", "NON_CONSTANT"]
+    assert srows[0] == ["r0", *SWEEP_RESULT_COLUMNS]
+    assert [(r[0], r[3], r[-1]) for r in srows[1:]] == [
+        ("0.05", "FAILED", "1"), ("3.0", "NON_CONSTANT", "0")]
 
 
 @pytest.mark.parametrize("exc", [
@@ -280,6 +370,11 @@ def test_sweep_product_order_and_naming(tmp_path):
 def test_sweep_requires_axes(tmp_path):
     with pytest.raises(ConfigError):
         sweep(fast_cfg(), [], out_dir=str(tmp_path / "x"))
+    # a key varied twice would give cells with the same short name
+    with pytest.raises(ConfigError, match="each once"):
+        sweep(fast_cfg(), [("initial.r0", ["2.5"]), ("initial.r0", ["3"])],
+              out_dir=str(tmp_path / "y"))
+    assert not (tmp_path / "y").exists()
 
 
 def test_verify_ambient_report():

@@ -6,6 +6,7 @@ import pytest
 from qimcf import (ConformalFactor, RadialProfile, constancy_verdict,
                    extract_conformal_factor, fit_decay_rate, limit_Q,
                    make_theta_grid, orbit_weights)
+from qimcf.limits import LimitSnapshots
 from conftest import execute_run
 
 LIMIT_Q_COS2_256 = 0.24831212117326018  # f = 0.1 cos(2 theta), n = 2, N = 256
@@ -56,6 +57,21 @@ def test_extract_picks_latest_and_half_time():
     f20 = p20.rho - wts @ p20.rho
     assert np.allclose(factor.f, f40, atol=1e-15)
     assert factor.cauchy_residual == pytest.approx(np.max(np.abs(f40 - f20)))
+
+
+def test_half_time_tie_takes_the_earlier():
+    # at t_final = 41, records 20 and 21 are equally near 20.5
+    theta, _ = make_theta_grid(32)
+    snaps = [(float(t), RadialProfile(
+        n=2, theta=theta, rho=t + 0.01 * t * np.cos(2 * theta)))
+        for t in range(5, 42)]
+    f = {t: p.rho - float(p.grid.weights @ p.rho) for t, p in snaps}
+    factor = extract_conformal_factor(snaps[::-1])
+    assert factor.cauchy_residual == float(np.max(np.abs(f[41.0] - f[20.0])))
+    kept = LimitSnapshots(41.0)
+    for t, p in snaps:
+        kept.add(t, p)
+    assert [t for t, _ in kept.kept] == [20.0, 41.0]
 
 
 def test_extract_needs_two_usable_snapshots():
