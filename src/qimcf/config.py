@@ -31,7 +31,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .flow import RECORD_SNAP, initial_profile
+from .flow import RECORD_SNAP, StepControl, initial_profile
 from .geometry import profile_derivatives
 from .limits import T_USABLE
 
@@ -59,7 +59,7 @@ class ExperimentConfig:
     initial_amplitude: float = 0.0
     initial_tau: float = 4.0
     t_end: float = 40.0
-    cfl_safety: float = 0.4
+    cfl_safety: float = StepControl.cfl_safety
     output_dir: str = "out"
     snapshot_every: float = 0.5
 

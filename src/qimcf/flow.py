@@ -5,12 +5,13 @@ The coordinate-gauge evolution of the profile is d rho/dt = v/H per node
 spheres reduce to a scalar ODE, integrated with classical RK4 as an
 independent oracle; general profiles use an explicit method of lines
 (Heun) with a parabolic CFL restriction derived from linearizing the
-speed in phi''.
+speed in phi'', scaled by Heun's stability edge for the pole drift of n.
 
 Everything is deterministic: fixed evaluation order, no threading inside
 a run.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -21,6 +22,7 @@ from .geometry import (RadialProfile, cached_grid, evaluate,
                        profile_derivatives, q_terms)
 
 RECORD_SNAP = 1e-12  # absolute tolerance for landing on scheduled times
+EDGE_NODES = 128     # grid of the operator whose spectrum sets heun_edge
 
 
 class FlowError(Exception):
@@ -76,22 +78,22 @@ class FlowState:
 class StepControl:
     """Explicit-stepping parameters; cfl_safety in (0, 1].
 
-    step takes dt = min(dt_max, the CFL bound, the time left to the next
-    record).  Heun's time error on the reference runs (bump r0=3 and
-    tau_family tau=4, N <= 512, t_end=40) is far below their space
-    error, so dt_max is as large as those runs allow without letting
-    CFL bind.
+    step takes dt = min(dt_max, cfl_safety times Heun's stability edge,
+    the time left to the next record).  Heun's time error on the
+    reference runs (bump r0=3 and tau_family tau=4, N <= 512, t_end=40)
+    is far below their space error, so dt_max is as large as those runs
+    allow without letting CFL bind.
     """
 
     t_end: float
-    # The smallest t=0 CFL bound over the reference runs, with r0/tau
-    # shifted by up to 0.01 and amplitude scaled by 0.98-1.02, is 0.0151
-    # (bump r0=2.99, amplitude 0.102, N=512, cfl_safety 0.4); 0.0125 =
-    # 0.5/40 is the largest round value below it that divides the
-    # default record cadence.  The bound grows with rho, so t=0 is the
-    # tightest.
-    dt_max: float = 0.0125
-    cfl_safety: float = 0.4
+    # The smallest t=0 stability bound over the reference runs, with
+    # r0/tau shifted by up to 0.01 and amplitude scaled by 0.98-1.02, is
+    # 0.0302 (bump r0=2.99, amplitude 0.102, N=512, cfl_safety 0.8,
+    # heun_edge(2) = 0.9997); 0.025 = 0.5/20 is the largest round value
+    # below it that divides the default record cadence.  The bound grows
+    # with rho, so t=0 is the tightest.
+    dt_max: float = 0.025
+    cfl_safety: float = 0.8
 
     def __post_init__(self):
         if not 0 < self.cfl_safety <= 1:
@@ -179,8 +181,10 @@ def integrate_sphere_ode(n: int, rho0: float, t_end: float, dt: float):
 
 
 def _require_mean_convex(H: np.ndarray, t: float, theta: np.ndarray):
-    """Raise unless every H is positive; non-finite H is reported first."""
-    if (H > 0).all():
+    """Raise unless every H is positive and finite; non-finite H is
+    reported first."""
+    # min is NaN when any H is, so two reductions cover every case
+    if H.min() > 0 and H.max() < math.inf:
         return
     finite = np.isfinite(H)
     if finite.all():
@@ -198,15 +202,50 @@ def pde_rhs(state: FlowState) -> np.ndarray:
     return ev.v / ev.H
 
 
+@functools.lru_cache(maxsize=None)
+def heun_edge(n: int, grid_size: int = EDGE_NODES) -> float:
+    """Heun's stability edge for u'' + w u' as a fraction kappa <= 1 of
+    the pure-diffusion bound dtheta^2 / 2.
+
+    The dimensionless stencil (1+a_k) u_{k+1} - 2 u_k + (1-a_k) u_{k-1},
+    a_k = w_k dtheta / 2, with the even ghosts at both ends, has
+    eigenvalues lam; kappa is the largest k <= 1 with |1 + z + z^2/2| <= 1
+    at every z = k lam / 2.  |R(s mu)|^2 - 1 is s times a cubic in s that
+    increases for every mu, so each lam is stable on an interval of k and
+    bisection finds the edge.  For n = 2, lam fills [-4, 0] and kappa is
+    0.9997; the pole drift (4n-5) cot(theta) pushes lam off the real axis
+    and past -4 as n grows (kappa(32) = 0.44).  a_k depends on k, not on
+    the grid size, near both ends, so one EDGE_NODES grid serves every N.
+    """
+    grid = cached_grid(n, grid_size)
+    a = grid.w * grid.dtheta / 2
+    stencil = (np.diag(np.full(grid_size, -2.0)) + np.diag(1 + a[:-1], 1)
+               + np.diag(1 - a[1:], -1))
+    stencil[0, 0] += 1 - a[0]
+    stencil[-1, -1] += 1 + a[-1]
+    half_lam = np.linalg.eigvals(stencil) / 2
+
+    def stable(k):
+        z = k * half_lam
+        # the slack absorbs the rounding of the constant mode's lam = 0
+        return np.abs(1 + z + z * z / 2).max() <= 1 + 1e-12
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-9:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+    return lo
+
+
 def step(state: FlowState, ctrl: StepControl,
          dt_cap: Optional[float] = None) -> FlowState:
     """One Heun (explicit trapezoidal) step with parabolic CFL control.
 
-    dt = min(dt_max, cfl_safety * dtheta^2 / (2 max_k D_k)) with the
-    effective diffusion D = 1/(F^2 v^4) = 1/(H sinh(rho) v)^2, F = H
-    sinh(rho)/v, obtained by differentiating the speed with respect to
-    phi''.  dt_cap, when given, additionally clamps dt (used to land on
-    record times exactly).
+    dt = min(dt_max, cfl_safety * heun_edge(n) * dtheta^2 / (2 max_k
+    D_k)) with the effective diffusion D = 1/(F^2 v^4) = 1/(H sinh(rho)
+    v)^2, F = H sinh(rho)/v, obtained by differentiating the speed with
+    respect to phi''.  dt_cap, when given, additionally clamps dt (used
+    to land on record times exactly).
     """
     profile = state.profile
     grid = profile.grid
@@ -215,7 +254,8 @@ def step(state: FlowState, ctrl: StepControl,
     _require_mean_convex(ev1.H, state.t, grid.theta)
 
     m = float((ev1.H * ev1.sinh * ev1.v).min())
-    dt = min(ctrl.dt_max, ctrl.cfl_safety * grid.dtheta**2 * m * m / 2)
+    dt = min(ctrl.dt_max, ctrl.cfl_safety * heun_edge(profile.n)
+             * grid.dtheta**2 * m * m / 2)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     if dt < 1e-12:

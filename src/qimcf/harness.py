@@ -213,7 +213,8 @@ def _sweep_cell(item):
                min_H_over_run="")
     try:
         result = run_experiment(cfg, out_dir=out_dir)
-    except (ConfigError, FlowError, ValueError, OSError) as err:
+    except (ConfigError, FlowError, ValueError, OSError,
+            ArithmeticError) as err:
         logger.error("sweep cell %s failed: %s: %s", _cell_name(labels),
                      type(err).__name__, err)
         row["exit_code"] = FLOW_EXIT_CODES.get(type(err), EXIT_CONFIG)

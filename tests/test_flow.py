@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from qimcf import (FlowState, MeanConvexityLost, RadialProfile, StepControl,
-                   hat_H, initial_profile, integrate_sphere_ode,
+                   evaluate, hat_H, initial_profile, integrate_sphere_ode,
                    make_theta_grid, pde_rhs, profile_derivatives, run_flow,
                    sphere_ode_rhs, step)
 from qimcf.flow import (NonFiniteState, StiffnessError, _require_mean_convex,
-                        diagnostics_record)
+                        diagnostics_record, heun_edge)
 from qimcf.geometry import q_terms
 
 SPHERE_RHS_2_1 = 0.08713815200031506  # sinh cosh / (7 cosh^2 + 3 sinh^2) at 1
@@ -96,6 +96,10 @@ def test_non_finite_H_is_not_mean_convexity_loss():
     assert "node 1" in str(err.value) and "t=1.5" in str(err.value)
     with pytest.raises(NonFiniteState):
         _require_mean_convex(np.array([-1.0, np.inf, 5.0]), 0.0, theta)
+    # +inf passes H > 0 and would give the node speed v/H = 0
+    with pytest.raises(NonFiniteState) as err:
+        _require_mean_convex(np.array([5.0, np.inf, 5.0]), 0.0, theta)
+    assert err.value.node == 1
     with pytest.raises(MeanConvexityLost):
         _require_mean_convex(np.array([5.0, -1.0, 5.0]), 0.0, theta)
 
@@ -194,6 +198,55 @@ def test_step_dt_max_binds_on_reference_runs(kind, radius, N, shift, scale):
     ctrl = StepControl(t_end=40.0)
     assert step(FlowState(t=0.0, profile=profile), ctrl).last_dt == \
         ctrl.dt_max
+
+
+def test_heun_edge_values():
+    # n = 2 is at the pure-diffusion edge, which keeps the reference runs
+    # at dt_max; the pole drift only tightens the edge as n grows
+    assert heun_edge(2) >= 0.999
+    edges = [heun_edge(n) for n in (2, 3, 5, 8, 12, 16, 32)]
+    assert all(b <= a for a, b in zip(edges, edges[1:]))
+    assert all(0 < k <= 1 for k in edges)
+
+
+@pytest.mark.parametrize("n,N", [(2, 32), (16, 32), (64, 32), (64, 1024)])
+def test_heun_edge_holds_across_grid_sizes(n, N):
+    # the edge from EDGE_NODES nodes, at the default safety 0.8, is still
+    # stable on much coarser and much finer grids
+    assert StepControl(t_end=1.0).cfl_safety * heun_edge(n) <= heun_edge(n, N)
+
+
+@pytest.mark.parametrize("kind,r0", [("sphere", 2.0), ("bump", 3.0)])
+def test_speed_jacobian_spectrum_sets_the_cfl_bound(kind, r0):
+    # for n = 2 the linearized speed is real-spectrum diffusion whose most
+    # negative eigenvalue, times the edge-1 CFL dt, is Heun's edge -2
+    profile = initial_profile(2, 64, kind, r0=r0, amplitude=0.1)
+    grid = profile.grid
+
+    def speed(rho):
+        ev = evaluate(grid, rho)
+        return ev.v / ev.H
+
+    h = 1e-6
+    jac = np.array([(speed(profile.rho + e) - speed(profile.rho - e)) / (2 * h)
+                    for e in np.eye(64) * h]).T
+    lam = np.linalg.eigvals(jac)
+    assert np.abs(lam.imag).max() <= 1e-9 * np.abs(lam.real).max()
+    ev = evaluate(grid, profile.rho)
+    m = (ev.H * ev.sinh * ev.v).min()
+    assert -2.01 <= lam.real.min() * grid.dtheta**2 * m * m / 2 <= -1.99
+
+
+@pytest.mark.parametrize("n,N,r0,amplitude,t_end", [
+    (16, 1024, 0.5, 0.02, 1.0), (48, 4096, 0.2, 0.01, 0.5)])
+def test_default_step_is_stable_near_the_pole(n, N, r0, amplitude, t_end):
+    # without the edge factor these runs lose mean convexity at the first
+    # node within a few steps (H = -227 at t = 0.0099 for n = 48)
+    profile = initial_profile(n, N, "bump", r0=r0, amplitude=amplitude)
+    final, records = run_flow(FlowState(t=0.0, profile=profile),
+                              StepControl(t_end=t_end), record_every=t_end)
+    assert final.t == t_end
+    assert min(r.H_min for r in records) > 0
 
 
 def test_step_control_validation():

@@ -94,7 +94,7 @@ def test_run_experiment_artifacts(tmp_path):
     dt_max = StepControl(t_end=21.0).dt_max
     assert report["dt_max"] == dt_max
     assert report["steps"] == round(21.0 / dt_max)
-    assert report["cfl_safety"] == 0.4
+    assert report["cfl_safety"] == StepControl(t_end=21.0).cfl_safety
     assert report["snapshot_every"] == 0.5
     assert report["initial"] == {"kind": "bump", "r0": 3.0,
                                  "amplitude": 0.1, "tau": 4.0}
@@ -332,6 +332,20 @@ def test_sweep_survives_non_positive_initial_profile(tmp_path):
     assert srows[0] == ["r0", *SWEEP_RESULT_COLUMNS]
     assert [(r[0], r[3], r[-1]) for r in srows[1:]] == [
         ("0.05", "FAILED", "1"), ("3.0", "NON_CONSTANT", "0")]
+
+
+def test_sweep_survives_arithmetic_error(tmp_path, caplog):
+    # at n = 64 and r0 = 0.1 the volume underflows to 0.0 and q_terms
+    # raises ZeroDivisionError; the r0 = 3.0 cell still runs
+    cfg = fast_cfg(n=64, initial_amplitude=0.01, t_end=10.5)
+    rows = sweep(cfg, [("initial.r0", ["0.1", "3.0"])],
+                 out_dir=str(tmp_path / "sw"), max_workers=1)
+    assert [(r["r0"], r["exit_code"]) for r in rows] == [("0.1", 1),
+                                                         ("3.0", 0)]
+    assert "ZeroDivisionError" in caplog.text
+    with open(tmp_path / "sw" / "sweep.csv", encoding="utf-8") as fh:
+        srows = list(csv.reader(fh))
+    assert [(r[0], r[-1]) for r in srows[1:]] == [("0.1", "1"), ("3.0", "0")]
 
 
 @pytest.mark.parametrize("exc", [
