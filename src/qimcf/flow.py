@@ -4,8 +4,11 @@ The coordinate-gauge evolution of the profile is d rho/dt = v/H per node
 (the normal speed 1/H re-expressed on the radial graph).  Geodesic
 spheres reduce to a scalar ODE, integrated with classical RK4 as an
 independent oracle; general profiles use an explicit method of lines
-(Heun) with a parabolic CFL restriction derived from linearizing the
-speed in phi'', scaled by Heun's stability edge for the pole drift of n.
+stepped by SSPRK(s,2), the optimal second-order strong-stability-
+preserving Runge-Kutta methods (s = 2 is Heun).  The step obeys a
+parabolic CFL restriction derived from linearizing the speed in phi'',
+scaled by the s-stage stability edge for the pole drift of n; s is the
+fewest stages whose edge covers the step wanted.
 
 Everything is deterministic: fixed evaluation order, no threading inside
 a run.
@@ -22,7 +25,8 @@ from .geometry import (RadialProfile, cached_grid, evaluate,
                        profile_derivatives, q_terms)
 
 RECORD_SNAP = 1e-12  # absolute tolerance for landing on scheduled times
-EDGE_NODES = 128     # grid of the operator whose spectrum sets heun_edge
+EDGE_NODES = 128     # grid of the operator whose spectrum sets stage_edge
+MAX_STAGES = 4       # most stages one SSPRK(s,2) step may take
 
 
 class FlowError(Exception):
@@ -72,27 +76,31 @@ class FlowState:
     profile: RadialProfile
     step_count: int = 0
     last_dt: float = 0.0
+    evaluations: int = 0  # kernel evaluations made by stepping
 
 
 @dataclass(frozen=True)
 class StepControl:
     """Explicit-stepping parameters; cfl_safety in (0, 1].
 
-    step takes dt = min(dt_max, cfl_safety times Heun's stability edge,
-    the time left to the next record).  Heun's time error on the
-    reference runs (bump r0=3 and tau_family tau=4, N <= 512, t_end=40)
-    is far below their space error, so dt_max is as large as those runs
-    allow without letting CFL bind.
+    step takes dt = min(dt_max, cfl_safety times the stability edge of the
+    fewest SSPRK(s,2) stages that reach dt_max, the time left to the next
+    record).  The time error on the reference runs (bump r0=3 and
+    tau_family tau=4, N <= 512, t_end=40) is far below their space error,
+    so dt_max is as large as their accuracy allows without letting CFL
+    bind.
     """
 
     t_end: float
     # The smallest t=0 stability bound over the reference runs, with
     # r0/tau shifted by up to 0.01 and amplitude scaled by 0.98-1.02, is
-    # 0.0302 (bump r0=2.99, amplitude 0.102, N=512, cfl_safety 0.8,
-    # heun_edge(2) = 0.9997); 0.025 = 0.5/20 is the largest round value
-    # below it that divides the default record cadence.  The bound grows
-    # with rho, so t=0 is the tightest.
-    dt_max: float = 0.025
+    # 0.0302 for Heun and 0.068 at s = 3 (bump r0=2.99, amplitude 0.102,
+    # N=512, cfl_safety 0.8); the bound grows with rho, so those runs
+    # need s = 3 only on their first steps (48 for bump r0=3, N=512) and
+    # step by Heun after that.  0.05 = 0.5/10 divides the default record
+    # cadence and keeps the time error small: the criterion-3 PDE-ODE gap
+    # is 4.5e-8 and the r0 = 1 sphere's 2.2e-7, against a bound of 1e-6.
+    dt_max: float = 0.05
     cfl_safety: float = 0.8
 
     def __post_init__(self):
@@ -203,34 +211,44 @@ def pde_rhs(state: FlowState) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def heun_edge(n: int, grid_size: int = EDGE_NODES) -> float:
-    """Heun's stability edge for u'' + w u' as a fraction kappa <= 1 of
-    the pure-diffusion bound dtheta^2 / 2.
-
-    The dimensionless stencil (1+a_k) u_{k+1} - 2 u_k + (1-a_k) u_{k-1},
-    a_k = w_k dtheta / 2, with the even ghosts at both ends, has
-    eigenvalues lam; kappa is the largest k <= 1 with |1 + z + z^2/2| <= 1
-    at every z = k lam / 2.  |R(s mu)|^2 - 1 is s times a cubic in s that
-    increases for every mu, so each lam is stable on an interval of k and
-    bisection finds the edge.  For n = 2, lam fills [-4, 0] and kappa is
-    0.9997; the pole drift (4n-5) cot(theta) pushes lam off the real axis
-    and past -4 as n grows (kappa(32) = 0.44).  a_k depends on k, not on
-    the grid size, near both ends, so one EDGE_NODES grid serves every N.
-    """
+def _half_stencil_eigenvalues(n: int, grid_size: int) -> np.ndarray:
+    """Eigenvalues / 2 of the dimensionless stencil of stage_edge."""
     grid = cached_grid(n, grid_size)
     a = grid.w * grid.dtheta / 2
     stencil = (np.diag(np.full(grid_size, -2.0)) + np.diag(1 + a[:-1], 1)
                + np.diag(1 - a[1:], -1))
     stencil[0, 0] += 1 - a[0]
     stencil[-1, -1] += 1 + a[-1]
-    half_lam = np.linalg.eigvals(stencil) / 2
+    return np.linalg.eigvals(stencil) / 2
+
+
+@functools.lru_cache(maxsize=None)
+def stage_edge(n: int, stages: int, grid_size: int = EDGE_NODES) -> float:
+    """Stability edge of SSPRK(stages,2) for u'' + w u' as a multiple
+    kappa of the pure-diffusion bound dtheta^2 / 2.
+
+    The dimensionless stencil (1+a_k) u_{k+1} - 2 u_k + (1-a_k) u_{k-1},
+    a_k = w_k dtheta / 2, with the even ghosts at both ends, has
+    eigenvalues lam; kappa is the largest k with |R_s(z)| <= 1 at every
+    z = k lam / 2, where R_s(z) = 1/s + (s-1)/s (1 + z/(s-1))^s.  R_2 is
+    Heun's 1 + z + z^2/2: |R_2(s mu)|^2 - 1 is s times a cubic in s that
+    increases for every mu, so each lam is stable on an interval of k and
+    bisection finds the edge; a dense scan finds intervals for s = 3, 4
+    as well.  For n = 2, lam fills [-4, 0] and kappa is 0.9997, 2.259 and
+    2.999 for s = 2, 3, 4; the pole drift (4n-5) cot(theta) pushes lam off
+    the real axis and past -4 as n grows (0.322, 0.689, 0.967 at n = 48).
+    a_k depends on k, not on the grid size, near both ends, so one
+    EDGE_NODES grid serves every N.
+    """
+    half_lam = _half_stencil_eigenvalues(n, grid_size)
 
     def stable(k):
-        z = k * half_lam
+        z = k * half_lam / (stages - 1)
+        growth = 1 / stages + (stages - 1) / stages * (1 + z) ** stages
         # the slack absorbs the rounding of the constant mode's lam = 0
-        return np.abs(1 + z + z * z / 2).max() <= 1 + 1e-12
+        return np.abs(growth).max() <= 1 + 1e-12
 
-    lo, hi = 0.0, 1.0
+    lo, hi = 0.0, float(stages)  # each edge is below s
     while hi - lo > 1e-9:
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if stable(mid) else (lo, mid)
@@ -239,40 +257,47 @@ def heun_edge(n: int, grid_size: int = EDGE_NODES) -> float:
 
 def step(state: FlowState, ctrl: StepControl,
          dt_cap: Optional[float] = None) -> FlowState:
-    """One Heun (explicit trapezoidal) step with parabolic CFL control.
+    """One SSPRK(s,2) step with parabolic CFL control.
 
-    dt = min(dt_max, cfl_safety * heun_edge(n) * dtheta^2 / (2 max_k
-    D_k)) with the effective diffusion D = 1/(F^2 v^4) = 1/(H sinh(rho)
-    v)^2, F = H sinh(rho)/v, obtained by differentiating the speed with
-    respect to phi''.  dt_cap, when given, additionally clamps dt (used
-    to land on record times exactly).
+    base = cfl_safety * dtheta^2 / (2 max_k D_k) is the pure-diffusion
+    CFL bound, with the effective diffusion D = 1/(F^2 v^4) =
+    1/(H sinh(rho) v)^2, F = H sinh(rho)/v, obtained by differentiating
+    the speed with respect to phi''.  The step wants min(dt_max, dt_cap)
+    (dt_cap lands on record times exactly); s is the fewest stages in
+    2..MAX_STAGES with base * stage_edge(n, s) >= that, and dt =
+    min(wanted, base * stage_edge(n, s)).  The s evaluations are
+    forward-Euler substeps of h = dt/(s-1) from rho, averaged as
+    (rho + (s-1) y)/s; s = 2 is Heun.
     """
     profile = state.profile
     grid = profile.grid
     rho = profile.rho
-    ev1 = evaluate(grid, rho)
-    _require_mean_convex(ev1.H, state.t, grid.theta)
+    ev = evaluate(grid, rho)
+    _require_mean_convex(ev.H, state.t, grid.theta)
 
-    m = float((ev1.H * ev1.sinh * ev1.v).min())
-    dt = min(ctrl.dt_max, ctrl.cfl_safety * heun_edge(profile.n)
-             * grid.dtheta**2 * m * m / 2)
-    if dt_cap is not None:
-        dt = min(dt, dt_cap)
+    m = float((ev.H * ev.sinh * ev.v).min())
+    base = ctrl.cfl_safety * grid.dtheta**2 * m * m / 2
+    want = ctrl.dt_max if dt_cap is None else min(ctrl.dt_max, dt_cap)
+    stages = next((s for s in range(2, MAX_STAGES)
+                   if base * stage_edge(profile.n, s) >= want), MAX_STAGES)
+    dt = min(want, base * stage_edge(profile.n, stages))
     if dt < 1e-12:
         raise StiffnessError(state.t, dt)
 
-    k1 = ev1.v / ev1.H
-    trial = rho + dt * k1
-    if not (trial > 0).all():
-        raise ValueError(f"trial stage rho <= 0, min rho = {trial.min():.6g}")
-    ev2 = evaluate(grid, trial)
-    _require_mean_convex(ev2.H, state.t, grid.theta)
-    k2 = ev2.v / ev2.H
+    h = dt / (stages - 1)
+    y = rho + h * (ev.v / ev.H)
+    for _ in range(stages - 1):
+        if not (y > 0).all():
+            raise ValueError(f"trial stage rho <= 0, min rho = {y.min():.6g}")
+        ev = evaluate(grid, y)
+        _require_mean_convex(ev.H, state.t, grid.theta)
+        y += h * (ev.v / ev.H)
 
     new_profile = RadialProfile(n=profile.n, theta=profile.theta,
-                                rho=rho + 0.5 * dt * (k1 + k2))
+                                rho=(rho + (stages - 1) * y) / stages)
     return FlowState(t=state.t + dt, profile=new_profile,
-                     step_count=state.step_count + 1, last_dt=dt)
+                     step_count=state.step_count + 1, last_dt=dt,
+                     evaluations=state.evaluations + stages)
 
 
 def diagnostics_record(state: FlowState) -> DiagnosticsRecord:

@@ -9,10 +9,10 @@ Output contract per run directory:
                         (success only, never partial)
   decay.dat             gnuplot-ready decay table (# comment header)
 
-Exit codes: 0 success, 1 configuration or verification failure, 2 mean
-convexity lost, 3 step-size collapse, 4 non-finite state.  Sweeps run
-one cell per worker process and classify failures per cell without
-aborting the sweep.
+Exit codes: 0 success, 1 configuration, verification or arithmetic
+failure, 2 mean convexity lost, 3 step-size collapse, 4 non-finite
+state.  Sweeps run one cell per worker process and classify failures per
+cell without aborting the sweep.
 """
 
 import csv
@@ -126,8 +126,8 @@ def run_experiment(cfg: ExperimentConfig,
     """Run one configured flow and write the output files.
 
     Raises ConfigError for invalid configurations (nothing is written);
-    integration failures are reported through the exit code with the
-    diagnostics and snapshots collected so far on disk, and no
+    integration and arithmetic failures are reported through the exit code
+    with the diagnostics and snapshots collected so far on disk, and no
     report.json.
     """
     validate_config(cfg)
@@ -153,11 +153,11 @@ def run_experiment(cfg: ExperimentConfig,
     try:
         final, _ = run_flow(state0, ctrl, observers=[observer],
                             record_every=cfg.snapshot_every)
-    except tuple(FLOW_EXIT_CODES) as err:
-        logger.error("run failed, %s", err)
+    except (*FLOW_EXIT_CODES, ArithmeticError) as err:
+        logger.error("run failed, %s: %s", type(err).__name__, err)
         _write_diagnostics(out, records)
-        return ExperimentResult(FLOW_EXIT_CODES[type(err)], str(out), None,
-                                _min_H(records))
+        return ExperimentResult(FLOW_EXIT_CODES.get(type(err), EXIT_CONFIG),
+                                str(out), None, _min_H(records))
 
     horo = 4 * cfg.n + 2
     h_dev = [max(abs(r.H_min - horo), abs(r.H_max - horo)) for r in records]
@@ -183,6 +183,7 @@ def run_experiment(cfg: ExperimentConfig,
         },
         "cauchy_residual": factor.cauchy_residual,
         "steps": final.step_count,
+        "evaluations": final.evaluations,
         "dt_max": ctrl.dt_max,
         "cfl_safety": ctrl.cfl_safety,
         "snapshot_every": cfg.snapshot_every,

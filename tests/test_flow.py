@@ -7,11 +7,18 @@ from qimcf import (FlowState, MeanConvexityLost, RadialProfile, StepControl,
                    evaluate, hat_H, initial_profile, integrate_sphere_ode,
                    make_theta_grid, pde_rhs, profile_derivatives, run_flow,
                    sphere_ode_rhs, step)
-from qimcf.flow import (NonFiniteState, StiffnessError, _require_mean_convex,
-                        diagnostics_record, heun_edge)
+from qimcf.flow import (MAX_STAGES, NonFiniteState, StiffnessError,
+                        _half_stencil_eigenvalues, _require_mean_convex,
+                        diagnostics_record, stage_edge)
 from qimcf.geometry import q_terms
 
 SPHERE_RHS_2_1 = 0.08713815200031506  # sinh cosh / (7 cosh^2 + 3 sinh^2) at 1
+
+# Heun's edge kappa(n) as bisected on |1 + z + z^2/2| <= 1 over k in [0, 1]
+HEUN_EDGE = {2: 0.999698931351304, 3: 0.9990977132692933,
+             5: 0.9919971358031034, 8: 0.9382134461775422,
+             12: 0.8166639572009444, 16: 0.7218464864417911,
+             32: 0.4365419652312994}
 
 
 def sphere_state(r0, N=64, n=2):
@@ -171,6 +178,42 @@ def test_step_second_order_convergence():
     assert 3.0 < e2 / e3 < 6.0
 
 
+@pytest.mark.parametrize("stages,ratio", [(3, 1.6), (4, 2.6)])
+def test_stage_rule_second_order_convergence(stages, ratio):
+    # cfl_safety shrinks with dt_max so that dt_max / (cfl_safety * the
+    # pure-diffusion bound) stays at ratio, inside (stage_edge(2, s-1),
+    # stage_edge(2, s)]: every step is taken at dt_max with s stages, and
+    # halving dt_max quarters the error
+    profile = initial_profile(2, 64, "bump", r0=3.0, amplitude=0.1)
+    ev = evaluate(profile.grid, profile.rho)
+    bound = profile.grid.dtheta**2 * (ev.H * ev.sinh * ev.v).min()**2 / 2
+    T = 0.08
+    ref, _ = run_flow(FlowState(t=0.0, profile=profile),
+                      StepControl(t_end=T, dt_max=0.001), record_every=T)
+    errors = []
+    for h in (0.04, 0.02, 0.01):
+        ctrl = StepControl(t_end=T, dt_max=h, cfl_safety=h / (ratio * bound))
+        final, _ = run_flow(FlowState(t=0.0, profile=profile), ctrl,
+                            record_every=T)
+        assert final.step_count == round(T / h)
+        assert final.evaluations == stages * final.step_count
+        errors.append(np.abs(final.profile.rho - ref.profile.rho).max())
+    assert 3.5 < errors[0] / errors[1] < 4.5
+    assert 3.5 < errors[1] / errors[2] < 4.5
+
+
+def test_two_stage_step_is_heun():
+    profile = initial_profile(2, 64, "bump", r0=3.0, amplitude=0.1)
+    nxt = step(FlowState(t=0.0, profile=profile), StepControl(t_end=1.0))
+    assert nxt.evaluations == 2
+    dt, grid = nxt.last_dt, profile.grid
+    ev1 = evaluate(grid, profile.rho)
+    k1 = ev1.v / ev1.H
+    ev2 = evaluate(grid, profile.rho + dt * k1)
+    heun = profile.rho + dt / 2 * (k1 + ev2.v / ev2.H)
+    assert np.abs(nxt.profile.rho - heun).max() <= 1e-14 * heun.max()
+
+
 def test_step_cfl_binds_at_small_radius():
     # at small rho the parabolic restriction is active and halving the
     # safety factor halves the step
@@ -203,17 +246,54 @@ def test_step_dt_max_binds_on_reference_runs(kind, radius, N, shift, scale):
 def test_heun_edge_values():
     # n = 2 is at the pure-diffusion edge, which keeps the reference runs
     # at dt_max; the pole drift only tightens the edge as n grows
-    assert heun_edge(2) >= 0.999
-    edges = [heun_edge(n) for n in (2, 3, 5, 8, 12, 16, 32)]
+    assert stage_edge(2, 2) >= 0.999
+    edges = [stage_edge(n, 2) for n in (2, 3, 5, 8, 12, 16, 32)]
     assert all(b <= a for a, b in zip(edges, edges[1:]))
     assert all(0 < k <= 1 for k in edges)
+
+
+def test_two_stage_edge_is_heun_edge():
+    for n, kappa in HEUN_EDGE.items():
+        assert abs(stage_edge(n, 2) - kappa) <= 1e-9
+
+
+def _first_unstable(mu, stages, k_stop, dk=5e-5, rows=2048):
+    """Smallest k on the grid dk, 2 dk, ... <= k_stop with |R_s(k mu)| > 1
+    for some mu, or None."""
+    for start in range(0, int(k_stop / dk) + 1, rows):
+        k = (start + 1 + np.arange(rows)) * dk
+        w = 1 + np.outer(k, mu)
+        power = w.copy()
+        for _ in range(stages - 1):
+            power *= w
+        growth = np.abs(1 / stages + (stages - 1) / stages * power)
+        unstable = growth.max(axis=1) > 1 + 1e-12
+        if unstable.any():
+            return k[np.argmax(unstable)]
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 8, 32, 64])
+def test_stage_edge_matches_dense_scan(n):
+    # the stable set of k is [0, edge]: a dense scan from k = 0 first
+    # leaves it at the bisected edge; conjugate eigenvalues give equal
+    # |R|, so one of each pair is scanned
+    half_lam = _half_stencil_eigenvalues(n, 128)
+    half_lam = half_lam[half_lam.imag >= 0]
+    edges = [stage_edge(n, s) for s in range(2, MAX_STAGES + 1)]
+    assert all(b >= a for a, b in zip(edges, edges[1:]))
+    for stages in (3, 4):
+        edge = stage_edge(n, stages)
+        first = _first_unstable(half_lam / (stages - 1), stages, edge + 1e-3)
+        assert first is not None and abs(first - edge) <= 2e-4
 
 
 @pytest.mark.parametrize("n,N", [(2, 32), (16, 32), (64, 32), (64, 1024)])
 def test_heun_edge_holds_across_grid_sizes(n, N):
     # the edge from EDGE_NODES nodes, at the default safety 0.8, is still
     # stable on much coarser and much finer grids
-    assert StepControl(t_end=1.0).cfl_safety * heun_edge(n) <= heun_edge(n, N)
+    assert (StepControl(t_end=1.0).cfl_safety * stage_edge(n, 2)
+            <= stage_edge(n, 2, N))
 
 
 @pytest.mark.parametrize("kind,r0", [("sphere", 2.0), ("bump", 3.0)])
@@ -238,10 +318,14 @@ def test_speed_jacobian_spectrum_sets_the_cfl_bound(kind, r0):
 
 
 @pytest.mark.parametrize("n,N,r0,amplitude,t_end", [
-    (16, 1024, 0.5, 0.02, 1.0), (48, 4096, 0.2, 0.01, 0.5)])
+    (16, 1024, 0.5, 0.02, 1.0), (48, 4096, 0.2, 0.01, 0.5),
+    (8, 4096, 0.3, 0.01, 0.1), (32, 4096, 0.3, 0.01, 0.1)])
 def test_default_step_is_stable_near_the_pole(n, N, r0, amplitude, t_end):
     # without the edge factor these runs lose mean convexity at the first
-    # node within a few steps (H = -227 at t = 0.0099 for n = 48)
+    # node within a few steps (H = -227 at t = 0.0099 for n = 48); the
+    # n = 32 case also loses it at node 0 near t = 0.01 under a two-stage
+    # Runge-Kutta-Chebyshev step, whose stability polynomial is Heun's but
+    # whose stages are not forward-Euler substeps
     profile = initial_profile(n, N, "bump", r0=r0, amplitude=amplitude)
     final, records = run_flow(FlowState(t=0.0, profile=profile),
                               StepControl(t_end=t_end), record_every=t_end)

@@ -16,7 +16,7 @@ from qimcf import (ConfigError, DiagnosticsRecord, ExperimentConfig,
                    make_theta_grid, run_experiment, sweep)
 from qimcf.cli import main
 from qimcf.config import build_initial_profile, override_config
-from qimcf.flow import diagnostics_record
+from qimcf.flow import MAX_STAGES, diagnostics_record
 from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONFIG,
                            EXIT_CONVEXITY_LOST, EXIT_NONFINITE, EXIT_OK,
                            EXIT_STIFFNESS, SWEEP_RESULT_COLUMNS, VERDICT_TOL,
@@ -87,13 +87,16 @@ def test_run_experiment_artifacts(tmp_path):
     assert report == result.report
     assert set(report) == {"n", "grid_size", "t_end", "f_range", "limit_Q",
                            "Q_final", "verdict", "decay_rates",
-                           "cauchy_residual", "steps", "dt_max",
+                           "cauchy_residual", "steps", "evaluations",
+                           "dt_max",
                            "cfl_safety", "snapshot_every", "initial",
                            "version"}
     assert set(report["decay_rates"]) == {"grad_phi", "H"}
     dt_max = StepControl(t_end=21.0).dt_max
     assert report["dt_max"] == dt_max
     assert report["steps"] == round(21.0 / dt_max)
+    assert (2 * report["steps"] <= report["evaluations"]
+            <= MAX_STAGES * report["steps"])
     assert report["cfl_safety"] == StepControl(t_end=21.0).cfl_safety
     assert report["snapshot_every"] == 0.5
     assert report["initial"] == {"kind": "bump", "r0": 3.0,
@@ -346,6 +349,19 @@ def test_sweep_survives_arithmetic_error(tmp_path, caplog):
     with open(tmp_path / "sw" / "sweep.csv", encoding="utf-8") as fh:
         srows = list(csv.reader(fh))
     assert [(r[0], r[-1]) for r in srows[1:]] == [("0.1", "1"), ("3.0", "0")]
+
+
+def test_run_survives_arithmetic_error(tmp_path, caplog):
+    # the same underflow in a single run: exit code 1, the (empty)
+    # diagnostics on disk, no report
+    text = ("n = 64\n\n[grid]\npoints = 64\n\n[initial]\nkind = bump\n"
+            "r0 = 0.1\namplitude = 0.01\n\n[time]\nt_end = 10.5\n")
+    out = tmp_path / "run"
+    assert main(["run", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "ZeroDivisionError" in caplog.text
+    assert (out / "diagnostics.csv").exists()
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("exc", [
