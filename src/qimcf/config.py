@@ -26,6 +26,7 @@ Example:
     snapshot_every = 0.5
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
@@ -96,6 +97,10 @@ def _convert(section: str, key: str, value: str, name: str, line: int = None):
 
 def validate_config(cfg: ExperimentConfig):
     """Invariant checks shared by the parser and programmatic construction."""
+    for (section, key), (attr, conv) in _SCHEMA.items():
+        value = getattr(cfg, attr)
+        if conv is float and not math.isfinite(value):
+            raise ConfigError(f"{section}.{key} must be finite, got {value}")
     if cfg.n < 2:
         raise ConfigError(f"n must be >= 2, got {cfg.n}")
     if cfg.grid_points < 32:
@@ -119,9 +124,13 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.snapshot_every <= 0:
         raise ConfigError(
             f"output.snapshot_every must be positive, got {cfg.snapshot_every}")
+    every = cfg.snapshot_every
+    if not math.isfinite(cfg.t_end / every):
+        raise ConfigError(
+            f"time.t_end / output.snapshot_every overflows: {cfg.t_end:g} / "
+            f"{every:g}")
     # the limit analysis needs the first record at t >= T_USABLE to be
     # followed by another
-    every = cfg.snapshot_every
     if _first_record_index(every, T_USABLE) >= last_record(cfg)[0]:
         raise ConfigError(
             f"limit analysis needs two records at t >= {T_USABLE:g}; "

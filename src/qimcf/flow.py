@@ -4,11 +4,12 @@ The coordinate-gauge evolution of the profile is d rho/dt = v/H per node
 (the normal speed 1/H re-expressed on the radial graph).  Geodesic
 spheres reduce to a scalar ODE, integrated with classical RK4 as an
 independent oracle; general profiles use an explicit method of lines
-stepped by SSPRK(s,2), the optimal second-order strong-stability-
-preserving Runge-Kutta methods (s = 2 is Heun).  The step obeys a
-parabolic CFL restriction derived from linearizing the speed in phi'',
-scaled by the s-stage stability edge for the pole drift of n; s is the
-fewest stages whose edge covers the step wanted.
+stepped by strong-stability-preserving Runge-Kutta methods in Shu-Osher
+form, every stage a forward-Euler substep: the third-order SSPRK(3,3)
+wherever its stability edge covers the step wanted, else the optimal
+second-order SSPRK(s,2) with the fewest stages that does.  The step
+obeys a parabolic CFL restriction derived from linearizing the speed in
+phi'', scaled by each method's stability edge for the pole drift of n.
 
 Everything is deterministic: fixed evaluation order, no threading inside
 a run.
@@ -17,7 +18,7 @@ a run.
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +27,31 @@ from .geometry import (RadialProfile, cached_grid, evaluate,
 
 RECORD_SNAP = 1e-12  # absolute tolerance for landing on scheduled times
 EDGE_NODES = 128     # grid of the operator whose spectrum sets stage_edge
-MAX_STAGES = 4       # most stages one SSPRK(s,2) step may take
+MAX_STAGES = 7       # most stages one SSPRK(s,2) step may take
+
+
+class Method(NamedTuple):
+    """A Runge-Kutta method in Shu-Osher form: stage i sets
+    y <- a_i rho + (1 - a_i) (y + c dt F(y)), from y = rho."""
+
+    name: str
+    c: float
+    a: Tuple[float, ...]
+
+
+def ssprk2(stages: int) -> Method:
+    """SSPRK(stages,2): stages forward-Euler substeps of dt/(stages-1)
+    from rho, the last averaged with rho by weight 1/stages; stages = 2
+    is Heun."""
+    return Method(f"SSPRK({stages},2)", 1 / (stages - 1),
+                  (0.0,) * (stages - 1) + (1 / stages,))
+
+
+# step takes the first method whose edge covers the step it wants, else
+# the last (Shu & Osher, J. Comput. Phys. 77 (1988); Ketcheson, SIAM J.
+# Sci. Comput. 30 (2008))
+METHODS = ((Method("SSPRK(3,3)", 1.0, (0.0, 3 / 4, 1 / 3)),)
+           + tuple(ssprk2(s) for s in range(3, MAX_STAGES + 1)))
 
 
 class FlowError(Exception):
@@ -76,7 +101,14 @@ class FlowState:
     profile: RadialProfile
     step_count: int = 0
     last_dt: float = 0.0
-    evaluations: int = 0  # kernel evaluations made by stepping
+    # steps taken by each method of METHODS, in its order
+    steps_by_method: Tuple[int, ...] = (0,) * len(METHODS)
+
+    @property
+    def evaluations(self) -> int:
+        """Kernel evaluations made by stepping, one per stage."""
+        return sum(count * len(method.a)
+                   for method, count in zip(METHODS, self.steps_by_method))
 
 
 @dataclass(frozen=True)
@@ -84,7 +116,7 @@ class StepControl:
     """Explicit-stepping parameters; cfl_safety in (0, 1].
 
     step takes dt = min(dt_max, cfl_safety times the stability edge of the
-    fewest SSPRK(s,2) stages that reach dt_max, the time left to the next
+    first method of METHODS that reaches dt_max, the time left to the next
     record).  The time error on the reference runs (bump r0=3 and
     tau_family tau=4, N <= 512, t_end=40) is far below their space error,
     so dt_max is as large as their accuracy allows without letting CFL
@@ -94,13 +126,14 @@ class StepControl:
     t_end: float
     # The smallest t=0 stability bound over the reference runs, with
     # r0/tau shifted by up to 0.01 and amplitude scaled by 0.98-1.02, is
-    # 0.0302 for Heun and 0.068 at s = 3 (bump r0=2.99, amplitude 0.102,
-    # N=512, cfl_safety 0.8); the bound grows with rho, so those runs
-    # need s = 3 only on their first steps (48 for bump r0=3, N=512) and
-    # step by Heun after that.  0.05 = 0.5/10 divides the default record
-    # cadence and keeps the time error small: the criterion-3 PDE-ODE gap
-    # is 4.5e-8 and the r0 = 1 sphere's 2.2e-7, against a bound of 1e-6.
-    dt_max: float = 0.05
+    # 0.038 for SSPRK(3,3), 0.151 for SSPRK(6,2) and 0.185 for SSPRK(7,2)
+    # (bump r0=2.99, amplitude 0.102, N=512, cfl_safety 0.8); the bound
+    # grows with rho, so those runs take SSPRK(s,2) only on their first
+    # steps and SSPRK(3,3) after that.  1/6 = 0.5/3 divides the default
+    # record cadence and keeps the time error small: the criterion-3
+    # PDE-ODE gap is 1.4e-7 and the r0 = 1 sphere's 6.6e-7, against a
+    # bound of 1e-6 (a cap of 0.25 put that sphere at 9.7e-7).
+    dt_max: float = 1 / 6
     cfl_safety: float = 0.8
 
     def __post_init__(self):
@@ -223,32 +256,36 @@ def _half_stencil_eigenvalues(n: int, grid_size: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def stage_edge(n: int, stages: int, grid_size: int = EDGE_NODES) -> float:
-    """Stability edge of SSPRK(stages,2) for u'' + w u' as a multiple
-    kappa of the pure-diffusion bound dtheta^2 / 2.
+def stage_edge(n: int, method: Method, grid_size: int = EDGE_NODES) -> float:
+    """Stability edge of method for u'' + w u' as a multiple kappa of the
+    pure-diffusion bound dtheta^2 / 2.
 
     The dimensionless stencil (1+a_k) u_{k+1} - 2 u_k + (1-a_k) u_{k-1},
     a_k = w_k dtheta / 2, with the even ghosts at both ends, has
-    eigenvalues lam; kappa is the largest k with |R_s(z)| <= 1 at every
-    z = k lam / 2, where R_s(z) = 1/s + (s-1)/s (1 + z/(s-1))^s.  R_2 is
-    Heun's 1 + z + z^2/2: |R_2(s mu)|^2 - 1 is s times a cubic in s that
-    increases for every mu, so each lam is stable on an interval of k and
-    bisection finds the edge; a dense scan finds intervals for s = 3, 4
-    as well.  For n = 2, lam fills [-4, 0] and kappa is 0.9997, 2.259 and
-    2.999 for s = 2, 3, 4; the pole drift (4n-5) cot(theta) pushes lam off
-    the real axis and past -4 as n grows (0.322, 0.689, 0.967 at n = 48).
-    a_k depends on k, not on the grid size, near both ends, so one
-    EDGE_NODES grid serves every N.
+    eigenvalues lam; kappa is the largest k with |R(z)| <= 1 at every
+    z = k lam / 2.  The stability function R comes from the Shu-Osher
+    table as r_i = a_i + (1 - a_i) r_{i-1} (1 + c z), r_{-1} = 1: it is
+    1 + z + z^2/2 + z^3/6 for SSPRK(3,3) and 1/s + (s-1)/s (1 +
+    z/(s-1))^s for SSPRK(s,2).  For Heun |R(s mu)|^2 - 1 is s times a
+    cubic in s that increases for every mu, so each lam is stable on an
+    interval of k and bisection finds the edge; a dense scan finds
+    intervals for SSPRK(3,3) and s = 3, 4 as well.  For n = 2, lam fills
+    [-4, 0] and kappa is 1.256 for SSPRK(3,3), 0.9997 for Heun and 2.259
+    to 6.124 for SSPRK(s,2), s = 3..7; the pole drift (4n-5) cot(theta)
+    pushes lam off the real axis and past -4 as n grows (SSPRK(3,3)
+    0.403, Heun 0.322 at n = 48).  a_k depends on k, not on the grid size,
+    near both ends, so one EDGE_NODES grid serves every N.
     """
     half_lam = _half_stencil_eigenvalues(n, grid_size)
 
     def stable(k):
-        z = k * half_lam / (stages - 1)
-        growth = 1 / stages + (stages - 1) / stages * (1 + z) ** stages
+        growth = 1.0
+        for a in method.a:
+            growth = a + (1 - a) * growth * (1 + method.c * k * half_lam)
         # the slack absorbs the rounding of the constant mode's lam = 0
         return np.abs(growth).max() <= 1 + 1e-12
 
-    lo, hi = 0.0, float(stages)  # each edge is below s
+    lo, hi = 0.0, float(len(method.a))  # each edge is below the stage count
     while hi - lo > 1e-9:
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if stable(mid) else (lo, mid)
@@ -257,17 +294,18 @@ def stage_edge(n: int, stages: int, grid_size: int = EDGE_NODES) -> float:
 
 def step(state: FlowState, ctrl: StepControl,
          dt_cap: Optional[float] = None) -> FlowState:
-    """One SSPRK(s,2) step with parabolic CFL control.
+    """One strong-stability-preserving Runge-Kutta step with parabolic CFL
+    control.
 
     base = cfl_safety * dtheta^2 / (2 max_k D_k) is the pure-diffusion
     CFL bound, with the effective diffusion D = 1/(F^2 v^4) =
     1/(H sinh(rho) v)^2, F = H sinh(rho)/v, obtained by differentiating
     the speed with respect to phi''.  The step wants min(dt_max, dt_cap)
-    (dt_cap lands on record times exactly); s is the fewest stages in
-    2..MAX_STAGES with base * stage_edge(n, s) >= that, and dt =
-    min(wanted, base * stage_edge(n, s)).  The s evaluations are
-    forward-Euler substeps of h = dt/(s-1) from rho, averaged as
-    (rho + (s-1) y)/s; s = 2 is Heun.
+    (dt_cap lands on record times exactly); it takes the first method of
+    METHODS with base * stage_edge(n, method) >= that, else the last, and
+    dt = min(wanted, base * stage_edge(n, method)).  Each stage is one
+    evaluation and one forward-Euler substep of c dt, averaged with rho
+    by the method's weight a_i.
     """
     profile = state.profile
     grid = profile.grid
@@ -278,26 +316,34 @@ def step(state: FlowState, ctrl: StepControl,
     m = float((ev.H * ev.sinh * ev.v).min())
     base = ctrl.cfl_safety * grid.dtheta**2 * m * m / 2
     want = ctrl.dt_max if dt_cap is None else min(ctrl.dt_max, dt_cap)
-    stages = next((s for s in range(2, MAX_STAGES)
-                   if base * stage_edge(profile.n, s) >= want), MAX_STAGES)
-    dt = min(want, base * stage_edge(profile.n, stages))
+    for index, method in enumerate(METHODS):  # the last if none covers
+        bound = base * stage_edge(profile.n, method)
+        if bound >= want:
+            break
+    dt = min(want, bound)
     if dt < 1e-12:
         raise StiffnessError(state.t, dt)
 
-    h = dt / (stages - 1)
-    y = rho + h * (ev.v / ev.H)
-    for _ in range(stages - 1):
-        if not (y > 0).all():
-            raise ValueError(f"trial stage rho <= 0, min rho = {y.min():.6g}")
-        ev = evaluate(grid, y)
-        _require_mean_convex(ev.H, state.t, grid.theta)
+    h = method.c * dt
+    y = rho.copy()
+    for i, a in enumerate(method.a):
+        if i:
+            if not (y > 0).all():
+                raise ValueError(
+                    f"trial stage rho <= 0, min rho = {y.min():.6g}")
+            ev = evaluate(grid, y)
+            _require_mean_convex(ev.H, state.t, grid.theta)
         y += h * (ev.v / ev.H)
+        if a:
+            y *= 1 - a
+            y += a * rho
 
-    new_profile = RadialProfile(n=profile.n, theta=profile.theta,
-                                rho=(rho + (stages - 1) * y) / stages)
+    steps_by_method = list(state.steps_by_method)
+    steps_by_method[index] += 1
+    new_profile = RadialProfile(n=profile.n, theta=profile.theta, rho=y)
     return FlowState(t=state.t + dt, profile=new_profile,
                      step_count=state.step_count + 1, last_dt=dt,
-                     evaluations=state.evaluations + stages)
+                     steps_by_method=tuple(steps_by_method))
 
 
 def diagnostics_record(state: FlowState) -> DiagnosticsRecord:

@@ -30,7 +30,7 @@ from . import __version__, ambient
 from .config import (ConfigError, ExperimentConfig, build_initial_profile,
                      check_mean_convexity, last_record, override_config,
                      validate_config)
-from .flow import (DiagnosticsRecord, FlowError, FlowState,
+from .flow import (METHODS, DiagnosticsRecord, FlowError, FlowState,
                    MeanConvexityLost, NonFiniteState, StepControl,
                    StiffnessError, run_flow)
 from .geometry import RadialProfile, cached_grid
@@ -184,6 +184,8 @@ def run_experiment(cfg: ExperimentConfig,
         "cauchy_residual": factor.cauchy_residual,
         "steps": final.step_count,
         "evaluations": final.evaluations,
+        "steps_by_method": {method.name: count for method, count
+                            in zip(METHODS, final.steps_by_method) if count},
         "dt_max": ctrl.dt_max,
         "cfl_safety": ctrl.cfl_safety,
         "snapshot_every": cfg.snapshot_every,

@@ -133,6 +133,26 @@ def test_invariant_violations(text, needle):
     assert e.line is None  # semantic, not syntactic
 
 
+NON_FINITE = [
+    ("[time]\nt_end = inf", "time.t_end must be finite, got inf"),
+    ("[time]\nt_end = 1e308", "time.t_end / output.snapshot_every overflows"),
+    ("[initial]\nr0 = inf", "initial.r0 must be finite, got inf"),
+    ("[initial]\nkind = tau_family\ntau = inf",
+     "initial.tau must be finite, got inf"),
+    ("[initial]\namplitude = nan", "initial.amplitude must be finite"),
+    ("[output]\nsnapshot_every = inf", "output.snapshot_every must be finite"),
+]
+
+
+@pytest.mark.parametrize("text,needle", NON_FINITE)
+def test_non_finite_values_refused(text, needle):
+    # each of these was accepted, or died in last_record with an
+    # OverflowError, before any value had to be finite
+    e = err_of(text)
+    assert needle in str(e)
+    assert e.line is None
+
+
 def test_mean_convexity_refusal():
     e = err_of("[initial]\nkind = bump\nr0 = 1.0\namplitude = 0.9")
     assert "not mean convex" in str(e)

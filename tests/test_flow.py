@@ -1,5 +1,7 @@
 """Time integration: sphere ODE, method-of-lines PDE, evolution laws."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from qimcf import (FlowState, MeanConvexityLost, RadialProfile, StepControl,
                    evaluate, hat_H, initial_profile, integrate_sphere_ode,
                    make_theta_grid, pde_rhs, profile_derivatives, run_flow,
                    sphere_ode_rhs, step)
-from qimcf.flow import (MAX_STAGES, NonFiniteState, StiffnessError,
+from qimcf.flow import (MAX_STAGES, METHODS, NonFiniteState, StiffnessError,
                         _half_stencil_eigenvalues, _require_mean_convex,
-                        diagnostics_record, stage_edge)
+                        diagnostics_record, ssprk2, stage_edge)
 from qimcf.geometry import q_terms
 
 SPHERE_RHS_2_1 = 0.08713815200031506  # sinh cosh / (7 cosh^2 + 3 sinh^2) at 1
+HEUN = ssprk2(2)
 
 # Heun's edge kappa(n) as bisected on |1 + z + z^2/2| <= 1 over k in [0, 1]
 HEUN_EDGE = {2: 0.999698931351304, 3: 0.9990977132692933,
@@ -160,30 +163,30 @@ def test_step_volume_growth_rate():
     assert abs(np.log(v1 / v0) - dt) < dt**3
 
 
-def test_step_second_order_convergence():
-    # integrate to a fixed short horizon with decreasing dt_max; the
-    # scheme is second order, so errors shrink by ~4 per halving
-    profile = initial_profile(2, 64, "bump", r0=3.0, amplitude=0.1)
-    T = 0.08
-    results = {}
-    for h in (0.04, 0.02, 0.01, 0.0025):
-        final, _ = run_flow(FlowState(t=0.0, profile=profile),
-                            StepControl(t_end=T, dt_max=h), record_every=T)
-        results[h] = final.profile.rho
-    ref = results[0.0025]
-    e1 = np.abs(results[0.04] - ref).max()
-    e2 = np.abs(results[0.02] - ref).max()
-    e3 = np.abs(results[0.01] - ref).max()
-    assert 3.0 < e1 / e2 < 5.5
-    assert 3.0 < e2 / e3 < 6.0
+def test_step_third_order_convergence():
+    # a sphere stays a sphere, so the PDE error is the time error alone;
+    # against the RK4 sphere ODE (at dt 1e-3 within 1e-14 of dt 1e-4),
+    # every step SSPRK(3,3) at dt_max, halving dt_max divides the error
+    # by ~8 (7.91 and 7.96)
+    t_ode, rho_ode = integrate_sphere_ode(2, 0.5, 1.0, 1e-3)
+    errors = []
+    for h in (0.2, 0.1, 0.05):
+        final, _ = run_flow(sphere_state(0.5, N=16),
+                            StepControl(t_end=1.0, dt_max=h), record_every=1.0)
+        assert final.step_count == round(1.0 / h)
+        assert final.steps_by_method[0] == final.step_count
+        errors.append(np.abs(final.profile.rho - rho_ode[-1]).max())
+    assert 7.0 < errors[0] / errors[1] < 9.0
+    assert 7.0 < errors[1] / errors[2] < 9.0
 
 
-@pytest.mark.parametrize("stages,ratio", [(3, 1.6), (4, 2.6)])
+@pytest.mark.parametrize("stages,ratio", [(3, 1.6), (4, 2.6), (7, 5.5)])
 def test_stage_rule_second_order_convergence(stages, ratio):
     # cfl_safety shrinks with dt_max so that dt_max / (cfl_safety * the
-    # pure-diffusion bound) stays at ratio, inside (stage_edge(2, s-1),
-    # stage_edge(2, s)]: every step is taken at dt_max with s stages, and
-    # halving dt_max quarters the error
+    # pure-diffusion bound) stays at ratio, above the edge of every method
+    # before SSPRK(s,2) in METHODS and at most its own: every step is
+    # taken at dt_max with SSPRK(s,2), and halving dt_max quarters the
+    # error
     profile = initial_profile(2, 64, "bump", r0=3.0, amplitude=0.1)
     ev = evaluate(profile.grid, profile.rho)
     bound = profile.grid.dtheta**2 * (ev.H * ev.sinh * ev.v).min()**2 / 2
@@ -197,21 +200,28 @@ def test_stage_rule_second_order_convergence(stages, ratio):
                             record_every=T)
         assert final.step_count == round(T / h)
         assert final.evaluations == stages * final.step_count
+        assert final.steps_by_method[stages - 2] == final.step_count
         errors.append(np.abs(final.profile.rho - ref.profile.rho).max())
     assert 3.5 < errors[0] / errors[1] < 4.5
     assert 3.5 < errors[1] / errors[2] < 4.5
 
 
-def test_two_stage_step_is_heun():
+def test_three_stage_step_is_ssprk33():
+    # Shu and Osher's three stages, written out by hand
     profile = initial_profile(2, 64, "bump", r0=3.0, amplitude=0.1)
     nxt = step(FlowState(t=0.0, profile=profile), StepControl(t_end=1.0))
-    assert nxt.evaluations == 2
-    dt, grid = nxt.last_dt, profile.grid
-    ev1 = evaluate(grid, profile.rho)
-    k1 = ev1.v / ev1.H
-    ev2 = evaluate(grid, profile.rho + dt * k1)
-    heun = profile.rho + dt / 2 * (k1 + ev2.v / ev2.H)
-    assert np.abs(nxt.profile.rho - heun).max() <= 1e-14 * heun.max()
+    assert nxt.evaluations == 3
+    assert nxt.steps_by_method == (1,) + (0,) * (len(METHODS) - 1)
+    dt, grid, rho = nxt.last_dt, profile.grid, profile.rho
+
+    def F(y):
+        ev = evaluate(grid, y)
+        return ev.v / ev.H
+
+    y1 = rho + dt * F(rho)
+    y2 = 3 / 4 * rho + 1 / 4 * (y1 + dt * F(y1))
+    y3 = rho / 3 + 2 / 3 * (y2 + dt * F(y2))
+    assert np.abs(nxt.profile.rho - y3).max() <= 1e-14 * y3.max()
 
 
 def test_step_cfl_binds_at_small_radius():
@@ -244,56 +254,82 @@ def test_step_dt_max_binds_on_reference_runs(kind, radius, N, shift, scale):
 
 
 def test_heun_edge_values():
-    # n = 2 is at the pure-diffusion edge, which keeps the reference runs
-    # at dt_max; the pole drift only tightens the edge as n grows
-    assert stage_edge(2, 2) >= 0.999
-    edges = [stage_edge(n, 2) for n in (2, 3, 5, 8, 12, 16, 32)]
+    # Heun's n = 2 edge is the pure-diffusion bound; the pole drift only
+    # tightens the edge as n grows
+    assert stage_edge(2, HEUN) >= 0.999
+    edges = [stage_edge(n, HEUN) for n in (2, 3, 5, 8, 12, 16, 32)]
     assert all(b <= a for a, b in zip(edges, edges[1:]))
     assert all(0 < k <= 1 for k in edges)
 
 
 def test_two_stage_edge_is_heun_edge():
     for n, kappa in HEUN_EDGE.items():
-        assert abs(stage_edge(n, 2) - kappa) <= 1e-9
+        assert abs(stage_edge(n, HEUN) - kappa) <= 1e-9
 
 
-def _first_unstable(mu, stages, k_stop, dk=5e-5, rows=2048):
-    """Smallest k on the grid dk, 2 dk, ... <= k_stop with |R_s(k mu)| > 1
+def _first_unstable(R, mu, k_stop, dk=5e-5, rows=2048):
+    """Smallest k on the grid dk, 2 dk, ... <= k_stop with |R(k mu)| > 1
     for some mu, or None."""
     for start in range(0, int(k_stop / dk) + 1, rows):
         k = (start + 1 + np.arange(rows)) * dk
-        w = 1 + np.outer(k, mu)
-        power = w.copy()
-        for _ in range(stages - 1):
-            power *= w
-        growth = np.abs(1 / stages + (stages - 1) / stages * power)
-        unstable = growth.max(axis=1) > 1 + 1e-12
+        unstable = np.abs(R(k, mu)).max(axis=1) > 1 + 1e-12
         if unstable.any():
             return k[np.argmax(unstable)]
     return None
 
 
+def _closed_form(method):
+    """The stability polynomial of a METHODS entry, written out, at every
+    z = k mu (rows k, columns mu)."""
+    if method.name == "SSPRK(3,3)":
+        def R(k, mu):  # 1 + z + z^2/2 + z^3/6 = 1 + z (1 + z (1/2 + z/6))
+            z = np.outer(k, mu)
+            p = z * (1 / 6)
+            for coefficient in (1 / 2, 1.0):
+                p += coefficient
+                p *= z
+            return p + 1
+        return R
+    s = len(method.a)
+    assert method == ssprk2(s)
+
+    def R(k, mu):  # 1/s + (s-1)/s (1 + z/(s-1))^s
+        w = 1 + np.outer(k, mu / (s - 1))
+        power = w.copy()
+        for _ in range(s - 1):
+            power *= w
+        return 1 / s + (s - 1) / s * power
+    return R
+
+
 @pytest.mark.parametrize("n", [2, 8, 32, 64])
 def test_stage_edge_matches_dense_scan(n):
-    # the stable set of k is [0, edge]: a dense scan from k = 0 first
-    # leaves it at the bisected edge; conjugate eigenvalues give equal
-    # |R|, so one of each pair is scanned
+    # the stable set of k is [0, edge]: a dense scan of the closed-form
+    # stability polynomial from k = 0 first leaves it at the edge bisected
+    # on the Shu-Osher recursion; conjugate eigenvalues give equal |R|,
+    # so one of each pair is scanned.  Past four stages the scan would
+    # take seconds, so only both sides of the edge are checked there.
     half_lam = _half_stencil_eigenvalues(n, 128)
     half_lam = half_lam[half_lam.imag >= 0]
-    edges = [stage_edge(n, s) for s in range(2, MAX_STAGES + 1)]
+    edges = [stage_edge(n, ssprk2(s)) for s in range(2, MAX_STAGES + 1)]
     assert all(b >= a for a, b in zip(edges, edges[1:]))
-    for stages in (3, 4):
-        edge = stage_edge(n, stages)
-        first = _first_unstable(half_lam / (stages - 1), stages, edge + 1e-3)
-        assert first is not None and abs(first - edge) <= 2e-4
+    for method in METHODS:
+        edge, R = stage_edge(n, method), _closed_form(method)
+        assert np.abs(R([edge], half_lam)).max() <= 1 + 1e-12
+        assert np.abs(R([edge + 1e-4], half_lam)).max() > 1 + 1e-12
+        if len(method.a) <= 4:
+            first = _first_unstable(R, half_lam, edge + 1e-3)
+            assert first is not None and abs(first - edge) <= 2e-4
 
 
 @pytest.mark.parametrize("n,N", [(2, 32), (16, 32), (64, 32), (64, 1024)])
 def test_heun_edge_holds_across_grid_sizes(n, N):
     # the edge from EDGE_NODES nodes, at the default safety 0.8, is still
-    # stable on much coarser and much finer grids
-    assert (StepControl(t_end=1.0).cfl_safety * stage_edge(n, 2)
-            <= stage_edge(n, 2, N))
+    # stable on much coarser and much finer grids, for Heun and for every
+    # method step takes
+    safety = StepControl(t_end=1.0).cfl_safety
+    for method in (HEUN,) + METHODS:
+        assert safety * stage_edge(n, method) <= stage_edge(n, method, N)
 
 
 @pytest.mark.parametrize("kind,r0", [("sphere", 2.0), ("bump", 3.0)])
@@ -342,6 +378,41 @@ def test_step_control_validation():
         StepControl(t_end=-1.0)
     with pytest.raises(StiffnessError):
         step(sphere_state(1.0), StepControl(t_end=1.0), dt_cap=1e-13)
+    # the underflow check guards every method: want / base between the
+    # edges of METHODS[i - 1] and METHODS[i] selects METHODS[i], and past
+    # every edge the last; at a pure-diffusion bound of 1e-13 the same
+    # ratio underflows
+    state = sphere_state(1.0)
+    ev = evaluate(state.profile.grid, state.profile.rho)
+    bound = state.profile.grid.dtheta**2 * (ev.H * ev.sinh * ev.v).min()**2 / 2
+    edges = [0.0] + [stage_edge(2, m) for m in METHODS] + [math.inf]
+    for i in range(len(METHODS)):
+        last = i == len(METHODS) - 1
+        ratio = 2 * edges[i + 1] if last else (edges[i] + edges[i + 1]) / 2
+        healthy = StepControl(t_end=1.0, cfl_safety=0.01 / bound)
+        nxt = step(state, healthy, dt_cap=0.01 * ratio)
+        assert nxt.steps_by_method[i] == 1
+        assert nxt.last_dt == pytest.approx(
+            0.01 * min(ratio, edges[i + 1]), rel=1e-12)
+        stiff = StepControl(t_end=1.0, cfl_safety=1e-13 / bound)
+        with pytest.raises(StiffnessError):
+            step(state, stiff, dt_cap=1e-13 * ratio)
+
+
+@pytest.mark.parametrize("fixture,steps,max_evaluations", [
+    ("bump_run", 240, 720), ("bump_run_fine", 240, 800),
+    ("tau_run", 240, 720), ("tau_run_fine", 240, 720),
+    ("sphere_run", None, 880)])
+def test_session_runs_step_economy(request, fixture, steps, max_evaluations):
+    # the four reference runs step at dt_max = 1/6 throughout, 240 steps to
+    # t = 40; the r0 = 2 sphere is CFL-limited on its first steps
+    final = request.getfixturevalue(fixture).final
+    if steps is None:
+        assert 240 < final.step_count <= 250
+    else:
+        assert final.step_count == steps
+    assert sum(final.steps_by_method) == final.step_count
+    assert final.evaluations <= max_evaluations
 
 
 def test_run_flow_matches_sphere_ode():

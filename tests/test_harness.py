@@ -16,7 +16,7 @@ from qimcf import (ConfigError, DiagnosticsRecord, ExperimentConfig,
                    make_theta_grid, run_experiment, sweep)
 from qimcf.cli import main
 from qimcf.config import build_initial_profile, override_config
-from qimcf.flow import MAX_STAGES, diagnostics_record
+from qimcf.flow import MAX_STAGES, METHODS, diagnostics_record
 from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONFIG,
                            EXIT_CONVEXITY_LOST, EXIT_NONFINITE, EXIT_OK,
                            EXIT_STIFFNESS, SWEEP_RESULT_COLUMNS, VERDICT_TOL,
@@ -88,15 +88,17 @@ def test_run_experiment_artifacts(tmp_path):
     assert set(report) == {"n", "grid_size", "t_end", "f_range", "limit_Q",
                            "Q_final", "verdict", "decay_rates",
                            "cauchy_residual", "steps", "evaluations",
-                           "dt_max",
+                           "steps_by_method", "dt_max",
                            "cfl_safety", "snapshot_every", "initial",
                            "version"}
     assert set(report["decay_rates"]) == {"grad_phi", "H"}
     dt_max = StepControl(t_end=21.0).dt_max
     assert report["dt_max"] == dt_max
     assert report["steps"] == round(21.0 / dt_max)
-    assert (2 * report["steps"] <= report["evaluations"]
+    assert (3 * report["steps"] <= report["evaluations"]
             <= MAX_STAGES * report["steps"])
+    assert sum(report["steps_by_method"].values()) == report["steps"]
+    assert set(report["steps_by_method"]) <= {m.name for m in METHODS}
     assert report["cfl_safety"] == StepControl(t_end=21.0).cfl_safety
     assert report["snapshot_every"] == 0.5
     assert report["initial"] == {"kind": "bump", "r0": 3.0,
@@ -452,6 +454,19 @@ def test_cli_run_rejected_config(tmp_path, capsys):
     code = main(["run", "--config", write_cfg(tmp_path, "bogus = 1\n")])
     assert code == 1
     assert "config error: line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[time]\nt_end = inf\n",
+                                  "[time]\nt_end = 1e308\n",
+                                  "[initial]\nr0 = inf\n",
+                                  "[initial]\nkind = tau_family\ntau = inf\n"])
+def test_cli_run_refuses_non_finite_config(tmp_path, capsys, text):
+    out = tmp_path / "o"
+    code = main(["run", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep(tmp_path, capsys):
