@@ -15,11 +15,10 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .flow import (DiagnosticsRecord, FlowError, FlowState,
                    MeanConvexityLost, NonFiniteState, StepControl,
                    StiffnessError, initial_profile, integrate_sphere_ode,
-                   pde_rhs, run_flow, sphere_ode_rhs, step)
-from .geometry import (A_norm_sq, Grid, ProfileDerivatives, Q_functional,
-                       RadialProfile, area_element, cached_grid, evaluate,
+                   run_flow, sphere_ode_rhs, step)
+from .geometry import (A_norm_sq, Grid, ProfileDerivatives, RadialProfile,
+                       area_element, cached_grid, evaluate,
                        general_mean_curvature, hat_H, make_theta_grid,
-                       mean_curvature_profile, mean_curvature_reduced,
                        orbit_integral, orbit_weights, profile_derivatives,
                        reduced_weight, shape_operator_adapted, sphere_volume)
 from .harness import ExperimentResult, run_experiment, sweep, verify_ambient_report

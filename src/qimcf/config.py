@@ -1,8 +1,8 @@
 """Experiment configuration: a small line-based text format.
 
 Grammar: `key = value` lines grouped under `[section]` headers; the
-single global key `n` appears before any section.  Blank lines and lines
-starting with `#` are ignored.  Unknown keys, bad types, and invariant
+single global key `n` appears before any section.  Blank lines are
+ignored and `#` starts a comment.  Unknown keys, bad types, and invariant
 violations are rejected with the offending line number, which is why
 this stays a hand-rolled parser rather than an off-the-shelf INI reader.
 
@@ -37,6 +37,7 @@ from .geometry import profile_derivatives
 from .limits import T_USABLE
 
 INITIAL_KINDS = ("sphere", "bump", "tau_family")
+MAX_N = 109  # Vol(S^{4n-1}) is below the smallest normal float from n = 110
 
 
 class ConfigError(Exception):
@@ -103,6 +104,8 @@ def validate_config(cfg: ExperimentConfig):
             raise ConfigError(f"{section}.{key} must be finite, got {value}")
     if cfg.n < 2:
         raise ConfigError(f"n must be >= 2, got {cfg.n}")
+    if cfg.n > MAX_N:
+        raise ConfigError(f"n must be <= {MAX_N}, got {cfg.n}")
     if cfg.grid_points < 32:
         raise ConfigError(f"grid.points must be >= 32, got {cfg.grid_points}")
     if cfg.initial_kind not in INITIAL_KINDS:
@@ -191,8 +194,8 @@ def parse_config(text: str) -> ExperimentConfig:
     seen = {}
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()

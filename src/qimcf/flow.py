@@ -184,7 +184,7 @@ def initial_profile(n: int, grid_size: int, kind: str, r0: float = 1.0,
         rho = tau + amplitude * np.cos(2 * theta)
     else:
         raise ValueError(f"unknown initial profile kind {kind!r}")
-    return RadialProfile(n=n, theta=theta, rho=rho)
+    return RadialProfile(n=n, rho=rho)
 
 
 def sphere_ode_rhs(n: int, rho):
@@ -233,14 +233,6 @@ def _require_mean_convex(H: np.ndarray, t: float, theta: np.ndarray):
     else:
         k, error = int(np.argmin(finite)), NonFiniteState
     raise error(t, k, float(theta[k]), float(H[k]))
-
-
-def pde_rhs(state: FlowState) -> np.ndarray:
-    """Per-node speed v/H of the profile in the coordinate gauge."""
-    profile = state.profile
-    ev = profile_derivatives(profile)
-    _require_mean_convex(ev.H, state.t, profile.theta)
-    return ev.v / ev.H
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,7 +332,7 @@ def step(state: FlowState, ctrl: StepControl,
 
     steps_by_method = list(state.steps_by_method)
     steps_by_method[index] += 1
-    new_profile = RadialProfile(n=profile.n, theta=profile.theta, rho=y)
+    new_profile = RadialProfile(n=profile.n, rho=y)
     return FlowState(t=state.t + dt, profile=new_profile,
                      step_count=state.step_count + 1, last_dt=dt,
                      steps_by_method=tuple(steps_by_method))

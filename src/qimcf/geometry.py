@@ -31,43 +31,33 @@ def make_theta_grid(grid_size: int):
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radial graph rho(theta) on the cell-centered grid of N nodes, n >= 2.
-
-    theta must be that grid: the kernel evaluates on cached_grid(n, N).
-    """
+    """Radial graph rho(theta) on the cell-centered grid of N = rho.size
+    nodes, n >= 2; theta is that grid's, read from cached_grid(n, N)."""
 
     n: int
-    theta: np.ndarray
     rho: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        theta = np.asarray(self.theta, dtype=float)
         rho = np.asarray(self.rho, dtype=float)
-        if theta.ndim != 1 or theta.shape != rho.shape:
-            raise ValueError("theta and rho must be 1d arrays of equal length")
-        grid = cached_grid(self.n, theta.size)
-        if theta is not grid.theta and not np.array_equal(theta, grid.theta):
-            raise ValueError(
-                f"theta must be the cell-centered grid of {theta.size} nodes")
+        if rho.ndim != 1:
+            raise ValueError("rho must be a 1d array")
+        cached_grid(self.n, rho.size)  # refuses n < 2 and N < 2
         if not (rho > 0).all():
             raise ValueError(
                 f"rho must be positive everywhere, min rho = {rho.min():.6g}")
-        object.__setattr__(self, "theta", grid.theta)
         object.__setattr__(self, "rho", rho)
 
     @property
     def grid_size(self) -> int:
-        return self.theta.size
-
-    @property
-    def dtheta(self) -> float:
-        return self.grid.dtheta
+        return self.rho.size
 
     @property
     def grid(self) -> "Grid":
         return cached_grid(self.n, self.grid_size)
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.grid.theta
 
 
 class ProfileDerivatives(NamedTuple):
@@ -76,7 +66,6 @@ class ProfileDerivatives(NamedTuple):
     phi_t: np.ndarray
     phi_tt: np.ndarray
     v: np.ndarray
-    w: np.ndarray
     sinh: np.ndarray
     cosh: np.ndarray
     hat_H: np.ndarray
@@ -163,24 +152,12 @@ def evaluate(grid: Grid, rho: np.ndarray) -> ProfileDerivatives:
     tanh = sh / ch
     hatH = (4 * grid.n - 1) / tanh + 3 * tanh
     H = (hatH - (phi_tt / v2 + grid.w * phi_t) / sh) / v
-    return ProfileDerivatives(phi_t, phi_tt, v, grid.w, sh, ch, hatH, H)
+    return ProfileDerivatives(phi_t, phi_tt, v, sh, ch, hatH, H)
 
 
 def profile_derivatives(profile: RadialProfile) -> ProfileDerivatives:
     """The kernel's evaluation of a profile on its cached grid."""
     return evaluate(profile.grid, profile.rho)
-
-
-def mean_curvature_profile(profile: RadialProfile,
-                           derivs: ProfileDerivatives) -> np.ndarray:
-    """Kernel mean curvature at every node; kept for test_acceptance.py."""
-    return derivs.H
-
-
-def mean_curvature_reduced(profile: RadialProfile, derivs: ProfileDerivatives,
-                           k: int) -> float:
-    """Kernel mean curvature at node k; kept for test_acceptance.py."""
-    return float(derivs.H[k])
 
 
 def general_mean_curvature(n: int, rho: float, v: float,
@@ -194,7 +171,7 @@ def general_mean_curvature(n: int, rho: float, v: float,
     where the contraction is phi_ij sigma~^{ji} of the deformed-metric
     Hessian and the last term collects the squared Hopf-direction
     derivatives of phi.  Invariant profiles have that term equal to zero
-    and reduce to mean_curvature_reduced.  Not a pipeline path: the
+    and reduce to the kernel's H (evaluate).  Not a pipeline path: the
     oracle of test_mean_curvature_independent_evaluation (np.gradient).
     """
     if v < 1:
@@ -286,16 +263,6 @@ def A_norm_sq(profile: RadialProfile, derivs: ProfileDerivatives,
     return traced
 
 
-def a_norm_sq_profile(profile: RadialProfile, derivs: ProfileDerivatives,
-                      H: np.ndarray) -> np.ndarray:
-    """Vectorized |A|^2 over all nodes (closed-identity route).
-
-    The per-node A_norm_sq cross-checks this expression against the
-    shape-operator trace; flow diagnostics use this form directly.
-    """
-    return _a_norm_sq_identity(profile.n, profile.theta, derivs, H)
-
-
 def area_element(n: int, rho, v):
     """Orbit-space area density d mu / d sigma = v sinh^{4n-1} rho cosh^3 rho.
 
@@ -310,8 +277,13 @@ def area_element(n: int, rho, v):
 
 
 def sphere_volume(n: int) -> float:
-    """Volume of the round unit sphere S^{4n-1}: 2 pi^{2n} / (2n-1)!."""
-    return 2 * math.pi ** (2 * n) / math.factorial(2 * n - 1)
+    """Volume of the round unit sphere S^{4n-1}: 2 pi^{2n} / (2n-1)!.
+
+    The float 2 pi^{2n} is divided as an exact ratio of integers, which
+    Python rounds once: (2n-1)! overflows a float from n = 86 on.
+    """
+    num, den = (2 * math.pi ** (2 * n)).as_integer_ratio()
+    return num / (den * math.factorial(2 * n - 1))
 
 
 def orbit_weights(theta: np.ndarray, n: int) -> np.ndarray:
@@ -365,7 +337,3 @@ def q_terms(profile: RadialProfile, derivs: ProfileDerivatives):
                  ((4 * n - 1) / sh**2 - 3 / ch**2) / (derivs.v * H) * dens, n))
     return vol, Q, q_rhs
 
-
-def Q_functional(profile: RadialProfile) -> float:
-    """Q(M) from q_terms; kept for test_acceptance.py."""
-    return q_terms(profile, profile_derivatives(profile))[1]

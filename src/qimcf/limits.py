@@ -28,10 +28,13 @@ class ConformalFactor:
     """
 
     n: int
-    theta: np.ndarray
     f: np.ndarray
     t_extracted: float
     cauchy_residual: float
+
+    @property
+    def theta(self) -> np.ndarray:
+        return cached_grid(self.n, self.f.size).theta
 
 
 def _centered_f(profile: RadialProfile) -> np.ndarray:
@@ -80,8 +83,8 @@ def extract_conformal_factor(
     (_, half), (t_final, final) = pair.kept
     f = _centered_f(final)
     residual = float(np.max(np.abs(f - _centered_f(half))))
-    return ConformalFactor(n=final.n, theta=final.theta, f=f,
-                           t_extracted=t_final, cauchy_residual=residual)
+    return ConformalFactor(n=final.n, f=f, t_extracted=t_final,
+                           cauchy_residual=residual)
 
 
 def _derivatives4(values: np.ndarray, dtheta: float):
@@ -101,7 +104,7 @@ def _derivatives4(values: np.ndarray, dtheta: float):
     return d1, d2
 
 
-def limit_Q(factor: ConformalFactor, n: int) -> float:
+def limit_Q(factor: ConformalFactor) -> float:
     """Limiting Q of the flow as a functional of the conformal factor.
 
     With z = e^{-f} and m = 2n+1:
@@ -112,7 +115,8 @@ def limit_Q(factor: ConformalFactor, n: int) -> float:
     round Laplacian.  Vanishes iff f is constant (for invariant f);
     invariant under f -> f + const by homogeneity of the two factors.
     """
-    grid = cached_grid(n, factor.theta.size)
+    n = factor.n
+    grid = cached_grid(n, factor.f.size)
     m = 2 * n + 1
     z = np.exp(-factor.f)
     zp, zpp = _derivatives4(z, grid.dtheta)
@@ -146,7 +150,7 @@ def constancy_verdict(factor: ConformalFactor, tol: float) -> ConstancyVerdict:
     f_range = float(factor.f.max() - factor.f.min())
     verdict = "CONSTANT" if f_range < tol else "NON_CONSTANT"
     return ConstancyVerdict(verdict=verdict, f_range=f_range,
-                            limit_Q=limit_Q(factor, factor.n))
+                            limit_Q=limit_Q(factor))
 
 
 def fit_decay_rate(series: Sequence[Tuple[float, float]],

@@ -9,13 +9,12 @@ import numpy as np
 
 from fd_sphere_oracle import (adapted_frame, fd_hessian,
                               sample_interior_points, tangent_basis, theta_of)
-from qimcf import (A_norm_sq, Q_functional, RadialProfile, constancy_verdict,
+from qimcf import (A_norm_sq, RadialProfile, constancy_verdict,
                    extract_conformal_factor, fit_decay_rate,
                    initial_profile, integrate_sphere_ode, limit_Q,
-                   make_theta_grid, mean_curvature_profile,
-                   mean_curvature_reduced, profile_derivatives,
-                   reduced_weight, shape_operator_adapted, verify_ambient)
-from qimcf.geometry import a_norm_sq_profile
+                   make_theta_grid, profile_derivatives, reduced_weight,
+                   shape_operator_adapted, verify_ambient)
+from qimcf.geometry import _a_norm_sq_identity, q_terms
 from qimcf.limits import ConformalFactor
 
 HORO_H = 10.0  # 4n+2 at n=2, the late-time mean curvature level
@@ -136,7 +135,7 @@ def test_criterion_7_q_pipeline(sphere_run, bump_run, bump_run_fine):
     max_q_sphere = max(abs(r.Q) for r in sphere_run.records)
 
     factor = extract_conformal_factor(bump_run.snapshots)
-    lq = limit_Q(factor, 2)
+    lq = limit_Q(factor)
     q_final = bump_run.records[-1].Q
     gap = abs(q_final - lq)
     gap_tol = 0.02 * max(abs(lq), 0.01)
@@ -193,29 +192,30 @@ def test_criterion_9_exact_identities():
         theta, _ = make_theta_grid(128)
         rho = (2.5 + 0.2 * np.cos(2 * theta)
                + 0.1 * rng.uniform(-1, 1) * np.cos(4 * theta))
-        profile = RadialProfile(n=n, theta=theta, rho=rho)
+        profile = RadialProfile(n=n, rho=rho)
         derivs = profile_derivatives(profile)
-        H = mean_curvature_profile(profile, derivs)
-        closed = a_norm_sq_profile(profile, derivs, H)
+        closed = _a_norm_sq_identity(n, theta, derivs, derivs.H)
         for k in (3, 40, 64, 124):
             S = shape_operator_adapted(profile, derivs, k)
             trace_err = max(trace_err, abs(
-                float(np.trace(S)) - mean_curvature_reduced(profile, derivs, k)))
+                float(np.trace(S)) - derivs.H[k]))
             dual_err = max(dual_err, abs(
                 A_norm_sq(profile, derivs, k) - closed[k]))
 
-    q_sphere = max(abs(Q_functional(initial_profile(2, 256, "sphere", r0=r)))
-                   for r in (1.0, 2.0, 3.5))
+    spheres = [initial_profile(2, 256, "sphere", r0=r)
+               for r in (1.0, 2.0, 3.5)]
+    q_sphere = max(abs(q_terms(p, profile_derivatives(p))[1])
+                   for p in spheres)
 
     theta, _ = make_theta_grid(256)
     f0 = 0.1 * np.cos(2 * theta) + 0.03 * np.cos(4 * theta)
 
     def factor(f):
-        return ConformalFactor(n=2, theta=theta, f=f, t_extracted=40.0,
+        return ConformalFactor(n=2, f=f, t_extracted=40.0,
                                cauchy_residual=0.0)
 
-    base = limit_Q(factor(f0), 2)
-    shift_err = max(abs(limit_Q(factor(f0 + s), 2) - base)
+    base = limit_Q(factor(f0))
+    shift_err = max(abs(limit_Q(factor(f0 + s)) - base)
                     for s in rng.uniform(-1.0, 1.0, size=5))
 
     print(f"\n  trace(S) - H max err = {trace_err:.3e}, dual |A|^2 max err "

@@ -52,9 +52,17 @@ def test_full_config_roundtrip():
 
 
 def test_comments_and_blank_lines_ignored():
-    cfg = parse_config("# header\n\nn = 3\n   \n[grid]\npoints = 64\n")
+    cfg = parse_config("# header\n\nn = 3  # quaternionic\n   \n"
+                       "[grid]  # nodes\npoints = 64#\n")
     assert cfg.n == 3
     assert cfg.grid_points == 64
+
+
+def test_n_range():
+    # (2n-1)! overflows a float from n = 86 on, but Vol(S^{4n-1}) =
+    # 2 pi^{2n} / (2n-1)! stays a normal float up to n = 109
+    assert parse_config("n = 86\n[grid]\npoints = 64\n").n == 86
+    assert parse_config("n = 109\n[grid]\npoints = 32\n").n == 109
 
 
 def err_of(text):
@@ -112,6 +120,9 @@ def test_duplicate_key():
 
 @pytest.mark.parametrize("text,needle", [
     ("n = 1", "n must be >= 2"),
+    ("n = 110", "n must be <= 109, got 110"),
+    # refused before any factorial or grid is built
+    ("n = 1000000", "n must be <= 109, got 1000000"),
     ("[grid]\npoints = 16", "grid.points must be >= 32"),
     ("[initial]\nkind = torus", "initial.kind must be one of"),
     ("[initial]\nr0 = 0", "initial.r0 must be positive"),

@@ -7,7 +7,7 @@ import pytest
 
 from qimcf import (FlowState, MeanConvexityLost, RadialProfile, StepControl,
                    evaluate, hat_H, initial_profile, integrate_sphere_ode,
-                   make_theta_grid, pde_rhs, profile_derivatives, run_flow,
+                   make_theta_grid, profile_derivatives, run_flow,
                    sphere_ode_rhs, step)
 from qimcf.flow import (MAX_STAGES, METHODS, NonFiniteState, StiffnessError,
                         _half_stencil_eigenvalues, _require_mean_convex,
@@ -71,27 +71,35 @@ def test_sphere_ode_comparison_bounded_gap():
 
 def test_pde_rhs_constant_profile():
     state = sphere_state(1.0)
-    rhs = pde_rhs(state)
+    ev = profile_derivatives(state.profile)
+    rhs = ev.v / ev.H
     assert np.max(np.abs(rhs - sphere_ode_rhs(2, 1.0))) < 1e-14
 
 
 def test_pde_rhs_is_v_over_H():
-    # pins the coordinate-gauge speed against the published curvature
-    # evaluators: no hidden factors (sinh rho, area weights) sneak in
-    from qimcf import mean_curvature_profile, profile_derivatives
+    # pins the coordinate-gauge speed that step integrates: one step of dt
+    # moves rho by dt v/H up to O(dt^2) (2.9e-5 dt^2 here), so no hidden
+    # factor (sinh rho, area weights) sneaks in; dropping v alone leaves
+    # 2e-2 dt^2 at dt = 1e-3
     state = FlowState(t=0.0, profile=initial_profile(
         2, 256, "bump", r0=3.0, amplitude=0.1))
     d = profile_derivatives(state.profile)
-    H = mean_curvature_profile(state.profile, d)
-    assert np.max(np.abs(pde_rhs(state) - d.v / H)) < 1e-10
+    errors = []
+    for dt in (2e-3, 1e-3):
+        nxt = step(state, StepControl(t_end=1.0, dt_max=dt))
+        assert nxt.last_dt == dt
+        euler = state.profile.rho + dt * d.v / d.H
+        errors.append(np.max(np.abs(nxt.profile.rho - euler)))
+        assert errors[-1] < 1e-4 * dt**2
+    assert 3.5 < errors[0] / errors[1] < 4.5
 
 
 def test_pde_rhs_mean_convexity_error():
     theta, _ = make_theta_grid(128)
-    profile = RadialProfile(n=2, theta=theta, rho=1.0 + 0.9 * np.cos(2 * theta))
+    profile = RadialProfile(n=2, rho=1.0 + 0.9 * np.cos(2 * theta))
     state = FlowState(t=0.0, profile=profile)
     with pytest.raises(MeanConvexityLost) as err:
-        pde_rhs(state)
+        step(state, StepControl(t_end=1.0))
     assert err.value.H <= 0
     assert 0 <= err.value.node < 128
     assert err.value.t == 0.0
@@ -120,7 +128,7 @@ def test_step_reports_overflowed_node():
     theta, _ = make_theta_grid(64)
     rho = np.full(64, 3.0)
     rho[40] = 800.0
-    state = FlowState(t=2.0, profile=RadialProfile(n=2, theta=theta, rho=rho))
+    state = FlowState(t=2.0, profile=RadialProfile(n=2, rho=rho))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteState) as err:
             step(state, StepControl(t_end=3.0))

@@ -5,13 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from qimcf import (A_norm_sq, Q_functional, RadialProfile, area_element,
-                   cached_grid, evaluate, general_mean_curvature, hat_H,
-                   initial_profile,
-                   make_theta_grid, mean_curvature_profile,
-                   mean_curvature_reduced, orbit_integral,
-                   profile_derivatives, reduced_weight,
-                   shape_operator_adapted, sphere_volume)
+from qimcf import (A_norm_sq, RadialProfile, area_element, cached_grid,
+                   evaluate, general_mean_curvature, hat_H, initial_profile,
+                   make_theta_grid, orbit_integral, profile_derivatives,
+                   reduced_weight, shape_operator_adapted, sphere_volume)
 from qimcf.geometry import q_terms
 
 COTH1 = 1.3130352854993313      # coth(1)
@@ -69,21 +66,15 @@ def test_reduced_weight_is_log_derivative_of_orbit_volume():
 
 def test_profile_invariants():
     with pytest.raises(ValueError):
-        RadialProfile(n=1, theta=np.array([0.5]), rho=np.array([1.0]))
+        RadialProfile(n=1, rho=np.array([1.0]))
     with pytest.raises(ValueError):
-        theta, _ = make_theta_grid(64)
-        RadialProfile(n=2, theta=theta, rho=np.zeros(64))
+        RadialProfile(n=2, rho=np.zeros(64))
     prof = bump()
     assert prof.grid_size == 256
-    assert abs(prof.dtheta - (np.pi / 2) / 256) < 1e-16
+    assert abs(prof.grid.dtheta - (np.pi / 2) / 256) < 1e-16
     # cell-centered: no endpoint nodes
     assert prof.theta[0] > 0 and prof.theta[-1] < np.pi / 2
-    # the kernel evaluates on cached_grid(n, N), so any other theta would
-    # be ignored by H but used by the shape operator
-    off_grid = np.linspace(0.05, 1.5, 64)
-    with pytest.raises(ValueError, match="cell-centered grid of 64 nodes"):
-        RadialProfile(n=2, theta=off_grid, rho=np.full(64, 2.0))
-    prof = RadialProfile(n=2, theta=theta.copy(), rho=np.full(64, 2.0))
+    prof = RadialProfile(n=2, rho=np.full(64, 2.0))
     assert prof.theta is prof.grid.theta
 
 
@@ -141,11 +132,11 @@ def test_derivatives_match_analytic_bump():
 def test_mean_curvature_constant_profile():
     prof = initial_profile(2, 64, "sphere", r0=1.0)
     d = profile_derivatives(prof)
-    H = mean_curvature_profile(prof, d)
+    H = d.H
     assert np.max(np.abs(H - HAT_H_2_1)) < 1e-12
-    assert abs(mean_curvature_reduced(prof, d, 17) - HAT_H_2_1) < 1e-12
+    assert abs(d.H[17] - HAT_H_2_1) < 1e-12
     far = initial_profile(2, 64, "sphere", r0=40.0)
-    Hfar = mean_curvature_profile(far, profile_derivatives(far))
+    Hfar = profile_derivatives(far).H
     assert np.max(np.abs(Hfar - 10.0)) < 1e-12
 
 
@@ -155,15 +146,15 @@ def test_mean_curvature_independent_evaluation():
     prof = bump()
     d = profile_derivatives(prof)
     k = 128  # theta ~ pi/4
-    d1 = np.gradient(prof.rho, prof.dtheta, edge_order=2)
-    d2 = np.gradient(d1, prof.dtheta, edge_order=2)
+    d1 = np.gradient(prof.rho, prof.grid.dtheta, edge_order=2)
+    d2 = np.gradient(d1, prof.grid.dtheta, edge_order=2)
     sh, ch = np.sinh(prof.rho[k]), np.cosh(prof.rho[k])
     phi_t = d1[k] / sh
     phi_tt = d2[k] / sh - ch * d1[k] ** 2 / sh**2
     v = math.sqrt(1 + phi_t**2)
     contraction = phi_tt / v**2 + reduced_weight(2, prof.theta[k]) * phi_t
     independent = general_mean_curvature(2, prof.rho[k], v, contraction, 0.0)
-    assert abs(mean_curvature_reduced(prof, d, k) - independent) < 1e-8
+    assert abs(d.H[k] - independent) < 1e-8
 
 
 def test_general_mean_curvature():
@@ -174,10 +165,10 @@ def test_general_mean_curvature():
     prof = bump(N=128)
     d = profile_derivatives(prof)
     for k in (5, 64, 120):
-        contraction = d.phi_tt[k] / d.v[k] ** 2 + d.w[k] * d.phi_t[k]
+        contraction = d.phi_tt[k] / d.v[k] ** 2 + prof.grid.w[k] * d.phi_t[k]
         got = general_mean_curvature(2, float(prof.rho[k]), float(d.v[k]),
                                      float(contraction), 0.0)
-        assert abs(got - mean_curvature_reduced(prof, d, k)) < 1e-12
+        assert abs(got - d.H[k]) < 1e-12
     # literal re-evaluation on randomized inputs
     rng = np.random.default_rng(13)
     for _ in range(50):
@@ -213,11 +204,11 @@ def test_shape_operator_trace_and_couplings():
         N = 96
         theta, _ = make_theta_grid(N)
         rho = 2.5 + 0.2 * np.cos(2 * theta) + 0.05 * np.cos(4 * theta)
-        prof = RadialProfile(n=n, theta=theta, rho=rho)
+        prof = RadialProfile(n=n, rho=rho)
         d = profile_derivatives(prof)
         for k in rng.integers(0, N, size=8):
             S = shape_operator_adapted(prof, d, int(k))
-            H = mean_curvature_reduced(prof, d, int(k))
+            H = d.H[int(k)]
             assert abs(np.trace(S) - H) < 1e-10
             # couplings vanish iff phi' does
             off = S - np.diag(np.diag(S))
@@ -273,6 +264,20 @@ def test_sphere_volume():
     assert abs(sphere_volume(3) - np.pi**6 / 60) < 1e-10
 
 
+def test_sphere_volume_large_n():
+    # the float formula, which holds while (2n-1)! converts to a float
+    def as_float(n):
+        return 2 * math.pi ** (2 * n) / math.factorial(2 * n - 1)
+
+    for n in range(2, 9):  # every n the workloads and tests use
+        assert sphere_volume(n) == as_float(n)
+    for n in range(9, 86):
+        assert abs(sphere_volume(n) - as_float(n)) <= math.ulp(as_float(n))
+    tiny = np.finfo(float).tiny
+    assert sphere_volume(86) < sphere_volume(85)
+    assert sphere_volume(109) >= tiny > sphere_volume(110) > 0
+
+
 def test_orbit_integral_constant_and_linearity():
     ones = np.ones(256)
     assert abs(orbit_integral(ones, 2) - VOL_S7) < 1e-10
@@ -299,8 +304,8 @@ def test_total_volume_and_Q():
     sphere = initial_profile(2, 256, "sphere", r0=1.0)
     volume = q_terms(sphere, profile_derivatives(sphere))[0]
     assert abs(volume - TOTAL_VOL_2_1) < 1e-9
-    assert Q_functional(sphere) == 0.0
+    assert q_terms(sphere, profile_derivatives(sphere))[1] == 0.0
     # self-convergence of Q under refinement
-    q1 = Q_functional(bump(N=512))
-    q2 = Q_functional(bump(N=1024))
+    q1, q2 = (q_terms(p, profile_derivatives(p))[1]
+              for p in (bump(N=512), bump(N=1024)))
     assert abs(q1 - q2) < 1e-6

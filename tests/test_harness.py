@@ -444,6 +444,16 @@ def test_cli_run(tmp_path, capsys):
     assert (tmp_path / "o" / "report.json").exists()
 
 
+def test_cli_run_large_n(tmp_path, capsys):
+    # (2n-1)! overflows a float from n = 86 on; the run still completes
+    cfg = write_cfg(tmp_path, "n = 86\n[grid]\npoints = 64\n")
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["n"] == 86
+
+
 def test_cli_run_missing_config(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1

@@ -12,9 +12,8 @@ from conftest import execute_run
 LIMIT_Q_COS2_256 = 0.24831212117326018  # f = 0.1 cos(2 theta), n = 2, N = 256
 
 
-def make_factor(f_values, N=256, n=2):
-    theta, _ = make_theta_grid(N)
-    return ConformalFactor(n=n, theta=theta, f=np.asarray(f_values, float),
+def make_factor(f_values, n=2):
+    return ConformalFactor(n=n, f=np.asarray(f_values, float),
                            t_extracted=40.0, cauchy_residual=0.0)
 
 
@@ -23,8 +22,7 @@ def cos_factor(amplitude, N=256, harmonics=((2, 1.0),)):
     f = np.zeros(N)
     for k, w in harmonics:
         f += amplitude * w * np.cos(k * theta)
-    return ConformalFactor(n=2, theta=theta, f=f, t_extracted=40.0,
-                           cauchy_residual=0.0)
+    return ConformalFactor(n=2, f=f, t_extracted=40.0, cauchy_residual=0.0)
 
 
 def test_extract_sphere_limit_is_flat(sphere_run):
@@ -46,7 +44,7 @@ def test_extract_picks_latest_and_half_time():
     wts = orbit_weights(theta, 2)
 
     def prof(rho):
-        return RadialProfile(n=2, theta=theta, rho=rho)
+        return RadialProfile(n=2, rho=rho)
 
     p12 = prof(1.0 + 0.3 * np.cos(2 * theta))
     p20 = prof(2.0 + 0.1 * np.cos(2 * theta))
@@ -63,7 +61,7 @@ def test_half_time_tie_takes_the_earlier():
     # at t_final = 41, records 20 and 21 are equally near 20.5
     theta, _ = make_theta_grid(32)
     snaps = [(float(t), RadialProfile(
-        n=2, theta=theta, rho=t + 0.01 * t * np.cos(2 * theta)))
+        n=2, rho=t + 0.01 * t * np.cos(2 * theta)))
         for t in range(5, 42)]
     f = {t: p.rho - float(p.grid.weights @ p.rho) for t, p in snaps}
     factor = extract_conformal_factor(snaps[::-1])
@@ -75,8 +73,7 @@ def test_half_time_tie_takes_the_earlier():
 
 
 def test_extract_needs_two_usable_snapshots():
-    theta, _ = make_theta_grid(32)
-    p = RadialProfile(n=2, theta=theta, rho=np.full(32, 2.0))
+    p = RadialProfile(n=2, rho=np.full(32, 2.0))
     with pytest.raises(ValueError):
         extract_conformal_factor([])
     with pytest.raises(ValueError):
@@ -103,19 +100,19 @@ def test_extract_quotients_out_initial_radius(tau_run):
 
 
 def test_limit_q_zero_for_constant():
-    assert limit_Q(make_factor(np.zeros(256)), 2) == 0.0
-    assert abs(limit_Q(make_factor(np.full(256, 0.37)), 2)) < 1e-10
+    assert limit_Q(make_factor(np.zeros(256))) == 0.0
+    assert abs(limit_Q(make_factor(np.full(256, 0.37)))) < 1e-10
 
 
 def test_limit_q_static_anchor():
-    assert limit_Q(cos_factor(0.1), 2) == pytest.approx(
+    assert limit_Q(cos_factor(0.1)) == pytest.approx(
         LIMIT_Q_COS2_256, abs=1e-12)
 
 
 def test_limit_q_grid_refinement():
-    coarse = limit_Q(cos_factor(0.1, N=256), 2)
-    fine = limit_Q(cos_factor(0.1, N=512), 2)
-    dense = limit_Q(cos_factor(0.1, N=4096), 2)
+    coarse = limit_Q(cos_factor(0.1, N=256))
+    fine = limit_Q(cos_factor(0.1, N=512))
+    dense = limit_Q(cos_factor(0.1, N=4096))
     assert abs(fine - coarse) < 1e-6
     assert abs(dense - coarse) < 1e-6
 
@@ -123,17 +120,17 @@ def test_limit_q_grid_refinement():
 def test_limit_q_shift_invariance():
     theta, _ = make_theta_grid(256)
     f0 = 0.1 * np.cos(2 * theta) + 0.03 * np.cos(4 * theta)
-    base = limit_Q(make_factor(f0), 2)
+    base = limit_Q(make_factor(f0))
     rng = np.random.default_rng(7)
     for shift in rng.uniform(-1.0, 1.0, size=5):
-        assert abs(limit_Q(make_factor(f0 + shift), 2) - base) < 1e-9
+        assert abs(limit_Q(make_factor(f0 + shift)) - base) < 1e-9
 
 
 def test_limit_q_sign_for_small_bumps():
     # a non-constant factor gives nonzero limiting Q; cos(2 theta)
     # bumps of either sign give a positive value at leading order
-    assert limit_Q(cos_factor(0.05), 2) > 1e-3
-    assert limit_Q(cos_factor(-0.05), 2) > 1e-3
+    assert limit_Q(cos_factor(0.05)) > 1e-3
+    assert limit_Q(cos_factor(-0.05)) > 1e-3
 
 
 def test_verdict_constant_for_sphere(sphere_run):
@@ -159,7 +156,7 @@ def test_verdict_tolerates_noise_below_tol():
 
 
 def test_verdict_rejects_bad_tol():
-    factor = make_factor(np.zeros(64), N=64)
+    factor = make_factor(np.zeros(64))
     with pytest.raises(ValueError):
         constancy_verdict(factor, tol=0.0)
     with pytest.raises(ValueError):
