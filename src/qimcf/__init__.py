@@ -13,14 +13,13 @@ from .ambient import (apply_J, curvature_tensor, ricci_check, sectional,
                       verify_ambient)
 from .config import ConfigError, ExperimentConfig, parse_config
 from .flow import (DiagnosticsRecord, FlowError, FlowState,
-                   MeanConvexityLost, NonFiniteState, StepControl,
-                   StiffnessError, initial_profile, integrate_sphere_ode,
-                   run_flow, sphere_ode_rhs, step)
+                   MeanConvexityLost, NonFiniteRecord, NonFiniteState,
+                   StepControl, StiffnessError, initial_profile,
+                   integrate_sphere_ode, run_flow, sphere_ode_rhs, step)
 from .geometry import (A_norm_sq, Grid, ProfileDerivatives, RadialProfile,
-                       area_element, cached_grid, evaluate,
-                       general_mean_curvature, hat_H, make_theta_grid,
-                       orbit_integral, orbit_weights, profile_derivatives,
-                       reduced_weight, shape_operator_adapted, sphere_volume)
+                       cached_grid, evaluate, general_mean_curvature, hat_H,
+                       kernel, orbit_integral, profile_derivatives,
+                       shape_operator_adapted, sphere_volume)
 from .harness import ExperimentResult, run_experiment, sweep, verify_ambient_report
 from .limits import (ConformalFactor, ConstancyVerdict, constancy_verdict,
                      extract_conformal_factor, fit_decay_rate, limit_Q)

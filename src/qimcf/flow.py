@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (RadialProfile, cached_grid, evaluate,
+from .geometry import (RadialProfile, cached_grid, kernel,
                        profile_derivatives, q_terms)
 
 RECORD_SNAP = 1e-12  # absolute tolerance for landing on scheduled times
@@ -84,6 +84,14 @@ class NonFiniteState(NodeFailure):
     cause = "non-finite state"
 
 
+class NonFiniteRecord(FlowError):
+    """A record's volume, Q or q_rhs is NaN or infinite, e.g. on overflow."""
+
+    def __init__(self, t: float, quantity: str, value: float):
+        self.t, self.quantity = t, quantity
+        super().__init__(f"non-finite {quantity}={value!r} at t={t:.6g}")
+
+
 class StiffnessError(FlowError):
     """CFL-admissible step size collapsed below the underflow floor."""
 
@@ -116,11 +124,11 @@ class StepControl:
     """Explicit-stepping parameters; cfl_safety in (0, 1].
 
     step takes dt = min(dt_max, cfl_safety times the stability edge of the
-    first method of METHODS that reaches dt_max, the time left to the next
-    record).  The time error on the reference runs (bump r0=3 and
-    tau_family tau=4, N <= 512, t_end=40) is far below their space error,
-    so dt_max is as large as their accuracy allows without letting CFL
-    bind.
+    first method of METHODS that reaches dt_max times dtheta^2 min(K)^2/2,
+    K = H sinh(rho) v, the time left to the next record).  The time error
+    on the reference runs (bump r0=3 and tau_family tau=4, N <= 512,
+    t_end=40) is far below their space error, so dt_max is as large as
+    their accuracy allows without letting CFL bind.
     """
 
     t_end: float
@@ -235,6 +243,15 @@ def _require_mean_convex(H: np.ndarray, t: float, theta: np.ndarray):
     raise error(t, k, float(theta[k]), float(H[k]))
 
 
+def _checked_min_K(ker, t: float, theta: np.ndarray) -> float:
+    """min K = min H v sinh(rho), after _require_mean_convex's checks."""
+    # the ufunc reductions skip ndarray.min's Python wrapper, ~1 us a call
+    m = np.minimum.reduce(ker.K)
+    if not (m > 0 and np.maximum.reduce(ker.K) < math.inf):
+        _require_mean_convex(ker.K / np.sqrt(ker.A), t, theta)
+    return float(m)
+
+
 @functools.lru_cache(maxsize=None)
 def _half_stencil_eigenvalues(n: int, grid_size: int) -> np.ndarray:
     """Eigenvalues / 2 of the dimensionless stencil of stage_edge."""
@@ -290,22 +307,20 @@ def step(state: FlowState, ctrl: StepControl,
     control.
 
     base = cfl_safety * dtheta^2 / (2 max_k D_k) is the pure-diffusion
-    CFL bound, with the effective diffusion D = 1/(F^2 v^4) =
-    1/(H sinh(rho) v)^2, F = H sinh(rho)/v, obtained by differentiating
-    the speed with respect to phi''.  The step wants min(dt_max, dt_cap)
+    CFL bound, with the effective diffusion D = 1/(F^2 v^4) = 1/K^2,
+    F = H sinh(rho)/v, K = H sinh(rho) v, obtained by differentiating the
+    speed with respect to phi''.  The step wants min(dt_max, dt_cap)
     (dt_cap lands on record times exactly); it takes the first method of
     METHODS with base * stage_edge(n, method) >= that, else the last, and
     dt = min(wanted, base * stage_edge(n, method)).  Each stage is one
-    evaluation and one forward-Euler substep of c dt, averaged with rho
-    by the method's weight a_i.
+    kernel call and one forward-Euler substep of c dt at the speed v/H =
+    A/(sinh(rho) K), averaged with rho by the method's weight a_i.
     """
     profile = state.profile
     grid = profile.grid
     rho = profile.rho
-    ev = evaluate(grid, rho)
-    _require_mean_convex(ev.H, state.t, grid.theta)
-
-    m = float((ev.H * ev.sinh * ev.v).min())
+    ker = kernel(grid, rho)
+    m = _checked_min_K(ker, state.t, grid.theta)
     base = ctrl.cfl_safety * grid.dtheta**2 * m * m / 2
     want = ctrl.dt_max if dt_cap is None else min(ctrl.dt_max, dt_cap)
     for index, method in enumerate(METHODS):  # the last if none covers
@@ -320,12 +335,12 @@ def step(state: FlowState, ctrl: StepControl,
     y = rho.copy()
     for i, a in enumerate(method.a):
         if i:
-            if not (y > 0).all():
+            if not np.minimum.reduce(y) > 0:
                 raise ValueError(
                     f"trial stage rho <= 0, min rho = {y.min():.6g}")
-            ev = evaluate(grid, y)
-            _require_mean_convex(ev.H, state.t, grid.theta)
-        y += h * (ev.v / ev.H)
+            ker = kernel(grid, y)
+            _checked_min_K(ker, state.t, grid.theta)
+        y += h * ker.A / (ker.sinh * ker.K)
         if a:
             y *= 1 - a
             y += a * rho
@@ -339,11 +354,15 @@ def step(state: FlowState, ctrl: StepControl,
 
 
 def diagnostics_record(state: FlowState) -> DiagnosticsRecord:
-    """Evaluate every monitored quantity at the current state."""
+    """Evaluate every monitored quantity at the current state; raises
+    NonFiniteRecord rather than record a non-finite volume, Q or q_rhs."""
     profile = state.profile
     n = profile.n
     derivs = profile_derivatives(profile)
     vol, Q, q_rhs = q_terms(profile, derivs)
+    for name, value in (("volume", vol), ("Q", Q), ("q_rhs", q_rhs)):
+        if not math.isfinite(value):
+            raise NonFiniteRecord(state.t, name, value)
     rho_mean = float(profile.grid.weights @ profile.rho)
     return DiagnosticsRecord(
         t=state.t,

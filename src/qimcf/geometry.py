@@ -61,7 +61,7 @@ class RadialProfile:
 
 
 class ProfileDerivatives(NamedTuple):
-    """Per-node output of evaluate; a NamedTuple as each step builds two."""
+    """Per-node output of evaluate."""
 
     phi_t: np.ndarray
     phi_tt: np.ndarray
@@ -128,31 +128,55 @@ def cached_grid(n: int, grid_size: int) -> Grid:
                 volume=sphere_volume(n))
 
 
-def evaluate(grid: Grid, rho: np.ndarray) -> ProfileDerivatives:
-    """The evaluation kernel: derivatives and mean curvature at every node.
+class KernelValues(NamedTuple):
+    """Per-node output of kernel, with s = sinh rho and c = cosh rho."""
 
-    rho', rho'' are second-order central differences whose ghost value
-    across each end mirrors the end value (the even, Neumann-symmetric
-    extension).  Then phi' = rho'/sinh rho, phi'' = (rho'' - cosh rho
-    rho' phi')/sinh rho, v = sqrt(1 + phi'^2), hat_H = (4n-1)/tanh rho
-    + 3 tanh rho and H = [hat_H - (phi''/v^2 + w phi')/sinh rho] / v.
+    rho_t: np.ndarray
+    rho_tt: np.ndarray
+    sinh: np.ndarray
+    cosh: np.ndarray
+    A: np.ndarray      # (v s)^2 = s^2 + rho'^2
+    hat_K: np.ndarray  # s hat_H = (4n-1) c + 3 s^2/c = (4n+2) c - 3/c
+    K: np.ndarray      # H v s
+
+
+def kernel(grid: Grid, rho: np.ndarray) -> KernelValues:
+    """The evaluation kernel: everything step and evaluate read.
+
+    d is the first difference of rho with a zero at each end, so d[1:] +
+    d[:-1] = 2 dtheta rho' and d[1:] - d[:-1] = dtheta^2 rho'' are central
+    differences over the even (Neumann-symmetric) ghost extension.  With
+    phi' = rho'/s and v = sqrt(1 + phi'^2), H = [hat_H - (phi''/v^2 +
+    w phi')/s]/v times v s is K = hat_K - (rho'' s - c rho'^2)/A - w rho'/s.
+    The speed v/H is A/(s K) and the CFL quantity is K: no square root.
     rho is not checked: callers own the positivity and finiteness checks.
     """
-    ext = np.empty(rho.size + 2)
-    ext[1:-1] = rho
-    ext[0], ext[-1] = rho[0], rho[-1]
-    d1 = (ext[2:] - ext[:-2]) / (2 * grid.dtheta)
-    d2 = (ext[2:] - 2 * rho + ext[:-2]) / grid.dtheta**2
-    sh = np.sinh(rho)
-    ch = np.cosh(rho)
-    phi_t = d1 / sh
-    phi_tt = (d2 - ch * d1 * phi_t) / sh
-    v2 = 1 + phi_t * phi_t
-    v = np.sqrt(v2)
-    tanh = sh / ch
-    hatH = (4 * grid.n - 1) / tanh + 3 * tanh
-    H = (hatH - (phi_tt / v2 + grid.w * phi_t) / sh) / v
-    return ProfileDerivatives(phi_t, phi_tt, v, sh, ch, hatH, H)
+    d = np.zeros(rho.size + 1)
+    np.subtract(rho[1:], rho[:-1], out=d[1:-1])
+    rho_t = (d[1:] + d[:-1]) * (0.5 / grid.dtheta)
+    rho_tt = (d[1:] - d[:-1]) * grid.dtheta**-2
+    s = np.sinh(rho)
+    c = np.cosh(rho)
+    rt2 = rho_t * rho_t
+    A = s * s + rt2
+    hat_K = (4 * grid.n + 2) * c - 3 / c
+    K = hat_K - (rho_tt * s - c * rt2) / A - grid.w * rho_t / s
+    return KernelValues(rho_t, rho_tt, s, c, A, hat_K, K)
+
+
+def evaluate(grid: Grid, rho: np.ndarray) -> ProfileDerivatives:
+    """Derivatives and mean curvature at every node, from one kernel call.
+
+    phi' = rho'/s, phi'' = (rho'' - c rho' phi')/s, v = sqrt(A)/s,
+    hat_H = hat_K/s and H = K/sqrt(A).  On a sphere sqrt(A) is exactly s,
+    so H - hat_H is exactly 0.
+    """
+    k = kernel(grid, rho)
+    root = np.sqrt(k.A)
+    phi_t = k.rho_t / k.sinh
+    phi_tt = (k.rho_tt - k.cosh * k.rho_t * phi_t) / k.sinh
+    return ProfileDerivatives(phi_t, phi_tt, root / k.sinh, k.sinh, k.cosh,
+                              k.hat_K / k.sinh, k.K / root)
 
 
 def profile_derivatives(profile: RadialProfile) -> ProfileDerivatives:

@@ -11,8 +11,8 @@ Output contract per run directory:
 
 Exit codes: 0 success, 1 configuration, verification or arithmetic
 failure, 2 mean convexity lost, 3 step-size collapse, 4 non-finite
-state.  Sweeps run one cell per worker process and classify failures per
-cell without aborting the sweep.
+state or record.  Sweeps run one cell per worker process and classify
+failures per cell without aborting the sweep.
 """
 
 import csv
@@ -31,8 +31,8 @@ from .config import (ConfigError, ExperimentConfig, build_initial_profile,
                      check_mean_convexity, last_record, override_config,
                      validate_config)
 from .flow import (METHODS, DiagnosticsRecord, FlowError, FlowState,
-                   MeanConvexityLost, NonFiniteState, StepControl,
-                   StiffnessError, run_flow)
+                   MeanConvexityLost, NonFiniteRecord, NonFiniteState,
+                   StepControl, StiffnessError, run_flow)
 from .geometry import RadialProfile, cached_grid
 from .limits import (LimitSnapshots, constancy_verdict,
                      extract_conformal_factor, fit_decay_rate)
@@ -47,7 +47,8 @@ EXIT_NONFINITE = 4
 
 FLOW_EXIT_CODES = {MeanConvexityLost: EXIT_CONVEXITY_LOST,
                    StiffnessError: EXIT_STIFFNESS,
-                   NonFiniteState: EXIT_NONFINITE}
+                   NonFiniteState: EXIT_NONFINITE,
+                   NonFiniteRecord: EXIT_NONFINITE}
 
 VERDICT_TOL = 1e-6  # range threshold separating CONSTANT from NON_CONSTANT
 FIT_T_MIN = 10.0    # decay fits skip the initial layer
@@ -194,10 +195,11 @@ def run_experiment(cfg: ExperimentConfig,
                     "tau": cfg.initial_tau},
         "version": __version__,
     }
+    # a NaN or inf raises here, before a partial report.json exists
+    text = json.dumps(report, indent=2, allow_nan=False)
     with open(out / "report.json", "w", encoding="utf-8",
               newline="\n") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return ExperimentResult(EXIT_OK, str(out), report, _min_H(records))
 
 

@@ -12,9 +12,10 @@ from fd_sphere_oracle import (adapted_frame, fd_hessian,
 from qimcf import (A_norm_sq, RadialProfile, constancy_verdict,
                    extract_conformal_factor, fit_decay_rate,
                    initial_profile, integrate_sphere_ode, limit_Q,
-                   make_theta_grid, profile_derivatives, reduced_weight,
-                   shape_operator_adapted, verify_ambient)
-from qimcf.geometry import _a_norm_sq_identity, q_terms
+                   profile_derivatives, shape_operator_adapted,
+                   verify_ambient)
+from qimcf.geometry import (_a_norm_sq_identity, make_theta_grid, q_terms,
+                            reduced_weight)
 from qimcf.limits import ConformalFactor
 
 HORO_H = 10.0  # 4n+2 at n=2, the late-time mean curvature level

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from qimcf import (ConfigError, ExperimentConfig, FlowState, StepControl,
-                   flow, initial_profile, make_theta_grid, parse_config)
+                   flow, initial_profile, parse_config)
 from qimcf.config import (build_initial_profile, check_mean_convexity,
                           last_record, override_config, validate_config)
+from qimcf.geometry import make_theta_grid
 
 FULL = """\
 n = 2

@@ -7,12 +7,11 @@ import pytest
 
 from qimcf import (FlowState, MeanConvexityLost, RadialProfile, StepControl,
                    evaluate, hat_H, initial_profile, integrate_sphere_ode,
-                   make_theta_grid, profile_derivatives, run_flow,
-                   sphere_ode_rhs, step)
+                   profile_derivatives, run_flow, sphere_ode_rhs, step)
 from qimcf.flow import (MAX_STAGES, METHODS, NonFiniteState, StiffnessError,
                         _half_stencil_eigenvalues, _require_mean_convex,
                         diagnostics_record, ssprk2, stage_edge)
-from qimcf.geometry import q_terms
+from qimcf.geometry import cached_grid, make_theta_grid, q_terms
 
 SPHERE_RHS_2_1 = 0.08713815200031506  # sinh cosh / (7 cosh^2 + 3 sinh^2) at 1
 HEUN = ssprk2(2)
@@ -136,18 +135,31 @@ def test_step_reports_overflowed_node():
     assert err.value.theta == theta[40]
 
 
+def test_step_names_the_node_where_H_is_not_positive():
+    # steep at the pole: at n = 2, H < 0 at one node near theta = 0
+    grid = cached_grid(2, 64)
+    rho = 0.3 + 0.1 * np.exp(-(grid.theta / 0.05)**2)
+    H = evaluate(grid, rho).H
+    k = int(np.argmin(H))
+    assert np.flatnonzero(H <= 0).tolist() == [k]
+    with pytest.raises(MeanConvexityLost) as err:
+        step(FlowState(t=0.5, profile=RadialProfile(n=2, rho=rho)),
+             StepControl(t_end=1.0))
+    assert (err.value.t, err.value.node, err.value.H) == (0.5, k, H[k])
+
+
 def test_diagnostics_record_evaluates_once(monkeypatch):
     import qimcf.flow
     import qimcf.geometry
     calls = []
-    kernel = qimcf.geometry.evaluate
+    kernel = qimcf.geometry.kernel
 
     def counting(grid, rho):
         calls.append(rho.size)
         return kernel(grid, rho)
 
-    monkeypatch.setattr(qimcf.geometry, "evaluate", counting)
-    monkeypatch.setattr(qimcf.flow, "evaluate", counting)
+    monkeypatch.setattr(qimcf.geometry, "kernel", counting)
+    monkeypatch.setattr(qimcf.flow, "kernel", counting)
     diagnostics_record(FlowState(t=0.0, profile=initial_profile(
         2, 128, "bump", r0=3.0, amplitude=0.1)))
     assert calls == [128]

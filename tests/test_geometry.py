@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from qimcf import (A_norm_sq, RadialProfile, area_element, cached_grid,
-                   evaluate, general_mean_curvature, hat_H, initial_profile,
-                   make_theta_grid, orbit_integral, profile_derivatives,
-                   reduced_weight, shape_operator_adapted, sphere_volume)
-from qimcf.geometry import q_terms
+from qimcf import (A_norm_sq, RadialProfile, cached_grid, evaluate,
+                   general_mean_curvature, hat_H, initial_profile, kernel,
+                   orbit_integral, profile_derivatives, shape_operator_adapted,
+                   sphere_volume)
+from qimcf.geometry import (area_element, make_theta_grid, q_terms,
+                            reduced_weight)
 
 COTH1 = 1.3130352854993313      # coth(1)
 TWO_COTH2 = 2.0746294414550962  # 2 coth(2) = coth(1) + tanh(1)
@@ -100,6 +101,43 @@ def test_kernel_H_is_shape_operator_trace_at_every_node():
         trace = [np.trace(shape_operator_adapted(prof, d, k))
                  for k in range(256)]
         assert np.max(np.abs(d.H - trace)) < 1e-10
+
+
+def _phi_route(grid, rho):
+    """v, H and sinh rho through phi' = rho'/sinh rho and phi'': the
+    even-ghost central differences, v = sqrt(1 + phi'^2) and H = [hat_H
+    - (phi''/v^2 + w phi')/sinh rho]/v."""
+    ext = np.pad(rho, 1, mode="edge")
+    rho_t = (ext[2:] - ext[:-2]) / (2 * grid.dtheta)
+    rho_tt = (ext[2:] - 2 * rho + ext[:-2]) / grid.dtheta**2
+    sh = np.sinh(rho)
+    phi_t = rho_t / sh
+    phi_tt = (rho_tt - np.cosh(rho) * rho_t * phi_t) / sh
+    v = np.sqrt(1 + phi_t**2)
+    H = (hat_H(grid.n, rho) - (phi_tt / v**2 + grid.w * phi_t) / sh) / v
+    return v, H, sh
+
+
+@pytest.mark.parametrize("kind", ["bump", "tau_family", "steep_pole"])
+def test_kernel_speed_and_cfl_quantity(kind):
+    # the step's speed A/(sinh K) is v/H and K is H sinh(rho) v, both as
+    # evaluate gives them and through phi
+    for n in (2, 3, 8, 48):
+        for N in (64, 1024):
+            grid = cached_grid(n, N)
+            if kind == "steep_pole":
+                rho = 0.3 + 0.05 * np.exp(-(grid.theta / 0.05)**2)
+            else:
+                rho = initial_profile(n, N, kind, r0=3.0, amplitude=0.1,
+                                      tau=8.0).rho
+            k = kernel(grid, rho)
+            ev = evaluate(grid, rho)
+            v, H, sh = _phi_route(grid, rho)
+            speed = k.A / (k.sinh * k.K)
+            assert np.max(np.abs(speed / (ev.v / ev.H) - 1)) < 1e-12
+            assert np.max(np.abs(speed / (v / H) - 1)) < 1e-12
+            assert np.max(np.abs(k.K / (ev.H * ev.sinh * ev.v) - 1)) < 1e-12
+            assert np.max(np.abs(k.K / (H * sh * v) - 1)) < 1e-12
 
 
 def test_derivatives_constant_profile():

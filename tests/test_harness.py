@@ -13,10 +13,11 @@ import qimcf
 from qimcf import (ConfigError, DiagnosticsRecord, ExperimentConfig,
                    MeanConvexityLost, NonFiniteState, StepControl,
                    StiffnessError, ambient, harness, initial_profile,
-                   make_theta_grid, run_experiment, sweep)
+                   run_experiment, sweep)
 from qimcf.cli import main
 from qimcf.config import build_initial_profile, override_config
 from qimcf.flow import MAX_STAGES, METHODS, diagnostics_record
+from qimcf.geometry import make_theta_grid
 from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONFIG,
                            EXIT_CONVEXITY_LOST, EXIT_NONFINITE, EXIT_OK,
                            EXIT_STIFFNESS, SWEEP_RESULT_COLUMNS, VERDICT_TOL,
@@ -363,6 +364,32 @@ def test_run_survives_arithmetic_error(tmp_path, caplog):
                  "--out", str(out)]) == EXIT_CONFIG
     assert "ZeroDivisionError" in caplog.text
     assert (out / "diagnostics.csv").exists()
+    assert not (out / "report.json").exists()
+
+
+def test_run_refuses_non_finite_record(tmp_path, caplog):
+    # Vol(S^{4n-1}) sinh^{4n-1}(rho) overflows at t = 0 for n = 80 and
+    # r0 = 3: the run stops with exit code 4 instead of recording NaN
+    text = ("n = 80\n\n[grid]\npoints = 64\n\n[initial]\nkind = sphere\n"
+            "r0 = 3\n\n[time]\nt_end = 12\n")
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", write_cfg(tmp_path, text),
+                     "--out", str(out)]) == EXIT_NONFINITE
+    assert "NonFiniteRecord: non-finite volume=nan at t=0" in caplog.text
+    assert (out / "diagnostics.csv").exists()
+    assert not (out / "report.json").exists()
+
+
+def test_report_refuses_nan(tmp_path, monkeypatch):
+    def nan_verdict(factor, tol):
+        return dataclasses.replace(constancy_verdict(factor, tol),
+                                   limit_Q=float("nan"))
+
+    monkeypatch.setattr("qimcf.harness.constancy_verdict", nan_verdict)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        run_experiment(fast_cfg(), out_dir=str(out))
     assert not (out / "report.json").exists()
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qimcf import (ConformalFactor, RadialProfile, constancy_verdict,
-                   extract_conformal_factor, fit_decay_rate, limit_Q,
-                   make_theta_grid, orbit_weights)
+                   extract_conformal_factor, fit_decay_rate, limit_Q)
+from qimcf.geometry import make_theta_grid, orbit_weights
 from qimcf.limits import LimitSnapshots
 from conftest import execute_run
 
