@@ -168,7 +168,7 @@ def build_initial_profile(cfg: ExperimentConfig):
 
 
 def check_mean_convexity(cfg: ExperimentConfig):
-    """Refuse configurations whose initial surface is not mean convex.
+    """The initial profile, once it is checked to be mean convex.
 
     The flow speed 1/H is undefined at H <= 0, so the run must not start;
     the error lists the offending theta values to make the bad amplitude
@@ -186,6 +186,7 @@ def check_mean_convexity(cfg: ExperimentConfig):
         raise ConfigError(
             f"initial profile is not mean convex: H <= 0 at theta = "
             f"{shown}{more}; min H = {H.min():.6g}")
+    return profile
 
 
 def parse_config(text: str) -> ExperimentConfig:

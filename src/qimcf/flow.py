@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (RadialProfile, cached_grid, kernel,
+from .geometry import (RadialProfile, cached_grid, hat_H, kernel,
                        profile_derivatives, q_terms)
 
 RECORD_SNAP = 1e-12  # absolute tolerance for landing on scheduled times
@@ -196,17 +196,10 @@ def initial_profile(n: int, grid_size: int, kind: str, r0: float = 1.0,
 
 
 def sphere_ode_rhs(n: int, rho):
-    """d rho/dt for a geodesic sphere under the flow.
-
-    sinh rho cosh rho / ((4n-1) cosh^2 rho + 3 sinh^2 rho), which is
-    exactly 1/hat_H(n, rho); tends to 1/(4n+2).
-    """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("rho must be positive")
-    sh, ch = np.sinh(rho), np.cosh(rho)
-    val = sh * ch / ((4 * n - 1) * ch**2 + 3 * sh**2)
-    return float(val) if val.ndim == 0 else val
+    """d rho/dt = 1/hat_H(n, rho) for a geodesic sphere under the flow;
+    tends to 1/(4n+2).  The kernel reads hat_K, not hat_H, so the RK4
+    oracle below stays independent of it."""
+    return 1 / hat_H(n, rho)
 
 
 def integrate_sphere_ode(n: int, rho0: float, t_end: float, dt: float):

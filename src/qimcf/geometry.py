@@ -61,7 +61,7 @@ class RadialProfile:
 
 
 class ProfileDerivatives(NamedTuple):
-    """Per-node output of evaluate."""
+    """Per-node output of profile_derivatives."""
 
     phi_t: np.ndarray
     phi_tt: np.ndarray
@@ -141,7 +141,7 @@ class KernelValues(NamedTuple):
 
 
 def kernel(grid: Grid, rho: np.ndarray) -> KernelValues:
-    """The evaluation kernel: everything step and evaluate read.
+    """The evaluation kernel, all that step and profile_derivatives read.
 
     d is the first difference of rho with a zero at each end, so d[1:] +
     d[:-1] = 2 dtheta rho' and d[1:] - d[:-1] = dtheta^2 rho'' are central
@@ -164,24 +164,19 @@ def kernel(grid: Grid, rho: np.ndarray) -> KernelValues:
     return KernelValues(rho_t, rho_tt, s, c, A, hat_K, K)
 
 
-def evaluate(grid: Grid, rho: np.ndarray) -> ProfileDerivatives:
+def profile_derivatives(profile: RadialProfile) -> ProfileDerivatives:
     """Derivatives and mean curvature at every node, from one kernel call.
 
     phi' = rho'/s, phi'' = (rho'' - c rho' phi')/s, v = sqrt(A)/s,
     hat_H = hat_K/s and H = K/sqrt(A).  On a sphere sqrt(A) is exactly s,
     so H - hat_H is exactly 0.
     """
-    k = kernel(grid, rho)
+    k = kernel(profile.grid, profile.rho)
     root = np.sqrt(k.A)
     phi_t = k.rho_t / k.sinh
     phi_tt = (k.rho_tt - k.cosh * k.rho_t * phi_t) / k.sinh
     return ProfileDerivatives(phi_t, phi_tt, root / k.sinh, k.sinh, k.cosh,
                               k.hat_K / k.sinh, k.K / root)
-
-
-def profile_derivatives(profile: RadialProfile) -> ProfileDerivatives:
-    """The kernel's evaluation of a profile on its cached grid."""
-    return evaluate(profile.grid, profile.rho)
 
 
 def general_mean_curvature(n: int, rho: float, v: float,
@@ -195,7 +190,7 @@ def general_mean_curvature(n: int, rho: float, v: float,
     where the contraction is phi_ij sigma~^{ji} of the deformed-metric
     Hessian and the last term collects the squared Hopf-direction
     derivatives of phi.  Invariant profiles have that term equal to zero
-    and reduce to the kernel's H (evaluate).  Not a pipeline path: the
+    and reduce to the H of profile_derivatives.  Not a pipeline path: the
     oracle of test_mean_curvature_independent_evaluation (np.gradient).
     """
     if v < 1:
@@ -287,19 +282,6 @@ def A_norm_sq(profile: RadialProfile, derivs: ProfileDerivatives,
     return traced
 
 
-def area_element(n: int, rho, v):
-    """Orbit-space area density d mu / d sigma = v sinh^{4n-1} rho cosh^3 rho.
-
-    The cosh^3 carries the Berger stretching of the three Hopf directions
-    at radius rho.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("rho must be positive")
-    val = v * np.sinh(rho) ** (4 * n - 1) * np.cosh(rho) ** 3
-    return float(val) if np.ndim(val) == 0 else val
-
-
 def sphere_volume(n: int) -> float:
     """Volume of the round unit sphere S^{4n-1}: 2 pi^{2n} / (2n-1)!.
 
@@ -342,7 +324,10 @@ def q_terms(profile: RadialProfile, derivs: ProfileDerivatives):
     """
     n = profile.n
     H = derivs.H
-    dens = area_element(n, profile.rho, derivs.v)
+    sh, ch = derivs.sinh, derivs.cosh
+    # d mu / d sigma = v sinh^{4n-1} rho cosh^3 rho; the cosh^3 carries
+    # the Berger stretching of the three Hopf directions at radius rho
+    dens = derivs.v * sh ** (4 * n - 1) * ch ** 3
     vol = orbit_integral(dens, n)
     pref = vol ** (-1 + 1 / (2 * n + 1))
     Q = pref * orbit_integral((H - derivs.hat_H) * dens, n)
@@ -353,7 +338,6 @@ def q_terms(profile: RadialProfile, derivs: ProfileDerivatives):
     # factor (4n-1)/sinh^2 - 3/cosh^2 measures radius change of the
     # comparison sphere, not of the graph coordinate, so the v of the
     # coordinate gauge divides out.
-    sh, ch = derivs.sinh, derivs.cosh
     A2 = _a_norm_sq_identity(n, profile.theta, derivs, H)
     q_rhs = (Q / (2 * n + 1)
              - pref * orbit_integral((A2 - 4 * (n + 2)) / H * dens, n)

@@ -27,14 +27,13 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from . import __version__, ambient
-from .config import (ConfigError, ExperimentConfig, build_initial_profile,
-                     check_mean_convexity, last_record, override_config,
-                     validate_config)
+from .config import (ConfigError, ExperimentConfig, check_mean_convexity,
+                     last_record, override_config, validate_config)
 from .flow import (METHODS, DiagnosticsRecord, FlowError, FlowState,
                    MeanConvexityLost, NonFiniteRecord, NonFiniteState,
                    StepControl, StiffnessError, run_flow)
 from .geometry import RadialProfile, cached_grid
-from .limits import (LimitSnapshots, constancy_verdict,
+from .limits import (T_USABLE, LimitSnapshots, constancy_verdict,
                      extract_conformal_factor, fit_decay_rate)
 
 logger = logging.getLogger(__name__)
@@ -49,9 +48,6 @@ FLOW_EXIT_CODES = {MeanConvexityLost: EXIT_CONVEXITY_LOST,
                    StiffnessError: EXIT_STIFFNESS,
                    NonFiniteState: EXIT_NONFINITE,
                    NonFiniteRecord: EXIT_NONFINITE}
-
-VERDICT_TOL = 1e-6  # range threshold separating CONSTANT from NON_CONSTANT
-FIT_T_MIN = 10.0    # decay fits skip the initial layer
 
 SWEEP_RESULT_COLUMNS = ("Q_final", "limit_Q", "verdict", "min_H_over_run",
                         "exit_code")
@@ -129,14 +125,19 @@ def run_experiment(cfg: ExperimentConfig,
     Raises ConfigError for invalid configurations (nothing is written);
     integration and arithmetic failures are reported through the exit code
     with the diagnostics and snapshots collected so far on disk, and no
-    report.json.
+    report.json.  A rerun first deletes the earlier run's report, decay
+    table and snapshots.
     """
     validate_config(cfg)
-    check_mean_convexity(cfg)
+    profile0 = check_mean_convexity(cfg)
     out = resolve_out_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # a failed rerun must not leave an earlier run's results beside its own
+    for stale in [out / "report.json", out / "decay.dat",
+                  *out.glob("snapshot_*_t*.csv")]:
+        stale.unlink(missing_ok=True)
 
-    state0 = FlowState(t=0.0, profile=build_initial_profile(cfg))
+    state0 = FlowState(t=0.0, profile=profile0)
     ctrl = StepControl(t_end=cfg.t_end, cfl_safety=cfg.cfl_safety)
 
     last_index, last_t = last_record(cfg)
@@ -166,7 +167,7 @@ def run_experiment(cfg: ExperimentConfig,
     _write_decay_table(out, records, h_dev)
 
     factor = extract_conformal_factor(limit_snapshots.kept)
-    verdict = constancy_verdict(factor, VERDICT_TOL)
+    verdict = constancy_verdict(factor)
 
     grad_series = [(r.t, r.sup_grad_phi_sq) for r in records]
     h_series = [(r.t, dev) for r, dev in zip(records, h_dev)]
@@ -179,8 +180,9 @@ def run_experiment(cfg: ExperimentConfig,
         "Q_final": records[-1].Q,
         "verdict": verdict.verdict,
         "decay_rates": {
-            "grad_phi": _fit_or_none(grad_series, FIT_T_MIN),
-            "H": _fit_or_none(h_series, FIT_T_MIN),
+            # the decay fits skip the initial layer, as the limit does
+            "grad_phi": _fit_or_none(grad_series, T_USABLE),
+            "H": _fit_or_none(h_series, T_USABLE),
         },
         "cauchy_residual": factor.cauchy_residual,
         "steps": final.step_count,
@@ -250,14 +252,13 @@ def sweep(cfg: ExperimentConfig,
     the varied keys under their short names (as in the cell directory
     names), then SWEEP_RESULT_COLUMNS.  Failed cells keep their row, with
     verdict FAILED, their exit code and empty numeric columns, and do not
-    stop the sweep.
+    stop the sweep.  Cells that would share a directory are refused.
 
     Returns the aggregate rows as dicts in cell order.
     """
     if not vary or len({key for key, _ in vary}) < len(vary):
         raise ConfigError("sweep needs at least one key to vary, each once")
     base = resolve_out_dir(cfg, out_dir)
-    base.mkdir(parents=True, exist_ok=True)
 
     axes = [[(key, val) for val in values] for key, values in vary]
     items = []
@@ -266,7 +267,12 @@ def sweep(cfg: ExperimentConfig,
         for key, val in combo:
             cell_cfg = override_config(cell_cfg, key, val)
         labels = {key.rpartition(".")[2]: val for key, val in combo}
-        items.append((cell_cfg, str(base / _cell_name(labels)), labels))
+        cell = str(base / _cell_name(labels))
+        if any(item[1] == cell for item in items):
+            raise ConfigError(f"sweep cell {_cell_name(labels)} appears "
+                              f"twice; give each value once")
+        items.append((cell_cfg, cell, labels))
+    base.mkdir(parents=True, exist_ok=True)
 
     workers = max_workers or min(len(items), os.cpu_count() or 1)
     if workers > 1:

@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import RadialProfile, cached_grid, orbit_integral
 
 T_USABLE = 10.0  # snapshots earlier than this sit in the initial layer
+VERDICT_TOL = 1e-6  # range threshold separating CONSTANT from NON_CONSTANT
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,6 @@ class ConformalFactor:
     f: np.ndarray
     t_extracted: float
     cauchy_residual: float
-
-    @property
-    def theta(self) -> np.ndarray:
-        return cached_grid(self.n, self.f.size).theta
 
 
 def _centered_f(profile: RadialProfile) -> np.ndarray:
@@ -136,19 +133,17 @@ class ConstancyVerdict:
     limit_Q: float
 
 
-def constancy_verdict(factor: ConformalFactor, tol: float) -> ConstancyVerdict:
-    """Classify the limit: CONSTANT if max f - min f < tol.
+def constancy_verdict(factor: ConformalFactor) -> ConstancyVerdict:
+    """Classify the limit: CONSTANT if max f - min f < VERDICT_TOL.
 
     For invariant f, constant qc-scalar curvature of e^{2f} sigma_sR is
     equivalent to f being constant, so the range test is the direct
-    criterion; a NON_CONSTANT verdict together with |limit_Q| > tol is
-    the quantitative certificate (a nonzero limiting Q cannot come from
-    a round limit).
+    criterion; a NON_CONSTANT verdict together with |limit_Q| >
+    VERDICT_TOL is the quantitative certificate (a nonzero limiting Q
+    cannot come from a round limit).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     f_range = float(factor.f.max() - factor.f.min())
-    verdict = "CONSTANT" if f_range < tol else "NON_CONSTANT"
+    verdict = "CONSTANT" if f_range < VERDICT_TOL else "NON_CONSTANT"
     return ConstancyVerdict(verdict=verdict, f_range=f_range,
                             limit_Q=limit_Q(factor))
 

@@ -170,10 +170,8 @@ def test_criterion_7_q_pipeline(sphere_run, bump_run, bump_run_fine):
 
 def test_criterion_8_non_constant_limit(tau_run, tau_run_fine):
     """The tau family certifies a non-round limit, stable under N -> 2N."""
-    coarse = constancy_verdict(extract_conformal_factor(tau_run.snapshots),
-                               tol=1e-6)
-    fine = constancy_verdict(extract_conformal_factor(tau_run_fine.snapshots),
-                             tol=1e-6)
+    coarse = constancy_verdict(extract_conformal_factor(tau_run.snapshots))
+    fine = constancy_verdict(extract_conformal_factor(tau_run_fine.snapshots))
     shift = abs(coarse.limit_Q - fine.limit_Q)
     print(f"\n  verdicts {coarse.verdict}/{fine.verdict}, f_range = "
           f"{coarse.f_range:.4f}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qimcf import (FlowState, MeanConvexityLost, RadialProfile, StepControl,
-                   evaluate, hat_H, initial_profile, integrate_sphere_ode,
+                   hat_H, initial_profile, integrate_sphere_ode,
                    profile_derivatives, run_flow, sphere_ode_rhs, step)
 from qimcf.flow import (MAX_STAGES, METHODS, NonFiniteState, StiffnessError,
                         _half_stencil_eigenvalues, _require_mean_convex,
@@ -139,7 +139,7 @@ def test_step_names_the_node_where_H_is_not_positive():
     # steep at the pole: at n = 2, H < 0 at one node near theta = 0
     grid = cached_grid(2, 64)
     rho = 0.3 + 0.1 * np.exp(-(grid.theta / 0.05)**2)
-    H = evaluate(grid, rho).H
+    H = profile_derivatives(RadialProfile(n=2, rho=rho)).H
     k = int(np.argmin(H))
     assert np.flatnonzero(H <= 0).tolist() == [k]
     with pytest.raises(MeanConvexityLost) as err:
@@ -208,7 +208,7 @@ def test_stage_rule_second_order_convergence(stages, ratio):
     # taken at dt_max with SSPRK(s,2), and halving dt_max quarters the
     # error
     profile = initial_profile(2, 64, "bump", r0=3.0, amplitude=0.1)
-    ev = evaluate(profile.grid, profile.rho)
+    ev = profile_derivatives(profile)
     bound = profile.grid.dtheta**2 * (ev.H * ev.sinh * ev.v).min()**2 / 2
     T = 0.08
     ref, _ = run_flow(FlowState(t=0.0, profile=profile),
@@ -232,10 +232,10 @@ def test_three_stage_step_is_ssprk33():
     nxt = step(FlowState(t=0.0, profile=profile), StepControl(t_end=1.0))
     assert nxt.evaluations == 3
     assert nxt.steps_by_method == (1,) + (0,) * (len(METHODS) - 1)
-    dt, grid, rho = nxt.last_dt, profile.grid, profile.rho
+    dt, rho = nxt.last_dt, profile.rho
 
     def F(y):
-        ev = evaluate(grid, y)
+        ev = profile_derivatives(RadialProfile(n=2, rho=y))
         return ev.v / ev.H
 
     y1 = rho + dt * F(rho)
@@ -360,7 +360,7 @@ def test_speed_jacobian_spectrum_sets_the_cfl_bound(kind, r0):
     grid = profile.grid
 
     def speed(rho):
-        ev = evaluate(grid, rho)
+        ev = profile_derivatives(RadialProfile(n=2, rho=rho))
         return ev.v / ev.H
 
     h = 1e-6
@@ -368,7 +368,7 @@ def test_speed_jacobian_spectrum_sets_the_cfl_bound(kind, r0):
                     for e in np.eye(64) * h]).T
     lam = np.linalg.eigvals(jac)
     assert np.abs(lam.imag).max() <= 1e-9 * np.abs(lam.real).max()
-    ev = evaluate(grid, profile.rho)
+    ev = profile_derivatives(profile)
     m = (ev.H * ev.sinh * ev.v).min()
     assert -2.01 <= lam.real.min() * grid.dtheta**2 * m * m / 2 <= -1.99
 
@@ -403,7 +403,7 @@ def test_step_control_validation():
     # every edge the last; at a pure-diffusion bound of 1e-13 the same
     # ratio underflows
     state = sphere_state(1.0)
-    ev = evaluate(state.profile.grid, state.profile.rho)
+    ev = profile_derivatives(state.profile)
     bound = state.profile.grid.dtheta**2 * (ev.H * ev.sinh * ev.v).min()**2 / 2
     edges = [0.0] + [stage_edge(2, m) for m in METHODS] + [math.inf]
     for i in range(len(METHODS)):

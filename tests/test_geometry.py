@@ -5,18 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from qimcf import (A_norm_sq, RadialProfile, cached_grid, evaluate,
+from qimcf import (A_norm_sq, RadialProfile, cached_grid,
                    general_mean_curvature, hat_H, initial_profile, kernel,
                    orbit_integral, profile_derivatives, shape_operator_adapted,
                    sphere_volume)
-from qimcf.geometry import (area_element, make_theta_grid, q_terms,
-                            reduced_weight)
+from qimcf.geometry import make_theta_grid, q_terms, reduced_weight
 
 COTH1 = 1.3130352854993313      # coth(1)
 TWO_COTH2 = 2.0746294414550962  # 2 coth(2) = coth(1) + tanh(1)
 HAT_H_2_1 = 11.476029466362614  # 7 coth(1) + 3 tanh(1)
 A2_CONST_2_1 = 19.808508601922095   # 4 coth(1)^2 + 3 (2 coth 2)^2
-AREA_2_1 = 11.375000655318738       # sinh(1)^7 cosh(1)^3
 VOL_S7 = 32.469697011334146         # pi^4 / 3
 TOTAL_VOL_2_1 = 369.34282478192679  # Vol(S^7) sinh(1)^7 cosh(1)^3
 
@@ -97,7 +95,7 @@ def test_grid_is_cached_and_read_only():
 def test_kernel_H_is_shape_operator_trace_at_every_node():
     for n in (2, 3):
         prof = bump(n=n, N=256)
-        d = evaluate(prof.grid, prof.rho)
+        d = profile_derivatives(prof)
         trace = [np.trace(shape_operator_adapted(prof, d, k))
                  for k in range(256)]
         assert np.max(np.abs(d.H - trace)) < 1e-10
@@ -121,7 +119,7 @@ def _phi_route(grid, rho):
 @pytest.mark.parametrize("kind", ["bump", "tau_family", "steep_pole"])
 def test_kernel_speed_and_cfl_quantity(kind):
     # the step's speed A/(sinh K) is v/H and K is H sinh(rho) v, both as
-    # evaluate gives them and through phi
+    # profile_derivatives gives them and through phi
     for n in (2, 3, 8, 48):
         for N in (64, 1024):
             grid = cached_grid(n, N)
@@ -131,7 +129,7 @@ def test_kernel_speed_and_cfl_quantity(kind):
                 rho = initial_profile(n, N, kind, r0=3.0, amplitude=0.1,
                                       tau=8.0).rho
             k = kernel(grid, rho)
-            ev = evaluate(grid, rho)
+            ev = profile_derivatives(RadialProfile(n, rho))
             v, H, sh = _phi_route(grid, rho)
             speed = k.A / (k.sinh * k.K)
             assert np.max(np.abs(speed / (ev.v / ev.H) - 1)) < 1e-12
@@ -287,14 +285,18 @@ def test_a_norm_sq_cross_check_trips_on_inconsistent_data():
         A_norm_sq(prof, broken, 20)
 
 
-def test_area_element():
-    assert abs(area_element(2, 1.0, 1.0) - AREA_2_1) < 1e-12
-    sh, ch = math.sinh(0.7), math.cosh(0.7)
-    assert abs(area_element(3, 0.7, 1.0) - sh**11 * ch**3) < 1e-12
-    assert abs(area_element(2, 1.0, 2.0) / area_element(2, 1.0, 1.0)
-               - 2.0) < 1e-14
-    with pytest.raises(ValueError):
-        area_element(2, -1.0, 1.0)
+def test_q_terms_volume_carries_v():
+    # a steep bump, v - 1 up to 0.14: the area density v sinh^7 cosh^3
+    # with v from the analytic rho' = -2a sin(2 theta); without v the
+    # volume is 5.6% low, the discrete rho' moves it by 2.7e-6
+    prof = initial_profile(2, 256, "bump", r0=1.0, amplitude=0.3)
+    rho = prof.rho
+    v = np.sqrt(1 + (-0.6 * np.sin(2 * prof.theta) / np.sinh(rho))**2)
+    assert 0.1 < v.max() - 1 < 0.15
+    dens = v * np.sinh(rho)**7 * np.cosh(rho)**3
+    expected = sphere_volume(2) * float(prof.grid.weights @ dens)
+    volume = q_terms(prof, profile_derivatives(prof))[0]
+    assert abs(volume / expected - 1) < 1e-5
 
 
 def test_sphere_volume():

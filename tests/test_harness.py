@@ -20,7 +20,7 @@ from qimcf.flow import MAX_STAGES, METHODS, diagnostics_record
 from qimcf.geometry import make_theta_grid
 from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONFIG,
                            EXIT_CONVEXITY_LOST, EXIT_NONFINITE, EXIT_OK,
-                           EXIT_STIFFNESS, SWEEP_RESULT_COLUMNS, VERDICT_TOL,
+                           EXIT_STIFFNESS, SWEEP_RESULT_COLUMNS,
                            _write_snapshot, resolve_out_dir,
                            verify_ambient_report)
 from qimcf.limits import constancy_verdict, extract_conformal_factor
@@ -201,7 +201,7 @@ def test_limit_analysis_matches_every_profile(tmp_path, monkeypatch,
     result = run_experiment(fast_cfg(t_end=t_end, snapshot_every=every),
                             out_dir=str(tmp_path / "run"))
     factor = extract_conformal_factor(profiles)
-    verdict = constancy_verdict(factor, VERDICT_TOL)
+    verdict = constancy_verdict(factor)
     assert result.report["limit_Q"] == verdict.limit_Q
     assert result.report["f_range"] == verdict.f_range
     assert result.report["cauchy_residual"] == factor.cauchy_residual
@@ -367,6 +367,31 @@ def test_run_survives_arithmetic_error(tmp_path, caplog):
     assert not (out / "report.json").exists()
 
 
+def test_failed_rerun_leaves_no_earlier_results(tmp_path, monkeypatch):
+    # a success, then a run that loses mean convexity at t = 1 in the same
+    # directory: none of the first run's report, decay table or snapshots
+    # survive, and a file the run did not write does
+    out = tmp_path / "run"
+    assert run_experiment(fast_cfg(), out_dir=str(out)).exit_code == EXIT_OK
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    real_run_flow = harness.run_flow
+
+    def fail_at_1(state, record):
+        if state.t == 1.0:
+            raise MeanConvexityLost(state.t, 0, 0.01, -1.0)
+
+    def run_flow(state0, ctrl, observers, record_every):
+        return real_run_flow(state0, ctrl, observers=[*observers, fail_at_1],
+                             record_every=record_every)
+
+    monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
+    result = run_experiment(fast_cfg(), out_dir=str(out))
+    assert result.exit_code == EXIT_CONVEXITY_LOST
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diagnostics.csv", "notes.txt", "snapshot_00_t0.csv",
+        "snapshot_01_t0.5.csv", "snapshot_02_t1.csv"]
+
+
 def test_run_refuses_non_finite_record(tmp_path, caplog):
     # Vol(S^{4n-1}) sinh^{4n-1}(rho) overflows at t = 0 for n = 80 and
     # r0 = 3: the run stops with exit code 4 instead of recording NaN
@@ -382,8 +407,8 @@ def test_run_refuses_non_finite_record(tmp_path, caplog):
 
 
 def test_report_refuses_nan(tmp_path, monkeypatch):
-    def nan_verdict(factor, tol):
-        return dataclasses.replace(constancy_verdict(factor, tol),
+    def nan_verdict(factor):
+        return dataclasses.replace(constancy_verdict(factor),
                                    limit_Q=float("nan"))
 
     monkeypatch.setattr("qimcf.harness.constancy_verdict", nan_verdict)
@@ -434,6 +459,17 @@ def test_sweep_requires_axes(tmp_path):
         sweep(fast_cfg(), [("initial.r0", ["2.5"]), ("initial.r0", ["3"])],
               out_dir=str(tmp_path / "y"))
     assert not (tmp_path / "y").exists()
+
+
+def test_sweep_refuses_cells_that_share_a_directory(tmp_path):
+    with pytest.raises(ConfigError, match="r0=3 appears twice"):
+        sweep(fast_cfg(), [("initial.r0", ["3", "3"])],
+              out_dir=str(tmp_path / "sw"))
+    assert not (tmp_path / "sw").exists()
+    assert main(["sweep", "--config", write_cfg(tmp_path), "--vary",
+                 "initial.r0=2.5,3,2.5", "--out",
+                 str(tmp_path / "cli")]) == EXIT_CONFIG
+    assert not (tmp_path / "cli").exists()
 
 
 def test_verify_ambient_report():

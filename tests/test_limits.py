@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from qimcf import (ConformalFactor, RadialProfile, constancy_verdict,
-                   extract_conformal_factor, fit_decay_rate, limit_Q)
+from qimcf import (ConformalFactor, RadialProfile, cached_grid,
+                   constancy_verdict, extract_conformal_factor,
+                   fit_decay_rate, limit_Q)
 from qimcf.geometry import make_theta_grid, orbit_weights
-from qimcf.limits import LimitSnapshots
+from qimcf.limits import VERDICT_TOL, LimitSnapshots
 from conftest import execute_run
 
 LIMIT_Q_COS2_256 = 0.24831212117326018  # f = 0.1 cos(2 theta), n = 2, N = 256
@@ -34,9 +35,9 @@ def test_extract_sphere_limit_is_flat(sphere_run):
 
 def test_extract_zero_orbit_mean(bump_run):
     factor = extract_conformal_factor(bump_run.snapshots)
-    wts = orbit_weights(factor.theta, factor.n)
-    assert abs(wts @ factor.f) < 1e-12
-    assert factor.f.shape == factor.theta.shape
+    grid = cached_grid(factor.n, factor.f.size)
+    assert abs(grid.weights @ factor.f) < 1e-12
+    assert factor.f.shape == grid.theta.shape
 
 
 def test_extract_picks_latest_and_half_time():
@@ -135,7 +136,7 @@ def test_limit_q_sign_for_small_bumps():
 
 def test_verdict_constant_for_sphere(sphere_run):
     factor = extract_conformal_factor(sphere_run.snapshots)
-    verdict = constancy_verdict(factor, tol=1e-6)
+    verdict = constancy_verdict(factor)
     assert verdict.verdict == "CONSTANT"
     assert verdict.f_range < 1e-6
     assert abs(verdict.limit_Q) < 1e-8
@@ -143,7 +144,7 @@ def test_verdict_constant_for_sphere(sphere_run):
 
 def test_verdict_non_constant_for_bump(bump_run):
     factor = extract_conformal_factor(bump_run.snapshots)
-    verdict = constancy_verdict(factor, tol=1e-6)
+    verdict = constancy_verdict(factor)
     assert verdict.verdict == "NON_CONSTANT"
     assert verdict.f_range > 0.1
     assert abs(verdict.limit_Q) > 1e-3
@@ -152,15 +153,9 @@ def test_verdict_non_constant_for_bump(bump_run):
 def test_verdict_tolerates_noise_below_tol():
     rng = np.random.default_rng(3)
     factor = make_factor(1e-9 * rng.standard_normal(256))
-    assert constancy_verdict(factor, tol=1e-6).verdict == "CONSTANT"
-
-
-def test_verdict_rejects_bad_tol():
-    factor = make_factor(np.zeros(64))
-    with pytest.raises(ValueError):
-        constancy_verdict(factor, tol=0.0)
-    with pytest.raises(ValueError):
-        constancy_verdict(factor, tol=-1e-6)
+    assert constancy_verdict(factor).verdict == "CONSTANT"
+    step = make_factor(np.repeat([0.0, 2 * VERDICT_TOL], 128))
+    assert constancy_verdict(step).verdict == "NON_CONSTANT"
 
 
 def test_fit_decay_rate_exact():
