@@ -2,12 +2,13 @@
 
 Output contract per run directory:
 
-  diagnostics.csv       one row per record time, schema DiagnosticsRecord
-  snapshot_{K}_t{T}.csv theta,rho profile at record K (zero-padded to
-                        the width of the last index) and time T
-  report.json           limit-analysis summary and how the run was made
-                        (success only, never partial)
-  decay.dat             gnuplot-ready decay table (# comment header)
+  diagnostics.csv  one row per record time, schema DiagnosticsRecord
+  profiles.csv     header t,theta_0,...,theta_{N-1}; row k holds t and
+                   rho at the N nodes for record k, the record of row k
+                   of diagnostics.csv, written as the record is made
+  report.json      limit-analysis summary and how the run was made
+                   (success only, never partial)
+  decay.dat        gnuplot-ready decay table (# comment header)
 
 Exit codes: 0 success, 1 configuration, verification or arithmetic
 failure, 2 mean convexity lost, 3 step-size collapse, 4 non-finite
@@ -16,7 +17,6 @@ failures per cell without aborting the sweep.
 """
 
 import csv
-import functools
 import itertools
 import json
 import logging
@@ -32,7 +32,6 @@ from .config import (ConfigError, ExperimentConfig, check_mean_convexity,
 from .flow import (METHODS, DiagnosticsRecord, FlowError, FlowState,
                    MeanConvexityLost, NonFiniteRecord, NonFiniteState,
                    StepControl, StiffnessError, run_flow)
-from .geometry import RadialProfile, cached_grid
 from .limits import (T_USABLE, LimitSnapshots, constancy_verdict,
                      extract_conformal_factor, fit_decay_rate)
 
@@ -76,21 +75,10 @@ def _write_csv(path: Path, header: Sequence[str], rows):
         writer.writerows(rows)
 
 
-@functools.lru_cache(maxsize=64)
-def _theta_column(n: int, grid_size: int) -> tuple:
-    """repr(theta) + "," per node of cached_grid(n, grid_size)."""
-    theta = cached_grid(n, grid_size).theta
-    return tuple(repr(x) + "," for x in theta.tolist())
-
-
-def _write_snapshot(path: Path, profile: RadialProfile):
-    """theta,rho CSV, in the bytes csv.writer gives with LF line ends."""
-    theta = _theta_column(profile.n, profile.grid_size)
+def _csv_line(values) -> str:
+    """One row as csv.writer(lineterminator="\n") writes repr'd floats."""
     # repr of a Python float round-trips exactly (numpy scalars do not)
-    rows = "".join(prefix + repr(r) + "\n"
-                   for prefix, r in zip(theta, profile.rho.tolist()))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("theta,rho\n" + rows)
+    return ",".join(map(repr, values)) + "\n"
 
 
 def _write_diagnostics(out: Path, records: Sequence[DiagnosticsRecord]):
@@ -124,37 +112,37 @@ def run_experiment(cfg: ExperimentConfig,
 
     Raises ConfigError for invalid configurations (nothing is written);
     integration and arithmetic failures are reported through the exit code
-    with the diagnostics and snapshots collected so far on disk, and no
-    report.json.  A rerun first deletes the earlier run's report, decay
-    table and snapshots.
+    with the diagnostics and profiles recorded so far on disk, and no
+    report.json.  A rerun first deletes the earlier run's report and decay
+    table, and rewrites profiles.csv from its header.
     """
     validate_config(cfg)
     profile0 = check_mean_convexity(cfg)
     out = resolve_out_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # a failed rerun must not leave an earlier run's results beside its own
-    for stale in [out / "report.json", out / "decay.dat",
-                  *out.glob("snapshot_*_t*.csv")]:
-        stale.unlink(missing_ok=True)
+    for stale in ("report.json", "decay.dat"):
+        (out / stale).unlink(missing_ok=True)
 
     state0 = FlowState(t=0.0, profile=profile0)
     ctrl = StepControl(t_end=cfg.t_end, cfl_safety=cfg.cfl_safety)
 
-    last_index, last_t = last_record(cfg)
-    width = len(str(last_index))
     records = []
-    limit_snapshots = LimitSnapshots(last_t)
-
-    def observer(state, record):
-        _write_snapshot(
-            out / f"snapshot_{len(records):0{width}d}_t{state.t:g}.csv",
-            state.profile)
-        records.append(record)
-        limit_snapshots.add(state.t, state.profile)
+    limit_snapshots = LimitSnapshots(last_record(cfg)[1])
 
     try:
-        final, _ = run_flow(state0, ctrl, observers=[observer],
-                            record_every=cfg.snapshot_every)
+        with open(out / "profiles.csv", "w", encoding="utf-8",
+                  newline="") as profiles:
+            profiles.write("t," + _csv_line(profile0.theta.tolist()))
+
+            def observer(state, record):
+                profiles.write(_csv_line([state.t,
+                                          *state.profile.rho.tolist()]))
+                records.append(record)
+                limit_snapshots.add(state.t, state.profile)
+
+            final, _ = run_flow(state0, ctrl, observers=[observer],
+                                record_every=cfg.snapshot_every)
     except (*FLOW_EXIT_CODES, ArithmeticError) as err:
         logger.error("run failed, %s: %s", type(err).__name__, err)
         _write_diagnostics(out, records)

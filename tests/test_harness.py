@@ -11,9 +11,9 @@ import pytest
 
 import qimcf
 from qimcf import (ConfigError, DiagnosticsRecord, ExperimentConfig,
-                   MeanConvexityLost, NonFiniteState, StepControl,
-                   StiffnessError, ambient, harness, initial_profile,
-                   run_experiment, sweep)
+                   FlowState, MeanConvexityLost, NonFiniteState,
+                   StepControl, StiffnessError, ambient, harness,
+                   run_experiment, run_flow, sweep)
 from qimcf.cli import main
 from qimcf.config import build_initial_profile, override_config
 from qimcf.flow import MAX_STAGES, METHODS, diagnostics_record
@@ -21,8 +21,7 @@ from qimcf.geometry import make_theta_grid
 from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONFIG,
                            EXIT_CONVEXITY_LOST, EXIT_NONFINITE, EXIT_OK,
                            EXIT_STIFFNESS, SWEEP_RESULT_COLUMNS,
-                           _write_snapshot, resolve_out_dir,
-                           verify_ambient_report)
+                           resolve_out_dir, verify_ambient_report)
 from qimcf.limits import constancy_verdict, extract_conformal_factor
 
 CONFIG_TEXT = """\
@@ -59,18 +58,45 @@ def write_cfg(tmp_path, text=CONFIG_TEXT):
     return str(path)
 
 
+def read_csv(path):
+    """Header and data rows of a CSV output file, as strings."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, rows
+
+
+def observed_profiles(cfg):
+    """(t, rho) of every record of cfg's flow, as a run_flow observer
+    sees them, from a run_flow call of its own."""
+    seen = []
+    run_flow(FlowState(t=0.0, profile=build_initial_profile(cfg)),
+             StepControl(t_end=cfg.t_end, cfl_safety=cfg.cfl_safety),
+             observers=[lambda state, _: seen.append(
+                 (state.t, state.profile.rho))],
+             record_every=cfg.snapshot_every)
+    return seen
+
+
+def assert_profiles_follow_diagnostics(out):
+    """profiles.csv has one row per diagnostics.csv row, with its t."""
+    _, diagnostics = read_csv(out / "diagnostics.csv")
+    _, profiles = read_csv(out / "profiles.csv")
+    assert [row[0] for row in profiles] == [row[0] for row in diagnostics]
+    return profiles
+
+
 def test_run_experiment_artifacts(tmp_path):
     out = tmp_path / "run"
     result = run_experiment(fast_cfg(), out_dir=str(out))
     assert result.exit_code == EXIT_OK
     assert result.out_dir == str(out)
 
-    names = {p.name for p in out.iterdir()}
-    assert {"diagnostics.csv", "decay.dat", "report.json"} <= names
-    snaps = [s for s in names if s.startswith("snapshot_")]
-    assert len(snaps) == 43  # t = 0, 0.5, ..., 21
-    assert {"snapshot_00_t0.csv", "snapshot_21_t10.5.csv",
-            "snapshot_42_t21.csv"} <= names
+    assert sorted(p.name for p in out.iterdir()) == [
+        "decay.dat", "diagnostics.csv", "profiles.csv", "report.json"]
+    header, profiles = read_csv(out / "profiles.csv")
+    assert len(header) == 1 + 64
+    assert len(profiles) == 43  # t = 0, 0.5, ..., 21
+    assert all(len(row) == 1 + 64 for row in profiles)
 
     with open(out / "diagnostics.csv", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -109,39 +135,43 @@ def test_run_experiment_artifacts(tmp_path):
     assert report["decay_rates"]["grad_phi"] < -0.1
 
 
-def test_snapshot_roundtrip(tmp_path):
+def test_profiles_match_observed_profiles(tmp_path):
     out = tmp_path / "run"
     cfg = fast_cfg(t_end=11.0)
     result = run_experiment(cfg, out_dir=str(out))
-    with open(out / "snapshot_00_t0.csv", encoding="utf-8") as fh:
-        rho0 = np.array([float(r[1]) for r in list(csv.reader(fh))[1:]])
-    assert np.array_equal(rho0, build_initial_profile(cfg).rho)
-    with open(out / "snapshot_22_t11.csv", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["theta", "rho"]
-    theta = np.array([float(r[0]) for r in rows[1:]])
-    rho = np.array([float(r[1]) for r in rows[1:]])
-    expected, _ = make_theta_grid(64)
-    assert np.array_equal(theta, expected)  # repr round-trips exactly
-    assert rho.shape == (64,)
-    assert np.all(rho > 0)
+    header, _ = read_csv(out / "profiles.csv")
+    profiles = assert_profiles_follow_diagnostics(out)
+    assert header[0] == "t"
+    expected_theta, _ = make_theta_grid(64)
+    theta = np.array([float(x) for x in header[1:]])
+    assert theta.tobytes() == expected_theta.tobytes()  # repr round-trips
+    seen = observed_profiles(cfg)
+    assert len(profiles) == len(seen) == 23  # t = 0, 0.5, ..., 11
+    for row, (t, rho) in zip(profiles, seen):
+        assert float(row[0]) == t
+        assert np.array([float(x) for x in row[1:]]).tobytes() \
+            == rho.tobytes()
     # too few post-layer records to fit a rate, and that is not an error
     assert result.report["decay_rates"]["grad_phi"] is None
 
 
-def test_snapshot_bytes(tmp_path):
+def test_profiles_bytes(tmp_path):
     # what csv.writer(lineterminator="\n") writes for repr'd Python floats
-    profile = initial_profile(2, 32, "bump", r0=3.0, amplitude=0.1)
-    _write_snapshot(tmp_path / "snap.csv", profile)
+    out = tmp_path / "run"
+    cfg = fast_cfg(t_end=11.0)
+    run_experiment(cfg, out_dir=str(out))
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(("theta", "rho"))
-    writer.writerows((repr(float(th)), repr(float(r)))
-                     for th, r in zip(profile.theta, profile.rho))
-    written = (tmp_path / "snap.csv").read_bytes()
+    writer.writerow(["t", *map(repr, make_theta_grid(64)[0].tolist())])
+    writer.writerows([repr(t), *map(repr, rho.tolist())]
+                     for t, rho in observed_profiles(cfg))
+    written = (out / "profiles.csv").read_bytes()
     assert written == expected.getvalue().encode("ascii")
-    assert written.split(b"\n")[:2] == [
-        b"theta,rho", b"0.02454369260617026,3.0998795456205173"]
+    lines = written.split(b"\n")
+    assert lines[0].startswith(b"t,0.01227184630308513,")
+    assert lines[1].startswith(b"0.0,3.0999698818696206,")
+    assert lines[-2].startswith(b"11.0,")
+    assert lines[-1] == b""
 
 
 def test_run_experiment_deterministic(tmp_path):
@@ -149,23 +179,22 @@ def test_run_experiment_deterministic(tmp_path):
     run_experiment(cfg, out_dir=str(tmp_path / "a"))
     run_experiment(cfg, out_dir=str(tmp_path / "b"))
     for name in ("diagnostics.csv", "report.json", "decay.dat",
-                 "snapshot_42_t21.csv"):
+                 "profiles.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
 
 
-def test_snapshot_names_sort_in_time_order(tmp_path):
-    # 106 records, so the index is padded to three digits
+def test_profiles_rows_in_record_order(tmp_path):
+    # 106 records at cadence 0.1: one row each, in time order
     out = tmp_path / "run"
     run_experiment(fast_cfg(t_end=10.5, snapshot_every=0.1),
                    out_dir=str(out))
-    names = sorted(p.name for p in out.glob("snapshot_*.csv"))
-    assert len(names) == 106
-    assert names[0] == "snapshot_000_t0.csv"
-    assert names[-1] == "snapshot_105_t10.5.csv"
-    times = [float(name[name.index("_t") + 2:-len(".csv")])
-             for name in names]
-    assert times == sorted(times)
+    profiles = assert_profiles_follow_diagnostics(out)
+    times = [float(row[0]) for row in profiles]
+    assert len(times) == 106
+    assert times[0] == 0.0
+    assert times[-1] == 10.5
+    assert all(a < b for a, b in zip(times, times[1:]))
 
 
 def test_limit_analysis_gets_two_profiles(tmp_path, monkeypatch):
@@ -245,8 +274,7 @@ def test_integration_failure_exit_codes(tmp_path, monkeypatch, exc, code):
     assert result.exit_code == code
     assert result.report is None
     assert result.min_H_over_run > 0
-    assert (out / "diagnostics.csv").exists()
-    assert (out / "snapshot_00_t0.csv").exists()
+    assert len(assert_profiles_follow_diagnostics(out)) == 1
     assert not (out / "report.json").exists()
     assert not (out / "decay.dat").exists()
 
@@ -363,14 +391,14 @@ def test_run_survives_arithmetic_error(tmp_path, caplog):
     assert main(["run", "--config", write_cfg(tmp_path, text),
                  "--out", str(out)]) == EXIT_CONFIG
     assert "ZeroDivisionError" in caplog.text
-    assert (out / "diagnostics.csv").exists()
+    assert assert_profiles_follow_diagnostics(out) == []
     assert not (out / "report.json").exists()
 
 
 def test_failed_rerun_leaves_no_earlier_results(tmp_path, monkeypatch):
     # a success, then a run that loses mean convexity at t = 1 in the same
-    # directory: none of the first run's report, decay table or snapshots
-    # survive, and a file the run did not write does
+    # directory: none of the first run's report, decay table or profile
+    # rows survive, and a file the run did not write does
     out = tmp_path / "run"
     assert run_experiment(fast_cfg(), out_dir=str(out)).exit_code == EXIT_OK
     (out / "notes.txt").write_text("kept", encoding="utf-8")
@@ -388,8 +416,9 @@ def test_failed_rerun_leaves_no_earlier_results(tmp_path, monkeypatch):
     result = run_experiment(fast_cfg(), out_dir=str(out))
     assert result.exit_code == EXIT_CONVEXITY_LOST
     assert sorted(p.name for p in out.iterdir()) == [
-        "diagnostics.csv", "notes.txt", "snapshot_00_t0.csv",
-        "snapshot_01_t0.5.csv", "snapshot_02_t1.csv"]
+        "diagnostics.csv", "notes.txt", "profiles.csv"]
+    profiles = assert_profiles_follow_diagnostics(out)
+    assert [row[0] for row in profiles] == ["0.0", "0.5", "1.0"]
 
 
 def test_run_refuses_non_finite_record(tmp_path, caplog):
@@ -402,7 +431,7 @@ def test_run_refuses_non_finite_record(tmp_path, caplog):
         assert main(["run", "--config", write_cfg(tmp_path, text),
                      "--out", str(out)]) == EXIT_NONFINITE
     assert "NonFiniteRecord: non-finite volume=nan at t=0" in caplog.text
-    assert (out / "diagnostics.csv").exists()
+    assert assert_profiles_follow_diagnostics(out) == []
     assert not (out / "report.json").exists()
 
 
