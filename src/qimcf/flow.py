@@ -17,6 +17,7 @@ a run.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -85,11 +86,13 @@ class NonFiniteState(NodeFailure):
 
 
 class NonFiniteRecord(FlowError):
-    """A record's volume, Q or q_rhs is NaN or infinite, e.g. on overflow."""
+    """A record's volume, Q or q_rhs is NaN or infinite, e.g. on overflow,
+    or its volume underflowed below the smallest normal float."""
 
     def __init__(self, t: float, quantity: str, value: float):
         self.t, self.quantity = t, quantity
-        super().__init__(f"non-finite {quantity}={value!r} at t={t:.6g}")
+        cause = "underflowed" if math.isfinite(value) else "non-finite"
+        super().__init__(f"{cause} {quantity}={value!r} at t={t:.6g}")
 
 
 class StiffnessError(FlowError):
@@ -348,12 +351,16 @@ def step(state: FlowState, ctrl: StepControl,
 
 def diagnostics_record(state: FlowState) -> DiagnosticsRecord:
     """Evaluate every monitored quantity at the current state; raises
-    NonFiniteRecord rather than record a non-finite volume, Q or q_rhs."""
+    NonFiniteRecord rather than record a non-finite volume, Q or q_rhs,
+    or a volume that underflowed to 0.0 or to a subnormal, which has lost
+    its digits."""
     profile = state.profile
     n = profile.n
     derivs = profile_derivatives(profile)
     vol, Q, q_rhs = q_terms(profile, derivs)
-    for name, value in (("volume", vol), ("Q", Q), ("q_rhs", q_rhs)):
+    if not sys.float_info.min <= vol < math.inf:
+        raise NonFiniteRecord(state.t, "volume", vol)
+    for name, value in (("Q", Q), ("q_rhs", q_rhs)):
         if not math.isfinite(value):
             raise NonFiniteRecord(state.t, name, value)
     rho_mean = float(profile.grid.weights @ profile.rho)

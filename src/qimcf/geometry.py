@@ -329,7 +329,11 @@ def q_terms(profile: RadialProfile, derivs: ProfileDerivatives):
     # the Berger stretching of the three Hopf directions at radius rho
     dens = derivs.v * sh ** (4 * n - 1) * ch ** 3
     vol = orbit_integral(dens, n)
-    pref = vol ** (-1 + 1 / (2 * n + 1))
+    # a volume that underflows (small rho, large n) gives an infinite
+    # prefactor, not a ZeroDivisionError or OverflowError, and the
+    # caller refuses the record by its volume
+    with np.errstate(divide="ignore", over="ignore"):
+        pref = float(np.float64(vol) ** (-1 + 1 / (2 * n + 1)))
     Q = pref * orbit_integral((H - derivs.hat_H) * dens, n)
 
     # dQ/dt: the scaling term, the |A|^2 dissipation against speed 1/H,

@@ -5,7 +5,8 @@ Output contract per run directory:
   diagnostics.csv  one row per record time, schema DiagnosticsRecord
   profiles.csv     header t,theta_0,...,theta_{N-1}; row k holds t and
                    rho at the N nodes for record k, the record of row k
-                   of diagnostics.csv, written as the record is made
+                   of diagnostics.csv, written as the record is made;
+                   t and theta as repr, rho with 17 significant digits
   report.json      limit-analysis summary and how the run was made
                    (success only, never partial)
   decay.dat        gnuplot-ready decay table (# comment header)
@@ -49,7 +50,7 @@ FLOW_EXIT_CODES = {MeanConvexityLost: EXIT_CONVEXITY_LOST,
                    NonFiniteRecord: EXIT_NONFINITE}
 
 SWEEP_RESULT_COLUMNS = ("Q_final", "limit_Q", "verdict", "min_H_over_run",
-                        "exit_code")
+                        "exit_code", "error")
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ class ExperimentResult:
     out_dir: str
     report: Optional[dict]
     min_H_over_run: Optional[float]
+    error: str  # "ExceptionClass: message" of a failed run, else ""
 
 
 def resolve_out_dir(cfg: ExperimentConfig,
@@ -73,12 +75,6 @@ def _write_csv(path: Path, header: Sequence[str], rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _csv_line(values) -> str:
-    """One row as csv.writer(lineterminator="\n") writes repr'd floats."""
-    # repr of a Python float round-trips exactly (numpy scalars do not)
-    return ",".join(map(repr, values)) + "\n"
 
 
 def _write_diagnostics(out: Path, records: Sequence[DiagnosticsRecord]):
@@ -133,21 +129,25 @@ def run_experiment(cfg: ExperimentConfig,
     try:
         with open(out / "profiles.csv", "w", encoding="utf-8",
                   newline="") as profiles:
-            profiles.write("t," + _csv_line(profile0.theta.tolist()))
+            theta = ",".join(map(repr, profile0.theta.tolist()))
+            profiles.write(f"t,{theta}\n")
+            # t as repr, the text of diagnostics.csv; rho as %.17g, which
+            # round-trips every float64 without repr's shortest-digit search
+            row = "%r" + ",%.17g" * profile0.rho.size + "\n"
 
             def observer(state, record):
-                profiles.write(_csv_line([state.t,
-                                          *state.profile.rho.tolist()]))
+                profiles.write(row % (state.t, *state.profile.rho.tolist()))
                 records.append(record)
                 limit_snapshots.add(state.t, state.profile)
 
             final, _ = run_flow(state0, ctrl, observers=[observer],
                                 record_every=cfg.snapshot_every)
     except (*FLOW_EXIT_CODES, ArithmeticError) as err:
-        logger.error("run failed, %s: %s", type(err).__name__, err)
+        error = _error_text(err)
+        logger.error("run failed, %s", error)
         _write_diagnostics(out, records)
         return ExperimentResult(FLOW_EXIT_CODES.get(type(err), EXIT_CONFIG),
-                                str(out), None, _min_H(records))
+                                str(out), None, _min_H(records), error)
 
     horo = 4 * cfg.n + 2
     h_dev = [max(abs(r.H_min - horo), abs(r.H_max - horo)) for r in records]
@@ -190,11 +190,15 @@ def run_experiment(cfg: ExperimentConfig,
     with open(out / "report.json", "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(text + "\n")
-    return ExperimentResult(EXIT_OK, str(out), report, _min_H(records))
+    return ExperimentResult(EXIT_OK, str(out), report, _min_H(records), "")
 
 
 def _min_H(records) -> Optional[float]:
     return min((r.H_min for r in records), default=None)
+
+
+def _error_text(err: BaseException) -> str:
+    return f"{type(err).__name__}: {err}"
 
 
 def _cell_name(labels: dict) -> str:
@@ -210,11 +214,13 @@ def _sweep_cell(item):
         result = run_experiment(cfg, out_dir=out_dir)
     except (ConfigError, FlowError, ValueError, OSError,
             ArithmeticError) as err:
-        logger.error("sweep cell %s failed: %s: %s", _cell_name(labels),
-                     type(err).__name__, err)
         row["exit_code"] = FLOW_EXIT_CODES.get(type(err), EXIT_CONFIG)
+        row["error"] = _error_text(err)
+        logger.error("sweep cell %s failed: %s", _cell_name(labels),
+                     row["error"])
         return row
     row["exit_code"] = result.exit_code
+    row["error"] = result.error
     if result.min_H_over_run is not None:
         row["min_H_over_run"] = repr(result.min_H_over_run)
     if result.exit_code != EXIT_OK:
@@ -239,8 +245,10 @@ def sweep(cfg: ExperimentConfig,
     written single-threaded at the end, one row per cell: the values of
     the varied keys under their short names (as in the cell directory
     names), then SWEEP_RESULT_COLUMNS.  Failed cells keep their row, with
-    verdict FAILED, their exit code and empty numeric columns, and do not
-    stop the sweep.  Cells that would share a directory are refused.
+    verdict FAILED, their exit code, the error's class and message, and
+    empty numeric columns, and do not stop the sweep; error is empty for
+    a cell that succeeded.  Cells that would share a directory are
+    refused.
 
     Returns the aggregate rows as dicts in cell order.
     """

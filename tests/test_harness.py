@@ -145,10 +145,11 @@ def test_profiles_match_observed_profiles(tmp_path):
     expected_theta, _ = make_theta_grid(64)
     theta = np.array([float(x) for x in header[1:]])
     assert theta.tobytes() == expected_theta.tobytes()  # repr round-trips
+    _, diagnostics = read_csv(out / "diagnostics.csv")
     seen = observed_profiles(cfg)
     assert len(profiles) == len(seen) == 23  # t = 0, 0.5, ..., 11
-    for row, (t, rho) in zip(profiles, seen):
-        assert float(row[0]) == t
+    for row, diag, (t, rho) in zip(profiles, diagnostics, seen):
+        assert row[0] == diag[0] == repr(t)  # the same t text
         assert np.array([float(x) for x in row[1:]]).tobytes() \
             == rho.tobytes()
     # too few post-layer records to fit a rate, and that is not an error
@@ -156,20 +157,23 @@ def test_profiles_match_observed_profiles(tmp_path):
 
 
 def test_profiles_bytes(tmp_path):
-    # what csv.writer(lineterminator="\n") writes for repr'd Python floats
+    # the header and t as repr, rho with 17 significant digits
     out = tmp_path / "run"
     cfg = fast_cfg(t_end=11.0)
     run_experiment(cfg, out_dir=str(out))
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["t", *map(repr, make_theta_grid(64)[0].tolist())])
-    writer.writerows([repr(t), *map(repr, rho.tolist())]
+    writer.writerows([repr(t), *("%.17g" % x for x in rho.tolist())]
                      for t, rho in observed_profiles(cfg))
     written = (out / "profiles.csv").read_bytes()
     assert written == expected.getvalue().encode("ascii")
     lines = written.split(b"\n")
     assert lines[0].startswith(b"t,0.01227184630308513,")
-    assert lines[1].startswith(b"0.0,3.0999698818696206,")
+    # 17 digits where repr would write 16 (3.099247953459871), and %g drops
+    # a trailing zero (3.0997290456678690)
+    assert lines[1].startswith(b"0.0,3.0999698818696206,3.099729045667869,"
+                               b"3.0992479534598711,")
     assert lines[-2].startswith(b"11.0,")
     assert lines[-1] == b""
 
@@ -308,7 +312,8 @@ def test_sweep_cells_match_individual_runs(tmp_path):
     assert srows[1][3] == "CONSTANT"
     assert srows[2][3] == "NON_CONSTANT"
     assert [r[0] for r in srows[1:]] == ["0", "0.1"]  # the varied values
-    assert [r[-1] for r in srows[1:]] == ["0", "0"]  # exit codes
+    assert [r[-2:] for r in srows[1:]] == [["0", ""], ["0", ""]]  # no error
+    assert [r["error"] for r in rows] == ["", ""]
 
 
 def test_sweep_failed_cell_keeps_row(tmp_path):
@@ -323,6 +328,7 @@ def test_sweep_failed_cell_keeps_row(tmp_path):
     assert bad["min_H_over_run"] == ""
     assert bad["amplitude"] == "0.9"
     assert bad["exit_code"] == EXIT_CONFIG
+    assert bad["error"].startswith("ConfigError: ")
     # the cell was refused before any directory was created
     assert not (tmp_path / "sw" / "amplitude=0.9").exists()
 
@@ -343,10 +349,14 @@ def test_sweep_rows_name_the_varied_key(tmp_path, monkeypatch):
     with open(tmp_path / "sw" / "sweep.csv", encoding="utf-8") as fh:
         srows = list(csv.reader(fh))
     assert srows[0] == ["r0", *SWEEP_RESULT_COLUMNS]
-    assert [(r[0], r[3], r[-1]) for r in srows[1:]] == [
-        ("2.5", "NON_CONSTANT", "0"), ("3.5", "FAILED", str(EXIT_STIFFNESS)),
-        ("3.0", "NON_CONSTANT", "0")]
+    # the failed cell's row names the reason; the others keep their reports
+    error = "StiffnessError: time step underflow at t=0.7: dt=1.000e-14"
+    assert [(r[0], r[3], r[-2], r[-1]) for r in srows[1:]] == [
+        ("2.5", "NON_CONSTANT", "0", ""),
+        ("3.5", "FAILED", str(EXIT_STIFFNESS), error),
+        ("3.0", "NON_CONSTANT", "0", "")]
     assert rows[1]["exit_code"] == EXIT_STIFFNESS
+    assert rows[1]["error"] == error
     assert rows[1]["min_H_over_run"] != ""
     assert (tmp_path / "sw" / "r0=3.5" / "diagnostics.csv").exists()
     assert not (tmp_path / "sw" / "r0=3.5" / "report.json").exists()
@@ -364,33 +374,68 @@ def test_sweep_survives_non_positive_initial_profile(tmp_path):
     with open(tmp_path / "sw" / "sweep.csv", encoding="utf-8") as fh:
         srows = list(csv.reader(fh))
     assert srows[0] == ["r0", *SWEEP_RESULT_COLUMNS]
-    assert [(r[0], r[3], r[-1]) for r in srows[1:]] == [
+    assert [(r[0], r[3], r[-2]) for r in srows[1:]] == [
         ("0.05", "FAILED", "1"), ("3.0", "NON_CONSTANT", "0")]
+    assert rows[0]["error"].startswith("ConfigError: ")
 
 
-def test_sweep_survives_arithmetic_error(tmp_path, caplog):
-    # at n = 64 and r0 = 0.1 the volume underflows to 0.0 and q_terms
-    # raises ZeroDivisionError; the r0 = 3.0 cell still runs
-    cfg = fast_cfg(n=64, initial_amplitude=0.01, t_end=10.5)
-    rows = sweep(cfg, [("initial.r0", ["0.1", "3.0"])],
+def divide_by_zero_after_first_record(state0, ctrl, observers=(),
+                                      record_every=0.5):
+    """A run_flow that records t = 0, then raises an ArithmeticError."""
+    for obs in observers:
+        obs(state0, diagnostics_record(state0))
+    return 1.0 / 0.0
+
+
+def test_sweep_survives_arithmetic_error(tmp_path, monkeypatch, caplog):
+    # the r0 = 2.5 cell raises ZeroDivisionError; the r0 = 3.0 cell still
+    # runs, and sweep.csv gives the failed cell's reason
+    real_run_flow = harness.run_flow
+
+    def run_flow(state0, ctrl, observers=(), record_every=0.5):
+        flow = (divide_by_zero_after_first_record
+                if state0.profile.rho.mean() < 2.8 else real_run_flow)
+        return flow(state0, ctrl, observers, record_every)
+
+    monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
+    rows = sweep(fast_cfg(), [("initial.r0", ["2.5", "3.0"])],
                  out_dir=str(tmp_path / "sw"), max_workers=1)
-    assert [(r["r0"], r["exit_code"]) for r in rows] == [("0.1", 1),
+    assert [(r["r0"], r["exit_code"]) for r in rows] == [("2.5", 1),
                                                          ("3.0", 0)]
     assert "ZeroDivisionError" in caplog.text
     with open(tmp_path / "sw" / "sweep.csv", encoding="utf-8") as fh:
         srows = list(csv.reader(fh))
-    assert [(r[0], r[-1]) for r in srows[1:]] == [("0.1", "1"), ("3.0", "0")]
+    assert [(r[0], r[-2], r[-1]) for r in srows[1:]] == [
+        ("2.5", "1", "ZeroDivisionError: float division by zero"),
+        ("3.0", "0", "")]
+    assert (tmp_path / "sw" / "r0=3.0" / "report.json").exists()
 
 
-def test_run_survives_arithmetic_error(tmp_path, caplog):
-    # the same underflow in a single run: exit code 1, the (empty)
-    # diagnostics on disk, no report
-    text = ("n = 64\n\n[grid]\npoints = 64\n\n[initial]\nkind = bump\n"
-            "r0 = 0.1\namplitude = 0.01\n\n[time]\nt_end = 10.5\n")
+def test_run_survives_arithmetic_error(tmp_path, monkeypatch, caplog):
+    # exit code 1, the error text, the diagnostics so far on disk, no report
+    monkeypatch.setattr("qimcf.harness.run_flow",
+                        divide_by_zero_after_first_record)
+    out = tmp_path / "run"
+    result = run_experiment(fast_cfg(), out_dir=str(out))
+    assert result.exit_code == EXIT_CONFIG
+    assert result.error == "ZeroDivisionError: float division by zero"
+    assert "ZeroDivisionError" in caplog.text
+    assert len(assert_profiles_follow_diagnostics(out)) == 1
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("r0,volume", [("0.01", "0.0"),
+                                       ("0.235", "1.357264363751387e-309")])
+def test_run_refuses_volume_underflow(tmp_path, caplog, r0, volume):
+    # at n = 64 the volume of a small sphere underflows at t = 0, to 0.0
+    # or to a subnormal: exit code 4 naming t and the volume, no report
+    text = ("n = 64\n\n[grid]\npoints = 64\n\n[initial]\nkind = sphere\n"
+            f"r0 = {r0}\n\n[time]\nt_end = 12\n")
     out = tmp_path / "run"
     assert main(["run", "--config", write_cfg(tmp_path, text),
-                 "--out", str(out)]) == EXIT_CONFIG
-    assert "ZeroDivisionError" in caplog.text
+                 "--out", str(out)]) == EXIT_NONFINITE
+    assert (f"NonFiniteRecord: underflowed volume={volume} at t=0"
+            in caplog.text)
     assert assert_profiles_follow_diagnostics(out) == []
     assert not (out / "report.json").exists()
 
@@ -462,6 +507,7 @@ def test_sweep_cell_failure_keeps_other_cells(tmp_path, monkeypatch, exc):
     rows = sweep(fast_cfg(), [("initial.amplitude", ["0", "0.1"])],
                  out_dir=str(tmp_path / "sw"), max_workers=1)
     assert [r["verdict"] for r in rows] == ["FAILED", "NON_CONSTANT"]
+    assert [r["error"] for r in rows] == [f"{type(exc).__name__}: {exc}", ""]
     assert (tmp_path / "sw" / "sweep.csv").exists()
 
 
