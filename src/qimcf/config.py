@@ -28,11 +28,10 @@ Example:
 
 import math
 from dataclasses import dataclass, replace
-from typing import Tuple
 
 import numpy as np
 
-from .flow import RECORD_SNAP, StepControl, initial_profile
+from .flow import StepControl, initial_profile, last_record, record_index
 from .geometry import profile_derivatives
 from .limits import T_USABLE
 
@@ -134,30 +133,11 @@ def validate_config(cfg: ExperimentConfig):
             f"{every:g}")
     # the limit analysis needs the first record at t >= T_USABLE to be
     # followed by another
-    if _first_record_index(every, T_USABLE) >= last_record(cfg)[0]:
+    if record_index(every, T_USABLE) >= last_record(every, cfg.t_end)[0]:
         raise ConfigError(
             f"limit analysis needs two records at t >= {T_USABLE:g}; "
             f"time.t_end = {cfg.t_end:g} with output.snapshot_every = "
             f"{every:g} gives fewer")
-
-
-def _first_record_index(every: float, t: float) -> float:
-    """Smallest k >= 1 with k * every >= t, in run_flow's arithmetic."""
-    # ceil of the rounded quotient can miss that k by one either way
-    k = max(1.0, float(np.ceil(t / every)))
-    if k > 1 and (k - 1) * every >= t:
-        k -= 1
-    elif k * every < t:
-        k += 1
-    return k
-
-
-def last_record(cfg: ExperimentConfig) -> Tuple[int, float]:
-    """Index and time of run_flow's last record: t_end, or k * every when
-    that falls within RECORD_SNAP below t_end."""
-    every = cfg.snapshot_every
-    k = _first_record_index(every, cfg.t_end - RECORD_SNAP)
-    return int(k), min(k * every, cfg.t_end)
 
 
 def build_initial_profile(cfg: ExperimentConfig):

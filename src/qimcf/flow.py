@@ -110,10 +110,13 @@ class FlowState:
 
     t: float
     profile: RadialProfile
-    step_count: int = 0
     last_dt: float = 0.0
     # steps taken by each method of METHODS, in its order
     steps_by_method: Tuple[int, ...] = (0,) * len(METHODS)
+
+    @property
+    def step_count(self) -> int:
+        return sum(self.steps_by_method)
 
     @property
     def evaluations(self) -> int:
@@ -344,8 +347,7 @@ def step(state: FlowState, ctrl: StepControl,
     steps_by_method = list(state.steps_by_method)
     steps_by_method[index] += 1
     new_profile = RadialProfile(n=profile.n, rho=y)
-    return FlowState(t=state.t + dt, profile=new_profile,
-                     step_count=state.step_count + 1, last_dt=dt,
+    return FlowState(t=state.t + dt, profile=new_profile, last_dt=dt,
                      steps_by_method=tuple(steps_by_method))
 
 
@@ -382,15 +384,35 @@ def diagnostics_record(state: FlowState) -> DiagnosticsRecord:
 Observer = Callable[[FlowState, DiagnosticsRecord], None]
 
 
+def record_index(every: float, t: float) -> int:
+    """Smallest k >= 0 with k * every >= t, in run_flow's arithmetic."""
+    # ceil of the rounded quotient can miss that k by one either way
+    k = max(0.0, float(np.ceil(t / every)))
+    if k > 0 and (k - 1) * every >= t:
+        k -= 1
+    elif k * every < t:
+        k += 1
+    return int(k)
+
+
+def last_record(every: float, t_end: float) -> Tuple[int, float]:
+    """Index and time of run_flow's last record: t_end, or k * every when
+    that falls within RECORD_SNAP below t_end (record k >= 1 is at
+    min(k * every, t_end))."""
+    k = record_index(every, t_end - RECORD_SNAP)
+    return k, min(k * every, t_end)
+
+
 def run_flow(state0: FlowState, ctrl: StepControl,
              observers: Sequence[Observer] = (),
              record_every: float = 0.5):
     """Integrate to ctrl.t_end, recording diagnostics every record_every.
 
-    Record times are hit exactly (dt is clamped, then the time stamp is
-    snapped to kill the last-ulp residue), so separate runs are
-    comparable record by record.  Observers receive (state, record) at
-    every record time, including t=0 and t_end.
+    Records are made at state0 and at the times last_record gives that
+    lie beyond it.  They are hit exactly (dt is clamped, then the time
+    stamp is snapped to kill the last-ulp residue), so separate runs are
+    comparable record by record; observers receive (state, record) at
+    each.
 
     Returns (final state, list of DiagnosticsRecord).
     """
@@ -406,13 +428,11 @@ def run_flow(state0: FlowState, ctrl: StepControl,
             obs(s, rec)
 
     emit(state)
-    k = 1
-    target = min(k * record_every, ctrl.t_end)
-    while state.t < ctrl.t_end - RECORD_SNAP:
-        state = step(state, ctrl, dt_cap=target - state.t)
-        if state.t >= target - RECORD_SNAP:
-            state = replace(state, t=target)
-            emit(state)
-            k += 1
-            target = min(k * record_every, ctrl.t_end)
+    first = record_index(record_every, state.t + RECORD_SNAP)
+    for k in range(first, last_record(record_every, ctrl.t_end)[0] + 1):
+        target = min(k * record_every, ctrl.t_end)
+        while state.t < target - RECORD_SNAP:
+            state = step(state, ctrl, dt_cap=target - state.t)
+        state = replace(state, t=target)
+        emit(state)
     return state, records

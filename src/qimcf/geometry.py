@@ -325,27 +325,27 @@ def q_terms(profile: RadialProfile, derivs: ProfileDerivatives):
     n = profile.n
     H = derivs.H
     sh, ch = derivs.sinh, derivs.cosh
-    # d mu / d sigma = v sinh^{4n-1} rho cosh^3 rho; the cosh^3 carries
-    # the Berger stretching of the three Hopf directions at radius rho
-    dens = derivs.v * sh ** (4 * n - 1) * ch ** 3
-    vol = orbit_integral(dens, n)
-    # a volume that underflows (small rho, large n) gives an infinite
-    # prefactor, not a ZeroDivisionError or OverflowError, and the
-    # caller refuses the record by its volume
-    with np.errstate(divide="ignore", over="ignore"):
+    # an overflowing density or an underflowing volume (large n) gives a
+    # non-finite volume, Q or q_rhs, not a warning or an exception, and
+    # the caller refuses the record by its values
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # d mu / d sigma = v sinh^{4n-1} rho cosh^3 rho; the cosh^3 carries
+        # the Berger stretching of the three Hopf directions at radius rho
+        dens = derivs.v * sh ** (4 * n - 1) * ch ** 3
+        vol = orbit_integral(dens, n)
         pref = float(np.float64(vol) ** (-1 + 1 / (2 * n + 1)))
-    Q = pref * orbit_integral((H - derivs.hat_H) * dens, n)
+        Q = pref * orbit_integral((H - derivs.hat_H) * dens, n)
 
-    # dQ/dt: the scaling term, the |A|^2 dissipation against speed 1/H,
-    # and the sphere-comparison term.  The last integrand advances with
-    # the material radial rate <nu/H, d_rho> = 1/(vH): the hat_H'(rho)
-    # factor (4n-1)/sinh^2 - 3/cosh^2 measures radius change of the
-    # comparison sphere, not of the graph coordinate, so the v of the
-    # coordinate gauge divides out.
-    A2 = _a_norm_sq_identity(n, profile.theta, derivs, H)
-    q_rhs = (Q / (2 * n + 1)
-             - pref * orbit_integral((A2 - 4 * (n + 2)) / H * dens, n)
-             + pref * orbit_integral(
-                 ((4 * n - 1) / sh**2 - 3 / ch**2) / (derivs.v * H) * dens, n))
+        # dQ/dt: the scaling term, the |A|^2 dissipation against speed
+        # 1/H, and the sphere-comparison term.  The last integrand
+        # advances with the material radial rate <nu/H, d_rho> = 1/(vH):
+        # the hat_H'(rho) factor (4n-1)/sinh^2 - 3/cosh^2 measures radius
+        # change of the comparison sphere, not of the graph coordinate, so
+        # the v of the coordinate gauge divides out.
+        A2 = _a_norm_sq_identity(n, profile.theta, derivs, H)
+        q_rhs = (Q / (2 * n + 1)
+                 - pref * orbit_integral((A2 - 4 * (n + 2)) / H * dens, n)
+                 + pref * orbit_integral(((4 * n - 1) / sh**2 - 3 / ch**2)
+                                         / (derivs.v * H) * dens, n))
     return vol, Q, q_rhs
 

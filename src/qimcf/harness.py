@@ -5,11 +5,14 @@ Output contract per run directory:
   diagnostics.csv  one row per record time, schema DiagnosticsRecord
   profiles.csv     header t,theta_0,...,theta_{N-1}; row k holds t and
                    rho at the N nodes for record k, the record of row k
-                   of diagnostics.csv, written as the record is made;
-                   t and theta as repr, rho with 17 significant digits
+                   of diagnostics.csv; t and theta as repr, rho with 17
+                   significant digits
   report.json      limit-analysis summary and how the run was made
                    (success only, never partial)
   decay.dat        gnuplot-ready decay table (# comment header)
+
+Both per-record files get their row as each record is made, so any
+exception leaves them with matching rows.
 
 Exit codes: 0 success, 1 configuration, verification or arithmetic
 failure, 2 mean convexity lost, 3 step-size collapse, 4 non-finite
@@ -21,6 +24,7 @@ import csv
 import itertools
 import json
 import logging
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -29,10 +33,10 @@ from typing import Optional, Sequence, Tuple
 
 from . import __version__, ambient
 from .config import (ConfigError, ExperimentConfig, check_mean_convexity,
-                     last_record, override_config, validate_config)
+                     override_config, validate_config)
 from .flow import (METHODS, DiagnosticsRecord, FlowError, FlowState,
                    MeanConvexityLost, NonFiniteRecord, NonFiniteState,
-                   StepControl, StiffnessError, run_flow)
+                   StepControl, StiffnessError, last_record, run_flow)
 from .limits import (T_USABLE, LimitSnapshots, constancy_verdict,
                      extract_conformal_factor, fit_decay_rate)
 
@@ -70,19 +74,6 @@ def resolve_out_dir(cfg: ExperimentConfig,
     return Path(out_dir or os.environ.get("QIMCF_OUT") or cfg.output_dir)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_diagnostics(out: Path, records: Sequence[DiagnosticsRecord]):
-    names = [f.name for f in fields(DiagnosticsRecord)]
-    rows = [[repr(getattr(rec, name)) for name in names] for rec in records]
-    _write_csv(out / "diagnostics.csv", names, rows)
-
-
 def _write_decay_table(out: Path, records: Sequence[DiagnosticsRecord],
                        h_dev: Sequence[float]):
     """Decay table for plotting: t, sup(phi')^2, max|H - (4n+2)|, |Q|."""
@@ -110,7 +101,7 @@ def run_experiment(cfg: ExperimentConfig,
     integration and arithmetic failures are reported through the exit code
     with the diagnostics and profiles recorded so far on disk, and no
     report.json.  A rerun first deletes the earlier run's report and decay
-    table, and rewrites profiles.csv from its header.
+    table, and rewrites both per-record files from their headers.
     """
     validate_config(cfg)
     profile0 = check_mean_convexity(cfg)
@@ -124,34 +115,41 @@ def run_experiment(cfg: ExperimentConfig,
     ctrl = StepControl(t_end=cfg.t_end, cfl_safety=cfg.cfl_safety)
 
     records = []
-    limit_snapshots = LimitSnapshots(last_record(cfg)[1])
+    limit_snapshots = LimitSnapshots(
+        last_record(cfg.snapshot_every, cfg.t_end)[1])
+    names = [f.name for f in fields(DiagnosticsRecord)]
+    values = operator.attrgetter(*names)
 
     try:
-        with open(out / "profiles.csv", "w", encoding="utf-8",
-                  newline="") as profiles:
+        with open(out / "diagnostics.csv", "w", encoding="utf-8",
+                  newline="") as diagnostics, \
+                open(out / "profiles.csv", "w", encoding="utf-8",
+                     newline="") as profiles:
+            diagnostics.write(",".join(names) + "\n")
             theta = ",".join(map(repr, profile0.theta.tolist()))
             profiles.write(f"t,{theta}\n")
-            # t as repr, the text of diagnostics.csv; rho as %.17g, which
-            # round-trips every float64 without repr's shortest-digit search
-            row = "%r" + ",%.17g" * profile0.rho.size + "\n"
+            # every diagnostic and t as repr, so both files give t one
+            # text; rho as %.17g, which round-trips every float64 without
+            # repr's shortest-digit search
+            diagnostics_row = ",".join(["%r"] * len(names)) + "\n"
+            profiles_row = "%r" + ",%.17g" * profile0.rho.size + "\n"
 
             def observer(state, record):
-                profiles.write(row % (state.t, *state.profile.rho.tolist()))
+                diagnostics.write(diagnostics_row % values(record))
+                profiles.write(profiles_row
+                               % (state.t, *state.profile.rho.tolist()))
                 records.append(record)
                 limit_snapshots.add(state.t, state.profile)
 
             final, _ = run_flow(state0, ctrl, observers=[observer],
                                 record_every=cfg.snapshot_every)
     except (*FLOW_EXIT_CODES, ArithmeticError) as err:
-        error = _error_text(err)
-        logger.error("run failed, %s", error)
-        _write_diagnostics(out, records)
-        return ExperimentResult(FLOW_EXIT_CODES.get(type(err), EXIT_CONFIG),
-                                str(out), None, _min_H(records), error)
+        result = _failure(err, out, _min_H(records))
+        logger.error("run failed, %s", result.error)
+        return result
 
     horo = 4 * cfg.n + 2
     h_dev = [max(abs(r.H_min - horo), abs(r.H_max - horo)) for r in records]
-    _write_diagnostics(out, records)
     _write_decay_table(out, records, h_dev)
 
     factor = extract_conformal_factor(limit_snapshots.kept)
@@ -197,40 +195,39 @@ def _min_H(records) -> Optional[float]:
     return min((r.H_min for r in records), default=None)
 
 
-def _error_text(err: BaseException) -> str:
-    return f"{type(err).__name__}: {err}"
+def _failure(err: BaseException, out_dir,
+             min_H: Optional[float] = None) -> ExperimentResult:
+    """The result of a run that err stopped, classified by its type."""
+    return ExperimentResult(FLOW_EXIT_CODES.get(type(err), EXIT_CONFIG),
+                            str(out_dir), None, min_H,
+                            f"{type(err).__name__}: {err}")
 
 
 def _cell_name(labels: dict) -> str:
     return "_".join(f"{key}={val}" for key, val in labels.items())
 
 
+def _text(value) -> str:
+    return "" if value is None else repr(value)
+
+
 def _sweep_cell(item):
     """Worker body: run one cell, classify, never raise across the pool."""
     cfg, out_dir, labels = item
-    row = dict(labels, Q_final="", limit_Q="", verdict="FAILED",
-               min_H_over_run="")
     try:
         result = run_experiment(cfg, out_dir=out_dir)
     except (ConfigError, FlowError, ValueError, OSError,
             ArithmeticError) as err:
-        row["exit_code"] = FLOW_EXIT_CODES.get(type(err), EXIT_CONFIG)
-        row["error"] = _error_text(err)
-        logger.error("sweep cell %s failed: %s", _cell_name(labels),
-                     row["error"])
-        return row
-    row["exit_code"] = result.exit_code
-    row["error"] = result.error
-    if result.min_H_over_run is not None:
-        row["min_H_over_run"] = repr(result.min_H_over_run)
+        result = _failure(err, out_dir)
     if result.exit_code != EXIT_OK:
-        logger.error("sweep cell %s failed with exit code %d",
-                     _cell_name(labels), result.exit_code)
-        return row
-    row["Q_final"] = repr(result.report["Q_final"])
-    row["limit_Q"] = repr(result.report["limit_Q"])
-    row["verdict"] = result.report["verdict"]
-    return row
+        logger.error("sweep cell %s failed with exit code %d: %s",
+                     _cell_name(labels), result.exit_code, result.error)
+    report = result.report or {"verdict": "FAILED"}
+    return dict(labels, Q_final=_text(report.get("Q_final")),
+                limit_Q=_text(report.get("limit_Q")),
+                verdict=report["verdict"],
+                min_H_over_run=_text(result.min_H_over_run),
+                exit_code=result.exit_code, error=result.error)
 
 
 def sweep(cfg: ExperimentConfig,
@@ -278,8 +275,10 @@ def sweep(cfg: ExperimentConfig,
         rows = [_sweep_cell(item) for item in items]
 
     columns = list(items[0][2]) + list(SWEEP_RESULT_COLUMNS)
-    _write_csv(base / "sweep.csv", columns,
-               [[row[c] for c in columns] for row in rows])
+    with open(base / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
     return rows
 
 

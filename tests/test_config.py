@@ -9,7 +9,8 @@ import pytest
 from qimcf import (ConfigError, ExperimentConfig, FlowState, StepControl,
                    flow, initial_profile, parse_config)
 from qimcf.config import (build_initial_profile, check_mean_convexity,
-                          last_record, override_config, validate_config)
+                          override_config, validate_config)
+from qimcf.flow import RECORD_SNAP, last_record
 from qimcf.geometry import make_theta_grid
 
 FULL = """\
@@ -158,7 +159,7 @@ NON_FINITE = [
 
 @pytest.mark.parametrize("text,needle", NON_FINITE)
 def test_non_finite_values_refused(text, needle):
-    # each of these was accepted, or died in last_record with an
+    # each of these was accepted, or died in the record count with an
     # OverflowError, before any value had to be finite
     e = err_of(text)
     assert needle in str(e)
@@ -247,7 +248,9 @@ def test_override_defers_convexity_to_run_time():
 
 def test_last_record_matches_run_flow(monkeypatch):
     # run_flow's own record loop, with each step landing on the next record
-    # time; t_end sits on, just above and just below a cadence time
+    # time; t_end sits on, just above and just below a cadence time.  The
+    # records are on the cadence, and the last is the first within
+    # RECORD_SNAP of t_end
     monkeypatch.setattr(flow, "step", lambda state, ctrl, dt_cap: (
         dataclasses.replace(state, t=state.t + dt_cap)))
     monkeypatch.setattr(flow, "diagnostics_record", lambda state: state.t)
@@ -260,8 +263,10 @@ def test_last_record_matches_run_flow(monkeypatch):
             t_end = k * every + eps
             _, times = flow.run_flow(state0, StepControl(t_end=t_end),
                                      record_every=every)
-            cfg = ExperimentConfig(t_end=t_end, snapshot_every=every)
-            assert last_record(cfg) == (len(times) - 1, times[-1])
+            assert last_record(every, t_end) == (len(times) - 1, times[-1])
+            assert times == [min(k * every, t_end)
+                             for k in range(len(times))]
+            assert times[-2] < t_end - RECORD_SNAP <= times[-1] <= t_end
 
 
 def test_dense_cadence_validates_at_once():
@@ -271,4 +276,4 @@ def test_dense_cadence_validates_at_once():
     start = time.perf_counter()
     validate_config(cfg)
     assert time.perf_counter() - start < 0.05
-    assert last_record(cfg) == (400000, 40.0)
+    assert last_record(cfg.snapshot_every, cfg.t_end) == (400000, 40.0)

@@ -10,7 +10,8 @@ from qimcf import (FlowState, MeanConvexityLost, RadialProfile, StepControl,
                    profile_derivatives, run_flow, sphere_ode_rhs, step)
 from qimcf.flow import (MAX_STAGES, METHODS, NonFiniteState, StiffnessError,
                         _half_stencil_eigenvalues, _require_mean_convex,
-                        diagnostics_record, ssprk2, stage_edge)
+                        diagnostics_record, record_index, ssprk2,
+                        stage_edge)
 from qimcf.geometry import cached_grid, make_theta_grid, q_terms
 
 SPHERE_RHS_2_1 = 0.08713815200031506  # sinh cosh / (7 cosh^2 + 3 sinh^2) at 1
@@ -449,6 +450,43 @@ def test_run_flow_records_land_on_cadence():
     _, records = run_flow(sphere_state(1.0), StepControl(t_end=3.0),
                           record_every=0.5)
     assert [r.t for r in records] == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+
+
+def test_run_flow_from_a_later_start():
+    # the records after state0 keep to the cadence and go forward in time
+    state0 = FlowState(t=2.0, profile=initial_profile(2, 32, "sphere", r0=3.0))
+    final, records = run_flow(state0, StepControl(t_end=3.0),
+                              record_every=0.5)
+    assert [r.t for r in records] == [2.0, 2.5, 3.0]
+    assert final.t == 3.0
+
+
+def smallest_record_index(every, t):
+    """Smallest k >= 0 with k * every >= t, by scanning k upward."""
+    k = 0
+    while k * every < t:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("t,ceil_k,k", [
+    (5.550000000000001, 112, 111),  # ceil(t / every) one too high
+    (3.5000000000000004, 70, 71),   # ceil(t / every) one too low
+])
+def test_record_index_rounding_corrections(t, ceil_k, k):
+    assert math.ceil(t / 0.05) == ceil_k
+    assert record_index(0.05, t) == smallest_record_index(0.05, t) == k
+
+
+def test_record_index_matches_scan():
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        every = float(rng.uniform(0.01, 2.0))
+        k = int(rng.integers(0, 300))
+        for eps in (0.0, 1e-13, -1e-13, 2e-12, -2e-12,
+                    float(rng.uniform(-every, every))):
+            t = k * every + eps
+            assert record_index(every, t) == smallest_record_index(every, t)
 
 
 def test_run_flow_observer_sees_every_record():

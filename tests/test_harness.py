@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import qimcf
 from qimcf import (ConfigError, DiagnosticsRecord, ExperimentConfig,
                    FlowState, MeanConvexityLost, NonFiniteState,
-                   StepControl, StiffnessError, ambient, harness,
+                   StepControl, StiffnessError, ambient, flow, harness,
                    run_experiment, run_flow, sweep)
 from qimcf.cli import main
 from qimcf.config import build_initial_profile, override_config
@@ -466,13 +467,38 @@ def test_failed_rerun_leaves_no_earlier_results(tmp_path, monkeypatch):
     assert [row[0] for row in profiles] == ["0.0", "0.5", "1.0"]
 
 
+def test_unclassified_failure_leaves_matching_rows(tmp_path, monkeypatch):
+    # a success, then a rerun into the same directory that an OSError from
+    # the stepper stops after 20 steps (t = 20/6): both per-record files
+    # hold the rerun's rows t = 0, 0.5, ..., 3, and none of the first run's
+    out = tmp_path / "run"
+    assert run_experiment(fast_cfg(), out_dir=str(out)).exit_code == EXIT_OK
+    real_step = flow.step
+    taken = []
+
+    def step(state, ctrl, dt_cap=None):
+        if len(taken) == 20:
+            raise OSError("disk gone")
+        taken.append(state.t)
+        return real_step(state, ctrl, dt_cap=dt_cap)
+
+    monkeypatch.setattr(flow, "step", step)
+    with pytest.raises(OSError, match="disk gone"):
+        run_experiment(fast_cfg(), out_dir=str(out))
+    profiles = assert_profiles_follow_diagnostics(out)
+    assert [row[0] for row in profiles] == [
+        repr(0.5 * k) for k in range(7)]
+
+
 def test_run_refuses_non_finite_record(tmp_path, caplog):
     # Vol(S^{4n-1}) sinh^{4n-1}(rho) overflows at t = 0 for n = 80 and
-    # r0 = 3: the run stops with exit code 4 instead of recording NaN
+    # r0 = 3: the run stops with exit code 4 instead of recording NaN, and
+    # numpy warns of nothing on the way
     text = ("n = 80\n\n[grid]\npoints = 64\n\n[initial]\nkind = sphere\n"
             "r0 = 3\n\n[time]\nt_end = 12\n")
     out = tmp_path / "run"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", "--config", write_cfg(tmp_path, text),
                      "--out", str(out)]) == EXIT_NONFINITE
     assert "NonFiniteRecord: non-finite volume=nan at t=0" in caplog.text
