@@ -312,13 +312,15 @@ def step(state: FlowState, ctrl: StepControl,
     (dt_cap lands on record times exactly); it takes the first method of
     METHODS with base * stage_edge(n, method) >= that, else the last, and
     dt = min(wanted, base * stage_edge(n, method)).  Each stage is one
-    kernel call and one forward-Euler substep of c dt at the speed v/H =
-    A/(sinh(rho) K), averaged with rho by the method's weight a_i.
+    kernel evaluation and one forward-Euler substep of c dt at the speed
+    v/H = A/(sinh(rho) K), averaged with rho by the method's weight a_i;
+    the first stage reads the profile's kernel_values, which a record made
+    at this state has already evaluated.
     """
     profile = state.profile
     grid = profile.grid
     rho = profile.rho
-    ker = kernel(grid, rho)
+    ker = profile.kernel_values
     m = _checked_min_K(ker, state.t, grid.theta)
     base = ctrl.cfl_safety * grid.dtheta**2 * m * m / 2
     want = ctrl.dt_max if dt_cap is None else min(ctrl.dt_max, dt_cap)

@@ -514,10 +514,24 @@ def test_volume_law(bump_run):
 
 def test_q_rhs_vanishes_for_spheres():
     # for geodesic spheres the dissipation and comparison terms cancel
-    # exactly: |A|^2 - 4(n+2) = (4n-1)/sinh^2 - 3/cosh^2 pointwise
-    for r0 in (0.7, 1.5, 3.0):
-        profile = sphere_state(r0, N=128).profile
-        assert abs(q_terms(profile, profile_derivatives(profile))[2]) < 1e-10
+    # exactly: |A|^2 - 4(n+2) = (4n-1)/sinh^2 - 3/cosh^2 pointwise, also
+    # at radii where forming |A|^2 first would lose that difference
+    for n in (2, 3):
+        for r0 in (0.7, 1.5, 3.0, 12.0, 17.0, 22.0):
+            profile = sphere_state(r0, N=128, n=n).profile
+            q_rhs = q_terms(profile, profile_derivatives(profile))[2]
+            assert abs(q_rhs) <= 1e-12, (n, r0, q_rhs)
+
+
+def test_q_rhs_keeps_its_digits_at_large_radius():
+    # at rho = 12 the bump's dQ/dt is about -1.2e-11, where rounding
+    # |A|^2 ~ 4(n+2) first would scatter it over +-2e-7; resolved, it is
+    # grid-converged
+    q_rhs = [q_terms(p, profile_derivatives(p))[2]
+             for p in (initial_profile(2, N, "bump", r0=12.0, amplitude=0.1)
+                       for N in (64, 256))]
+    assert -1.3e-11 < q_rhs[1] < -1.1e-11
+    assert abs(q_rhs[0] - q_rhs[1]) <= 1e-13
 
 
 def test_q_rhs_matches_centered_difference(bump_run):

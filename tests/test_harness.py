@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -24,6 +27,8 @@ from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONFIG,
                            EXIT_STIFFNESS, SWEEP_RESULT_COLUMNS,
                            resolve_out_dir, verify_ambient_report)
 from qimcf.limits import constancy_verdict, extract_conformal_factor
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CONFIG_TEXT = """\
 n = 2
@@ -187,6 +192,25 @@ def test_run_experiment_deterministic(tmp_path):
                  "profiles.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_run_experiment_kernel_calls(tmp_path, monkeypatch):
+    # one kernel evaluation per stage plus the convexity check's, whose
+    # result the t = 0 record reads; every later record shares its
+    # evaluation with the step taken from it
+    import qimcf.geometry
+    calls = []
+    kernel = qimcf.geometry.kernel
+
+    def counting(grid, rho):
+        calls.append(rho.size)
+        return kernel(grid, rho)
+
+    monkeypatch.setattr(qimcf.geometry, "kernel", counting)
+    monkeypatch.setattr(flow, "kernel", counting)
+    result = run_experiment(fast_cfg(), out_dir=str(tmp_path / "run"))
+    assert result.exit_code == EXIT_OK
+    assert len(calls) == result.report["evaluations"] + 1
 
 
 def test_profiles_rows_in_record_order(tmp_path):
@@ -606,6 +630,26 @@ def test_cli_run(tmp_path, capsys):
     assert "run complete" in out
     assert "verdict = NON_CONSTANT" in out
     assert (tmp_path / "o" / "report.json").exists()
+
+
+def test_cli_run_leaves_the_process_pool_unloaded(tmp_path):
+    # only a parallel sweep needs concurrent.futures and multiprocessing;
+    # a run imports neither
+    script = ("import sys\n"
+              "from qimcf.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, sorted(m for m in ('concurrent.futures', "
+              "'multiprocessing') if m in sys.modules))\n")
+    src = str(Path(qimcf.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                              else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "--config",
+         str(ROOT / "examples.cfg"), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cli_run_large_n(tmp_path, capsys):
