@@ -16,9 +16,9 @@ from .flow import (DiagnosticsRecord, FlowError, FlowState,
                    MeanConvexityLost, NonFiniteRecord, NonFiniteState,
                    StepControl, StiffnessError, initial_profile,
                    integrate_sphere_ode, run_flow, sphere_ode_rhs, step)
-from .geometry import (A_norm_sq, Grid, ProfileDerivatives, RadialProfile,
-                       cached_grid, general_mean_curvature, hat_H, kernel,
-                       orbit_integral, profile_derivatives,
+from .geometry import (A_norm_sq, Grid, KernelWork, ProfileDerivatives,
+                       RadialProfile, cached_grid, general_mean_curvature,
+                       hat_H, kernel, orbit_integral, profile_derivatives,
                        shape_operator_adapted, sphere_volume)
 from .harness import ExperimentResult, run_experiment, sweep, verify_ambient_report
 from .limits import (ConformalFactor, ConstancyVerdict, constancy_verdict,

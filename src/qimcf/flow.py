@@ -23,8 +23,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (RadialProfile, cached_grid, hat_H, kernel,
-                       profile_derivatives, q_terms)
+from .geometry import (KernelWork, RadialProfile, cached_grid, hat_H,
+                       kernel, profile_derivatives, q_terms)
 
 RECORD_SNAP = 1e-12  # absolute tolerance for landing on scheduled times
 EDGE_NODES = 128     # grid of the operator whose spectrum sets stage_edge
@@ -287,9 +287,11 @@ def stage_edge(n: int, method: Method, grid_size: int = EDGE_NODES) -> float:
     half_lam = _half_stencil_eigenvalues(n, grid_size)
 
     def stable(k):
+        euler = 1 + method.c * k * half_lam
         growth = 1.0
         for a in method.a:
-            growth = a + (1 - a) * growth * (1 + method.c * k * half_lam)
+            # a = 0 skips two passes that change no |growth|
+            growth = a + (1 - a) * growth * euler if a else growth * euler
         # the slack absorbs the rounding of the constant mode's lam = 0
         return np.abs(growth).max() <= 1 + 1e-12
 
@@ -298,6 +300,12 @@ def stage_edge(n: int, method: Method, grid_size: int = EDGE_NODES) -> float:
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if stable(mid) else (lo, mid)
     return lo
+
+
+@functools.lru_cache(maxsize=None)
+def method_edges(n: int) -> Tuple[float, ...]:
+    """stage_edge(n, method) for each method of METHODS, in its order."""
+    return tuple(stage_edge(n, method) for method in METHODS)
 
 
 def step(state: FlowState, ctrl: StepControl,
@@ -315,7 +323,8 @@ def step(state: FlowState, ctrl: StepControl,
     kernel evaluation and one forward-Euler substep of c dt at the speed
     v/H = A/(sinh(rho) K), averaged with rho by the method's weight a_i;
     the first stage reads the profile's kernel_values, which a record made
-    at this state has already evaluated.
+    at this state has already evaluated, and the later stages evaluate
+    into one KernelWork that the step owns and drops.
     """
     profile = state.profile
     grid = profile.grid
@@ -324,8 +333,9 @@ def step(state: FlowState, ctrl: StepControl,
     m = _checked_min_K(ker, state.t, grid.theta)
     base = ctrl.cfl_safety * grid.dtheta**2 * m * m / 2
     want = ctrl.dt_max if dt_cap is None else min(ctrl.dt_max, dt_cap)
-    for index, method in enumerate(METHODS):  # the last if none covers
-        bound = base * stage_edge(profile.n, method)
+    edges = method_edges(profile.n)
+    for index, (method, edge) in enumerate(zip(METHODS, edges)):
+        bound = base * edge  # the last method if none covers want
         if bound >= want:
             break
     dt = min(want, bound)
@@ -334,17 +344,25 @@ def step(state: FlowState, ctrl: StepControl,
 
     h = method.c * dt
     y = rho.copy()
+    # stages 1 and up evaluate into work; every stage update goes through
+    # its scratch rows
+    work = KernelWork(rho.size)
+    inc, den = work.scratch
     for i, a in enumerate(method.a):
         if i:
             if not np.minimum.reduce(y) > 0:
                 raise ValueError(
                     f"trial stage rho <= 0, min rho = {y.min():.6g}")
-            ker = kernel(grid, y)
+            ker = kernel(grid, y, work)
             _checked_min_K(ker, state.t, grid.theta)
-        y += h * ker.A / (ker.sinh * ker.K)
+        np.multiply(h, ker.A, inc)
+        np.multiply(ker.sinh, ker.K, den)
+        np.divide(inc, den, inc)
+        y += inc
         if a:
             y *= 1 - a
-            y += a * rho
+            np.multiply(a, rho, inc)
+            y += inc
 
     steps_by_method = list(state.steps_by_method)
     steps_by_method[index] += 1

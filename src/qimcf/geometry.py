@@ -11,7 +11,10 @@ here.  Profiles sit on a uniform cell-centered grid so that the cot/tan
 singular endpoints are never sampled; derivative stencils use even ghost
 reflection, which encodes the Neumann symmetry of the invariant profiles.
 A profile evaluates the kernel once, on first use, and keeps the result,
-so a record and the step taken from it share one evaluation.  dQ/dt is
+so a record and the step taken from it share one evaluation; those
+arrays belong to the profile.  Every other evaluation writes into a
+caller's KernelWork: step owns one per step, and the arrays kernel
+returns into it are that step's scratch.  dQ/dt is
 integrated as one integrand built from |A|^2 - 4(n+2), never from |A|^2
 itself, so it keeps its digits at large radius and is exactly 0 on
 geodesic spheres.
@@ -20,7 +23,7 @@ geodesic spheres.
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -169,7 +172,30 @@ class KernelValues(NamedTuple):
     K: np.ndarray      # H v s
 
 
-def kernel(grid: Grid, rho: np.ndarray) -> KernelValues:
+class KernelWork:
+    """Every array kernel writes for one grid size: the zero-padded
+    difference d, the rows of values (a KernelValues of views) and two
+    scratch rows: kernel uses the first, step's stage updates both.
+
+    A later kernel call with the same workspace overwrites values.
+    """
+
+    __slots__ = ("d", "d_inner", "d_hi", "d_lo", "values", "scratch")
+
+    def __init__(self, size: int):
+        self.d = d = np.zeros(size + 1)  # d[0] and d[-1] stay 0
+        self.d_inner = d[1:-1]
+        self.d_hi = d[1:]
+        self.d_lo = d[:-1]
+        rows = np.empty((9, size))
+        # indexing each row is faster than iterating over the block
+        self.values = KernelValues(rows[0], rows[1], rows[2], rows[3],
+                                   rows[4], rows[5], rows[6])
+        self.scratch = rows[7], rows[8]
+
+
+def kernel(grid: Grid, rho: np.ndarray,
+           work: Optional[KernelWork] = None) -> KernelValues:
     """The evaluation kernel, all that step and profile_derivatives read.
 
     d is the first difference of rho with a zero at each end, so d[1:] +
@@ -178,19 +204,44 @@ def kernel(grid: Grid, rho: np.ndarray) -> KernelValues:
     phi' = rho'/s and v = sqrt(1 + phi'^2), H = [hat_H - (phi''/v^2 +
     w phi')/s]/v times v s is K = hat_K - (rho'' s - c rho'^2)/A - w rho'/s.
     The speed v/H is A/(s K) and the CFL quantity is K: no square root.
+    Every pass writes into work (a fresh KernelWork(rho.size) when None;
+    each ufunc's third argument is its out) and returns work.values, so
+    with a given work it allocates nothing.  The ufuncs and their operand
+    order are those of the plain formulas, so every value is bit for bit
+    the same.
     rho is not checked: callers own the positivity and finiteness checks.
     """
-    d = np.zeros(rho.size + 1)
-    np.subtract(rho[1:], rho[:-1], out=d[1:-1])
-    rho_t = (d[1:] + d[:-1]) * (0.5 / grid.dtheta)
-    rho_tt = (d[1:] - d[:-1]) * grid.dtheta**-2
-    s = np.sinh(rho)
-    c = np.cosh(rho)
-    rt2 = rho_t * rho_t
-    A = s * s + rt2
-    hat_K = (4 * grid.n + 2) * c - 3 / c
-    K = hat_K - (rho_tt * s - c * rt2) / A - grid.w * rho_t / s
-    return KernelValues(rho_t, rho_tt, s, c, A, hat_K, K)
+    if work is None:
+        work = KernelWork(rho.size)
+    elif work.d.size != rho.size + 1:
+        raise ValueError(f"workspace for {work.d.size - 1} nodes, "
+                         f"rho has {rho.size}")
+    rho_t, rho_tt, s, c, A, hat_K, K = work.values
+    tmp = work.scratch[0]
+    np.subtract(rho[1:], rho[:-1], work.d_inner)
+    np.add(work.d_hi, work.d_lo, rho_t)
+    np.multiply(rho_t, 0.5 / grid.dtheta, rho_t)
+    np.subtract(work.d_hi, work.d_lo, rho_tt)
+    np.multiply(rho_tt, grid.dtheta**-2, rho_tt)
+    np.sinh(rho, s)
+    np.cosh(rho, c)
+    np.multiply(rho_t, rho_t, tmp)  # rho'^2
+    np.multiply(s, s, A)
+    np.add(A, tmp, A)
+    # hat_K = (4n+2) c - 3/c, with K as scratch
+    np.multiply(4 * grid.n + 2, c, K)
+    np.divide(3, c, hat_K)
+    np.subtract(K, hat_K, hat_K)
+    # K = hat_K - (rho'' s - c rho'^2)/A - w rho'/s
+    np.multiply(rho_tt, s, K)
+    np.multiply(c, tmp, tmp)
+    np.subtract(K, tmp, K)
+    np.divide(K, A, K)
+    np.subtract(hat_K, K, K)
+    np.multiply(grid.w, rho_t, tmp)
+    np.divide(tmp, s, tmp)
+    np.subtract(K, tmp, K)
+    return work.values
 
 
 def profile_derivatives(profile: RadialProfile) -> ProfileDerivatives:

@@ -10,9 +10,9 @@ from qimcf import (FlowState, MeanConvexityLost, RadialProfile, StepControl,
                    profile_derivatives, run_flow, sphere_ode_rhs, step)
 from qimcf.flow import (MAX_STAGES, METHODS, NonFiniteState, StiffnessError,
                         _half_stencil_eigenvalues, _require_mean_convex,
-                        diagnostics_record, record_index, ssprk2,
-                        stage_edge)
-from qimcf.geometry import cached_grid, make_theta_grid, q_terms
+                        diagnostics_record, method_edges, record_index,
+                        ssprk2, stage_edge)
+from qimcf.geometry import cached_grid, kernel, make_theta_grid, q_terms
 
 SPHERE_RHS_2_1 = 0.08713815200031506  # sinh cosh / (7 cosh^2 + 3 sinh^2) at 1
 HEUN = ssprk2(2)
@@ -155,9 +155,9 @@ def test_diagnostics_record_evaluates_once(monkeypatch):
     calls = []
     kernel = qimcf.geometry.kernel
 
-    def counting(grid, rho):
+    def counting(grid, rho, work=None):
         calls.append(rho.size)
-        return kernel(grid, rho)
+        return kernel(grid, rho, work)
 
     monkeypatch.setattr(qimcf.geometry, "kernel", counting)
     monkeypatch.setattr(qimcf.flow, "kernel", counting)
@@ -243,6 +243,51 @@ def test_three_stage_step_is_ssprk33():
     y2 = 3 / 4 * rho + 1 / 4 * (y1 + dt * F(y1))
     y3 = rho / 3 + 2 / 3 * (y2 + dt * F(y2))
     assert np.abs(nxt.profile.rho - y3).max() <= 1e-14 * y3.max()
+
+
+@pytest.mark.parametrize("r0,N,index", [(6.0, 256, 0), (3.0, 256, 1),
+                                          (2.0, 1024, len(METHODS) - 1)])
+def test_step_matches_fresh_kernel_shu_osher_loop(r0, N, index):
+    # step's workspace and in-place stage updates change no bit: against
+    # the Shu-Osher loop with one fresh kernel call per stage, for
+    # SSPRK(3,3), SSPRK(3,2) and SSPRK(7,2); the profile stepped from
+    # keeps its kernel_values and shares no memory with the new rho
+    profile = initial_profile(2, N, "bump", r0=r0, amplitude=0.1)
+    ctrl = StepControl(t_end=40.0)
+    kept = [field.copy() for field in profile.kernel_values]
+    nxt = step(FlowState(t=0.0, profile=profile), ctrl)
+    assert nxt.steps_by_method[index] == 1
+
+    grid, rho = profile.grid, profile.rho
+    ker = kernel(grid, rho)
+    m = ker.K.min()
+    base = ctrl.cfl_safety * grid.dtheta**2 * m * m / 2
+    method = METHODS[index]
+    dt = min(ctrl.dt_max, base * stage_edge(2, method))
+    assert nxt.last_dt == dt
+    y = rho.copy()
+    for i, a in enumerate(method.a):
+        if i:
+            ker = kernel(grid, y)
+        y = y + method.c * dt * ker.A / (ker.sinh * ker.K)
+        if a:
+            y = (1 - a) * y + a * rho
+    assert nxt.profile.rho.tobytes() == y.tobytes()
+
+    for field, copy in zip(profile.kernel_values, kept):
+        assert field.tobytes() == copy.tobytes()
+        assert not np.shares_memory(field, nxt.profile.rho)
+
+
+def test_method_edges_keep_their_bits():
+    # every edge bit for bit as bisected on the full Shu-Osher recursion,
+    # before its a = 0 stages skipped their no-op passes
+    assert method_edges(2) == (1.255994409089908, 2.2592406598851085,
+                               2.9990967959165573, 4.167688406887464,
+                               4.998494660016149, 6.124016581336036)
+    assert method_edges(48) == (0.40329762920737267, 0.6889954498037696,
+                                0.9668774735182524, 1.31327664188575,
+                                1.6112486582715064, 1.9453380854101852)
 
 
 def test_step_cfl_binds_at_small_radius():

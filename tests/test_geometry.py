@@ -9,7 +9,8 @@ from qimcf import (A_norm_sq, RadialProfile, cached_grid,
                    general_mean_curvature, hat_H, initial_profile, kernel,
                    orbit_integral, profile_derivatives, shape_operator_adapted,
                    sphere_volume)
-from qimcf.geometry import make_theta_grid, q_terms, reduced_weight
+from qimcf.geometry import (KernelWork, make_theta_grid, q_terms,
+                            reduced_weight)
 
 COTH1 = 1.3130352854993313      # coth(1)
 TWO_COTH2 = 2.0746294414550962  # 2 coth(2) = coth(1) + tanh(1)
@@ -136,6 +137,31 @@ def test_kernel_speed_and_cfl_quantity(kind):
             assert np.max(np.abs(speed / (v / H) - 1)) < 1e-12
             assert np.max(np.abs(k.K / (ev.H * ev.sinh * ev.v) - 1)) < 1e-12
             assert np.max(np.abs(k.K / (H * sh * v) - 1)) < 1e-12
+
+
+def test_kernel_workspace_is_bit_identical():
+    # one workspace, reused on a second rho and on an n = 48 grid, gives
+    # exactly the fresh kernel's values, and both are the plain formulas
+    # bit for bit; a workspace of another size is refused
+    work = KernelWork(256)
+    for profile in (bump(), bump(r0=2.0, a=0.3), bump(n=48, r0=1.5)):
+        grid, rho = profile.grid, profile.rho
+        d = np.concatenate(([0.0], np.diff(rho), [0.0]))
+        rho_t = (d[1:] + d[:-1]) * (0.5 / grid.dtheta)
+        rho_tt = (d[1:] - d[:-1]) * grid.dtheta**-2
+        s, c = np.sinh(rho), np.cosh(rho)
+        A = s * s + rho_t * rho_t
+        hat_K = (4 * grid.n + 2) * c - 3 / c
+        K = hat_K - (rho_tt * s - c * (rho_t * rho_t)) / A \
+            - grid.w * rho_t / s
+        plain = (rho_t, rho_tt, s, c, A, hat_K, K)
+        fresh = kernel(grid, rho)
+        reused = kernel(grid, rho, work)
+        assert reused is work.values
+        for a, b, p in zip(fresh, reused, plain):
+            assert a.tobytes() == b.tobytes() == p.tobytes()
+    with pytest.raises(ValueError, match="workspace for 256 nodes"):
+        kernel(cached_grid(2, 128), bump(N=128).rho, work)
 
 
 def test_derivatives_constant_profile():

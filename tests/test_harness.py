@@ -202,9 +202,9 @@ def test_run_experiment_kernel_calls(tmp_path, monkeypatch):
     calls = []
     kernel = qimcf.geometry.kernel
 
-    def counting(grid, rho):
+    def counting(grid, rho, work=None):
         calls.append(rho.size)
-        return kernel(grid, rho)
+        return kernel(grid, rho, work)
 
     monkeypatch.setattr(qimcf.geometry, "kernel", counting)
     monkeypatch.setattr(flow, "kernel", counting)
