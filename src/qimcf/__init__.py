@@ -19,7 +19,7 @@ from .flow import (DiagnosticsRecord, FlowError, FlowState,
 from .geometry import (A_norm_sq, Grid, KernelWork, ProfileDerivatives,
                        RadialProfile, cached_grid, general_mean_curvature,
                        hat_H, kernel, orbit_integral, profile_derivatives,
-                       shape_operator_adapted, sphere_volume)
+                       shape_operator_adapted)
 from .harness import ExperimentResult, run_experiment, sweep, verify_ambient_report
 from .limits import (ConformalFactor, ConstancyVerdict, constancy_verdict,
                      extract_conformal_factor, fit_decay_rate, limit_Q)

@@ -4,8 +4,9 @@
     qimcf sweep --config FILE --vary KEY=V1,V2,... [--vary ...] [--out DIR]
     qimcf verify-ambient [--n N] [--samples K]
 
-The QIMCF_OUT environment variable overrides the configured output
-directory; an explicit --out overrides both.
+A run or sweep writes under --out when given, else under the config's
+output.dir.  A config with an invalid value is refused with exit code 1
+before anything is written.
 """
 
 import argparse

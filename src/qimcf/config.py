@@ -2,9 +2,10 @@
 
 Grammar: `key = value` lines grouped under `[section]` headers; the
 single global key `n` appears before any section.  Blank lines are
-ignored and `#` starts a comment.  Unknown keys, bad types, and invariant
-violations are rejected with the offending line number, which is why
-this stays a hand-rolled parser rather than an off-the-shelf INI reader.
+ignored and `#` starts a comment.  Unknown keys and bad types are
+rejected with the offending line number, which is why this stays a
+hand-rolled parser rather than an off-the-shelf INI reader; invalid
+values are refused by ExperimentConfig itself, however it is built.
 
 Example:
 
@@ -51,7 +52,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment parameters with defaults applied."""
+    """Experiment parameters with defaults applied, checked when built."""
 
     n: int = 2
     grid_points: int = 256
@@ -63,6 +64,53 @@ class ExperimentConfig:
     cfl_safety: float = StepControl.cfl_safety
     output_dir: str = "out"
     snapshot_every: float = 0.5
+
+    def __post_init__(self):
+        for (section, key), (attr, conv) in _SCHEMA.items():
+            value = getattr(self, attr)
+            if conv is float and not math.isfinite(value):
+                raise ConfigError(
+                    f"{section}.{key} must be finite, got {value}")
+        if self.n < 2:
+            raise ConfigError(f"n must be >= 2, got {self.n}")
+        if self.n > MAX_N:
+            raise ConfigError(f"n must be <= {MAX_N}, got {self.n}")
+        if self.grid_points < 32:
+            raise ConfigError(
+                f"grid.points must be >= 32, got {self.grid_points}")
+        if self.initial_kind not in INITIAL_KINDS:
+            raise ConfigError(
+                f"initial.kind must be one of {', '.join(INITIAL_KINDS)}, "
+                f"got {self.initial_kind!r}")
+        if self.initial_r0 <= 0:
+            raise ConfigError(
+                f"initial.r0 must be positive, got {self.initial_r0}")
+        if self.initial_amplitude < 0:
+            raise ConfigError(f"initial.amplitude must be >= 0, "
+                              f"got {self.initial_amplitude}")
+        if self.initial_tau <= 0:
+            raise ConfigError(
+                f"initial.tau must be positive, got {self.initial_tau}")
+        if self.t_end <= 0:
+            raise ConfigError(f"time.t_end must be positive, got {self.t_end}")
+        if not 0 < self.cfl_safety <= 1:
+            raise ConfigError(
+                f"time.cfl_safety must be in (0,1], got {self.cfl_safety}")
+        every = self.snapshot_every
+        if every <= 0:
+            raise ConfigError(
+                f"output.snapshot_every must be positive, got {every}")
+        if not math.isfinite(self.t_end / every):
+            raise ConfigError(
+                f"time.t_end / output.snapshot_every overflows: "
+                f"{self.t_end:g} / {every:g}")
+        # the limit analysis needs the first record at t >= T_USABLE to be
+        # followed by another
+        if record_index(every, T_USABLE) >= last_record(every, self.t_end)[0]:
+            raise ConfigError(
+                f"limit analysis needs two records at t >= {T_USABLE:g}; "
+                f"time.t_end = {self.t_end:g} with output.snapshot_every = "
+                f"{every:g} gives fewer")
 
 
 # (section, key) -> (attribute, converter); the global n has section "".
@@ -95,58 +143,6 @@ def _convert(section: str, key: str, value: str, name: str, line: int = None):
                           line)
 
 
-def validate_config(cfg: ExperimentConfig):
-    """Invariant checks shared by the parser and programmatic construction."""
-    for (section, key), (attr, conv) in _SCHEMA.items():
-        value = getattr(cfg, attr)
-        if conv is float and not math.isfinite(value):
-            raise ConfigError(f"{section}.{key} must be finite, got {value}")
-    if cfg.n < 2:
-        raise ConfigError(f"n must be >= 2, got {cfg.n}")
-    if cfg.n > MAX_N:
-        raise ConfigError(f"n must be <= {MAX_N}, got {cfg.n}")
-    if cfg.grid_points < 32:
-        raise ConfigError(f"grid.points must be >= 32, got {cfg.grid_points}")
-    if cfg.initial_kind not in INITIAL_KINDS:
-        raise ConfigError(
-            f"initial.kind must be one of {', '.join(INITIAL_KINDS)}, "
-            f"got {cfg.initial_kind!r}")
-    if cfg.initial_r0 <= 0:
-        raise ConfigError(f"initial.r0 must be positive, got {cfg.initial_r0}")
-    if cfg.initial_amplitude < 0:
-        raise ConfigError(
-            f"initial.amplitude must be >= 0, got {cfg.initial_amplitude}")
-    if cfg.initial_tau <= 0:
-        raise ConfigError(f"initial.tau must be positive, got {cfg.initial_tau}")
-    if cfg.t_end <= 0:
-        raise ConfigError(f"time.t_end must be positive, got {cfg.t_end}")
-    if not 0 < cfg.cfl_safety <= 1:
-        raise ConfigError(
-            f"time.cfl_safety must be in (0,1], got {cfg.cfl_safety}")
-    if cfg.snapshot_every <= 0:
-        raise ConfigError(
-            f"output.snapshot_every must be positive, got {cfg.snapshot_every}")
-    every = cfg.snapshot_every
-    if not math.isfinite(cfg.t_end / every):
-        raise ConfigError(
-            f"time.t_end / output.snapshot_every overflows: {cfg.t_end:g} / "
-            f"{every:g}")
-    # the limit analysis needs the first record at t >= T_USABLE to be
-    # followed by another
-    if record_index(every, T_USABLE) >= last_record(every, cfg.t_end)[0]:
-        raise ConfigError(
-            f"limit analysis needs two records at t >= {T_USABLE:g}; "
-            f"time.t_end = {cfg.t_end:g} with output.snapshot_every = "
-            f"{every:g} gives fewer")
-
-
-def build_initial_profile(cfg: ExperimentConfig):
-    """Construct the configured initial surface."""
-    return initial_profile(cfg.n, cfg.grid_points, cfg.initial_kind,
-                           r0=cfg.initial_r0, amplitude=cfg.initial_amplitude,
-                           tau=cfg.initial_tau)
-
-
 def check_mean_convexity(cfg: ExperimentConfig):
     """The initial profile, once it is checked to be mean convex.
 
@@ -155,7 +151,9 @@ def check_mean_convexity(cfg: ExperimentConfig):
     obvious.
     """
     try:
-        profile = build_initial_profile(cfg)
+        profile = initial_profile(
+            cfg.n, cfg.grid_points, cfg.initial_kind, r0=cfg.initial_r0,
+            amplitude=cfg.initial_amplitude, tau=cfg.initial_tau)
     except ValueError as err:
         raise ConfigError(f"initial profile is not a radial graph: {err}")
     H = profile_derivatives(profile).H
@@ -200,7 +198,6 @@ def parse_config(text: str) -> ExperimentConfig:
         seen[attr] = lineno
 
     cfg = ExperimentConfig(**values)
-    validate_config(cfg)
     check_mean_convexity(cfg)
     return cfg
 
@@ -209,13 +206,11 @@ def override_config(cfg: ExperimentConfig, dotted_key: str,
                     value: str) -> ExperimentConfig:
     """Replace one field addressed as section.key (e.g. initial.tau) or n.
 
-    Used by parameter sweeps; the value string goes through the same
-    converter as the parser.
+    Used by parameter sweeps; the value goes through the parser's
+    converter, and the mean convexity check is left to the run.
     """
     section, _, key = dotted_key.rpartition(".")
     entry = _convert(section, key, value, dotted_key)
     if entry is None:
         raise ConfigError(f"unknown config key {dotted_key!r}")
-    out = replace(cfg, **dict([entry]))
-    validate_config(out)
-    return out
+    return replace(cfg, **dict([entry]))

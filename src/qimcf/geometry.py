@@ -28,15 +28,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 
-def make_theta_grid(grid_size: int):
-    """Cell-centered nodes theta_k = (k + 1/2) * (pi/2)/N and the spacing."""
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    dtheta = (np.pi / 2) / grid_size
-    theta = (np.arange(grid_size) + 0.5) * dtheta
-    return theta, dtheta
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """Radial graph rho(theta) on the cell-centered grid of N = rho.size
@@ -60,12 +51,8 @@ class RadialProfile:
         object.__setattr__(self, "rho", rho)
 
     @property
-    def grid_size(self) -> int:
-        return self.rho.size
-
-    @property
     def grid(self) -> "Grid":
-        return cached_grid(self.n, self.grid_size)
+        return cached_grid(self.n, self.rho.size)
 
     @property
     def theta(self) -> np.ndarray:
@@ -147,17 +134,33 @@ class Grid:
 
 @functools.lru_cache(maxsize=64)
 def cached_grid(n: int, grid_size: int) -> Grid:
-    """The shared Grid for (n, grid_size), validated on first use."""
+    """The shared Grid for (n, grid_size), validated on first use.
+
+    The nodes are cell-centered, theta_k = (k + 1/2) * (pi/2)/N.  The
+    weights are the normalized midpoint weights of the orbital measure:
+    J(theta) = sin^{4n-5} theta cos^3 theta is the relative volume of the
+    S^3 x S^{4n-8}-type orbit through theta, and normalizing by sum(J)
+    pins the total measure to 1 regardless of grid size.  volume is that
+    of the round unit sphere S^{4n-1}, 2 pi^{2n} / (2n-1)!: the float
+    2 pi^{2n} is divided as an exact ratio of integers, which Python
+    rounds once, as (2n-1)! overflows a float from n = 86 on.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    theta, dtheta = make_theta_grid(grid_size)
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    dtheta = (np.pi / 2) / grid_size
+    theta = (np.arange(grid_size) + 0.5) * dtheta
     w = reduced_weight(n, theta)
     angular = angular_coefficient(n, theta)
-    weights = orbit_weights(theta, n)
+    J = np.sin(theta) ** (4 * n - 5) * np.cos(theta) ** 3
+    weights = J / J.sum()
     for arr in (theta, w, angular, weights):
         arr.setflags(write=False)
+    num, den = (2 * math.pi ** (2 * n)).as_integer_ratio()
     return Grid(n=n, theta=theta, dtheta=dtheta, w=w, angular=angular,
-                weights=weights, volume=sphere_volume(n))
+                weights=weights,
+                volume=num / (den * math.factorial(2 * n - 1)))
 
 
 class KernelValues(NamedTuple):
@@ -372,27 +375,6 @@ def A_norm_sq(profile: RadialProfile, derivs: ProfileDerivatives,
             f"|A|^2 cross-check failed at node {k}: "
             f"trace route {traced!r} vs identity route {closed!r}")
     return traced
-
-
-def sphere_volume(n: int) -> float:
-    """Volume of the round unit sphere S^{4n-1}: 2 pi^{2n} / (2n-1)!.
-
-    The float 2 pi^{2n} is divided as an exact ratio of integers, which
-    Python rounds once: (2n-1)! overflows a float from n = 86 on.
-    """
-    num, den = (2 * math.pi ** (2 * n)).as_integer_ratio()
-    return num / (den * math.factorial(2 * n - 1))
-
-
-def orbit_weights(theta: np.ndarray, n: int) -> np.ndarray:
-    """Normalized midpoint weights of the orbital measure.
-
-    J(theta) = sin^{4n-5} theta cos^3 theta is the relative volume of the
-    S^3 x S^{4n-8}-type orbit through theta; normalizing by sum(J) pins
-    the total measure to 1 regardless of grid size.
-    """
-    J = np.sin(theta) ** (4 * n - 5) * np.cos(theta) ** 3
-    return J / J.sum()
 
 
 def orbit_integral(values, n: int) -> float:

@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import __version__, ambient
 from .config import (ConfigError, ExperimentConfig, check_mean_convexity,
-                     override_config, validate_config)
+                     override_config)
 from .flow import (METHODS, DiagnosticsRecord, FlowError, FlowState,
                    MeanConvexityLost, NonFiniteRecord, NonFiniteState,
                    StepControl, StiffnessError, last_record, run_flow)
@@ -71,8 +71,8 @@ class ExperimentResult:
 
 def resolve_out_dir(cfg: ExperimentConfig,
                     out_dir: Optional[str] = None) -> Path:
-    """Output directory priority: explicit arg, QIMCF_OUT, then config."""
-    return Path(out_dir or os.environ.get("QIMCF_OUT") or cfg.output_dir)
+    """The output directory: out_dir (--out) when given, else output.dir."""
+    return Path(out_dir or cfg.output_dir)
 
 
 def _write_decay_table(out: Path, records: Sequence[DiagnosticsRecord],
@@ -88,23 +88,22 @@ def _write_decay_table(out: Path, records: Sequence[DiagnosticsRecord],
 def _fit_or_none(series, t_min: float) -> Optional[float]:
     """Decay rate, or None when the series is unfittable (zeros, too short)."""
     try:
-        rate, _, _ = fit_decay_rate(series, t_min)
+        return fit_decay_rate(series, t_min)
     except ValueError:
         return None
-    return rate
 
 
 def run_experiment(cfg: ExperimentConfig,
                    out_dir: Optional[str] = None) -> ExperimentResult:
     """Run one configured flow and write the output files.
 
-    Raises ConfigError for invalid configurations (nothing is written);
-    integration and arithmetic failures are reported through the exit code
-    with the diagnostics and profiles recorded so far on disk, and no
-    report.json.  A rerun first deletes the earlier run's report and decay
-    table, and rewrites both per-record files from their headers.
+    Raises ConfigError when the initial profile is not mean convex
+    (nothing is written); integration and arithmetic failures are
+    reported through the exit code with the diagnostics and profiles
+    recorded so far on disk, and no report.json.  A rerun first deletes
+    the earlier run's report and decay table, and rewrites both
+    per-record files from their headers.
     """
-    validate_config(cfg)
     profile0 = check_mean_convexity(cfg)
     out = resolve_out_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -69,7 +69,9 @@ def extract_conformal_factor(
     at t >= 10; the earlier one closest to half the final time (see
     LimitSnapshots) supplies the Cauchy residual.
     """
-    usable = sorted((float(t), p) for t, p in snapshots if t >= T_USABLE)
+    # sorted by t alone: on a tie, comparing the profiles would raise
+    usable = sorted(((float(t), p) for t, p in snapshots if t >= T_USABLE),
+                    key=lambda snap: snap[0])
     if len(usable) < 2:
         raise ValueError(
             f"need at least two snapshots at t >= {T_USABLE}, "
@@ -149,13 +151,11 @@ def constancy_verdict(factor: ConformalFactor) -> ConstancyVerdict:
 
 
 def fit_decay_rate(series: Sequence[Tuple[float, float]],
-                   t_min: float) -> Tuple[float, float, float]:
+                   t_min: float) -> float:
     """Least-squares exponential rate of a positive series.
 
     Fits log y = rate * t + intercept over the points with t >= t_min and
-    returns (rate, intercept, r_squared).  Decaying series give negative
-    rates.  A perfectly flat series has r_squared = 1 by convention
-    (zero residual, zero variance).
+    returns the rate.  Decaying series give negative rates.
     """
     pts = [(float(t), float(y)) for t, y in series if t >= t_min]
     if len(pts) < 10:
@@ -168,12 +168,4 @@ def fit_decay_rate(series: Sequence[Tuple[float, float]],
     logy = np.log(y)
     A = np.column_stack([t, np.ones_like(t)])
     coef, *_ = np.linalg.lstsq(A, logy, rcond=None)
-    rate, intercept = float(coef[0]), float(coef[1])
-    resid = logy - A @ coef
-    ss_res = float(resid @ resid)
-    ss_tot = float(np.sum((logy - logy.mean()) ** 2))
-    # variance at the last-ulp level is flatness, not signal
-    flat_floor = (1e-13 * max(1.0, float(np.max(np.abs(logy))))) ** 2 \
-        * logy.size
-    r_squared = 1.0 if ss_tot <= flat_floor else 1.0 - ss_res / ss_tot
-    return rate, intercept, r_squared
+    return float(coef[0])

@@ -9,12 +9,13 @@ import numpy as np
 
 from fd_sphere_oracle import (adapted_frame, fd_hessian,
                               sample_interior_points, tangent_basis, theta_of)
-from qimcf import (A_norm_sq, RadialProfile, constancy_verdict,
-                   extract_conformal_factor, fit_decay_rate,
-                   initial_profile, integrate_sphere_ode, limit_Q,
-                   profile_derivatives, shape_operator_adapted,
-                   verify_ambient)
-from qimcf.geometry import (_a_norm_sq_identity, make_theta_grid, q_terms,
+from linear_oracle import mode, response
+from qimcf import (A_norm_sq, FlowState, RadialProfile, StepControl,
+                   constancy_verdict, extract_conformal_factor,
+                   fit_decay_rate, initial_profile, integrate_sphere_ode,
+                   limit_Q, profile_derivatives, run_flow,
+                   shape_operator_adapted, verify_ambient)
+from qimcf.geometry import (_a_norm_sq_identity, cached_grid, q_terms,
                             reduced_weight)
 from qimcf.limits import ConformalFactor
 
@@ -115,9 +116,9 @@ def test_criterion_5_preserved_properties(bump_run):
 
 def test_criterion_6_decay_rates(bump_run):
     """Fitted decay of the gradient and of H - (4n+2), t in [10, 40]."""
-    grad_rate, _, _ = fit_decay_rate(
+    grad_rate = fit_decay_rate(
         [(r.t, r.sup_grad_phi_sq) for r in bump_run.records], t_min=10.0)
-    h_rate, _, _ = fit_decay_rate(
+    h_rate = fit_decay_rate(
         [(r.t, max(abs(r.H_min - HORO_H), abs(r.H_max - HORO_H)))
          for r in bump_run.records], t_min=10.0)
     print(f"\n  sup(phi')^2 rate = {grad_rate:.4f} (need <= -0.18), "
@@ -188,7 +189,7 @@ def test_criterion_9_exact_identities():
     trace_err = dual_err = 0.0
     rng = np.random.default_rng(9)
     for n in (2, 3):
-        theta, _ = make_theta_grid(128)
+        theta = cached_grid(n, 128).theta
         rho = (2.5 + 0.2 * np.cos(2 * theta)
                + 0.1 * rng.uniform(-1, 1) * np.cos(4 * theta))
         profile = RadialProfile(n=n, rho=rho)
@@ -206,7 +207,7 @@ def test_criterion_9_exact_identities():
     q_sphere = max(abs(q_terms(p, profile_derivatives(p))[1])
                    for p in spheres)
 
-    theta, _ = make_theta_grid(256)
+    theta = cached_grid(2, 256).theta
     f0 = 0.1 * np.cos(2 * theta) + 0.03 * np.cos(4 * theta)
 
     def factor(f):
@@ -225,3 +226,40 @@ def test_criterion_9_exact_identities():
     assert dual_err < 1e-8
     assert q_sphere < 1e-12
     assert shift_err < 1e-9
+
+
+def _limit_f(n, rho, t_end):
+    snapshots = []
+    run_flow(FlowState(t=0.0, profile=RadialProfile(n=n, rho=rho)),
+             StepControl(t_end=t_end),
+             observers=[lambda s, _: snapshots.append((s.t, s.profile))])
+    return extract_conformal_factor(snapshots).f
+
+
+# The error of the odd part at a = 1e-3 and N = 256 is its a^2 term plus
+# its grid term.  Measured on the three cases below, the a^2 term (odd
+# part at a = 2e-3 against 1e-3, N = 512) is at most 7.2 a^2, at n = 3,
+# r0 = 2, and the grid term (N = 256 against 512) at most 0.13 dtheta^2,
+# at n = 2, k = 2; the bound rounds both coefficients up.
+ODD_PART_A2 = 10.0
+ODD_PART_GRID = 0.2
+
+
+def test_criterion_10_small_amplitude_limit():
+    """The limit at small amplitude vs the linearized closed form."""
+    a, N = 1e-3, 256
+    for n, k, r0, t_end in ((2, 1, 3.0, 120.0), (3, 1, 2.0, 120.0),
+                            (2, 2, 3.0, 150.0)):
+        grid = cached_grid(n, N)
+        P = mode(n, k, grid.theta)
+        # the odd part of a +/- pair cancels the a^2 term of f
+        odd = (_limit_f(n, r0 + a * P, t_end)
+               - _limit_f(n, r0 - a * P, t_end)) / (2 * a)
+        predicted = response(n, k, r0) * (P - grid.weights @ P)
+        err = float(np.max(np.abs(odd - predicted)))
+        tol = ODD_PART_A2 * a**2 + ODD_PART_GRID * grid.dtheta**2
+        print(f"\n  n={n} k={k} r0={r0:g}: R_k = {response(n, k, r0):.6f}, "
+              f"max|odd part - R_k (P_k - mean)| = {err:.3e} "
+              f"(tol {tol:.3e})", end="")
+        assert err < tol
+    print()

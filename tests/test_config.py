@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from qimcf import (ConfigError, ExperimentConfig, FlowState, StepControl,
-                   flow, initial_profile, parse_config)
-from qimcf.config import (build_initial_profile, check_mean_convexity,
-                          override_config, validate_config)
+                   cached_grid, flow, initial_profile, parse_config)
+from qimcf.config import check_mean_convexity, override_config
 from qimcf.flow import RECORD_SNAP, last_record
-from qimcf.geometry import make_theta_grid
 
 FULL = """\
 n = 2
@@ -179,26 +177,68 @@ def test_check_mean_convexity_accepts_good_profiles():
         initial_kind="bump", initial_r0=3.0, initial_amplitude=0.1))
 
 
-def test_build_initial_profile_uses_config():
+def test_check_mean_convexity_returns_the_configured_profile():
     cfg = ExperimentConfig(initial_kind="tau_family", initial_tau=5.0,
                            initial_amplitude=0.2, grid_points=64)
-    profile = build_initial_profile(cfg)
-    assert profile.grid_size == 64
-    theta, _ = make_theta_grid(64)
+    profile = check_mean_convexity(cfg)
+    assert profile.n == 2 and profile.rho.size == 64
+    theta = cached_grid(2, 64).theta
     assert np.array_equal(profile.rho, 5.0 + 0.2 * np.cos(2 * theta))
 
 
-def test_validate_config_is_reusable():
-    validate_config(ExperimentConfig())
-    with pytest.raises(ConfigError):
-        validate_config(ExperimentConfig(grid_points=8))
+# (key, attribute, value, message): one invalid value per case, the rest
+# defaults, with the message each way of building the config gives
+INVALID = [
+    ("n", "n", 1, "n must be >= 2, got 1"),
+    ("n", "n", 110, "n must be <= 109, got 110"),
+    ("grid.points", "grid_points", 8, "grid.points must be >= 32, got 8"),
+    ("initial.kind", "initial_kind", "torus",
+     "initial.kind must be one of sphere, bump, tau_family, got 'torus'"),
+    ("initial.r0", "initial_r0", 0.0, "initial.r0 must be positive, got 0.0"),
+    ("initial.r0", "initial_r0", float("inf"),
+     "initial.r0 must be finite, got inf"),
+    ("initial.amplitude", "initial_amplitude", -0.1,
+     "initial.amplitude must be >= 0, got -0.1"),
+    ("initial.amplitude", "initial_amplitude", float("nan"),
+     "initial.amplitude must be finite, got nan"),
+    ("initial.tau", "initial_tau", 0.0,
+     "initial.tau must be positive, got 0.0"),
+    ("time.t_end", "t_end", 0.0, "time.t_end must be positive, got 0.0"),
+    ("time.t_end", "t_end", 1e308,
+     "time.t_end / output.snapshot_every overflows: 1e+308 / 0.5"),
+    ("time.t_end", "t_end", 10.0,
+     "limit analysis needs two records at t >= 10; time.t_end = 10 with "
+     "output.snapshot_every = 0.5 gives fewer"),
+    ("time.cfl_safety", "cfl_safety", 1.5,
+     "time.cfl_safety must be in (0,1], got 1.5"),
+    ("output.snapshot_every", "snapshot_every", 0.0,
+     "output.snapshot_every must be positive, got 0.0"),
+    ("output.snapshot_every", "snapshot_every", 50.0,
+     "limit analysis needs two records at t >= 10; time.t_end = 40 with "
+     "output.snapshot_every = 50 gives fewer"),
+]
+
+
+def test_every_way_of_building_refuses_invalid_values():
+    for key, attr, value, message in INVALID:
+        section, _, name = key.rpartition(".")
+        text = f"[{section}]\n{name} = {value}" if section else \
+            f"{name} = {value}"
+        for build in (lambda: ExperimentConfig(**{attr: value}),
+                      lambda: parse_config(text),
+                      lambda: override_config(ExperimentConfig(), key,
+                                              str(value))):
+            with pytest.raises(ConfigError) as excinfo:
+                build()
+            assert str(excinfo.value) == message
+            assert excinfo.value.line is None
 
 
 def test_record_window_boundary():
     # the accepted sides of the refusals in test_invariant_violations:
     # records at 10 and 10.4, and at 50 and 60, are two at t >= 10
-    validate_config(ExperimentConfig(t_end=10.4, snapshot_every=0.5))
-    validate_config(ExperimentConfig(t_end=60.0, snapshot_every=50.0))
+    ExperimentConfig(t_end=10.4, snapshot_every=0.5)
+    ExperimentConfig(t_end=60.0, snapshot_every=50.0)
     with pytest.raises(ConfigError, match="limit analysis"):
         override_config(ExperimentConfig(), "output.snapshot_every", "50")
 
@@ -272,8 +312,7 @@ def test_last_record_matches_run_flow(monkeypatch):
 def test_dense_cadence_validates_at_once():
     # 400,001 records: validation does no per-record work (tens of
     # microseconds, where a scan over the record times took 0.4 s)
-    cfg = ExperimentConfig(t_end=40.0, snapshot_every=1e-4)
     start = time.perf_counter()
-    validate_config(cfg)
+    cfg = ExperimentConfig(t_end=40.0, snapshot_every=1e-4)
     assert time.perf_counter() - start < 0.05
     assert last_record(cfg.snapshot_every, cfg.t_end) == (400000, 40.0)

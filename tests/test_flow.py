@@ -12,7 +12,7 @@ from qimcf.flow import (MAX_STAGES, METHODS, NonFiniteState, StiffnessError,
                         _half_stencil_eigenvalues, _require_mean_convex,
                         diagnostics_record, method_edges, record_index,
                         ssprk2, stage_edge)
-from qimcf.geometry import cached_grid, kernel, make_theta_grid, q_terms
+from qimcf.geometry import cached_grid, kernel, q_terms
 
 SPHERE_RHS_2_1 = 0.08713815200031506  # sinh cosh / (7 cosh^2 + 3 sinh^2) at 1
 HEUN = ssprk2(2)
@@ -95,7 +95,7 @@ def test_pde_rhs_is_v_over_H():
 
 
 def test_pde_rhs_mean_convexity_error():
-    theta, _ = make_theta_grid(128)
+    theta = cached_grid(2, 128).theta
     profile = RadialProfile(n=2, rho=1.0 + 0.9 * np.cos(2 * theta))
     state = FlowState(t=0.0, profile=profile)
     with pytest.raises(MeanConvexityLost) as err:
@@ -125,7 +125,7 @@ def test_non_finite_H_is_not_mean_convexity_loss():
 def test_step_reports_overflowed_node():
     # sinh(800) overflows; a neighbour of the spike has H < 0, but the
     # overflowed node is what the error names
-    theta, _ = make_theta_grid(64)
+    theta = cached_grid(2, 64).theta
     rho = np.full(64, 3.0)
     rho[40] = 800.0
     state = FlowState(t=2.0, profile=RadialProfile(n=2, rho=rho))
@@ -603,7 +603,7 @@ def test_diagnostics_record_fields():
 
 
 def test_initial_profile_kinds():
-    theta, _ = make_theta_grid(64)
+    theta = cached_grid(2, 64).theta
     s = initial_profile(2, 64, "sphere", r0=1.5)
     assert np.all(s.rho == 1.5)
     b = initial_profile(2, 64, "bump", r0=3.0, amplitude=0.1)

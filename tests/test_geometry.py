@@ -7,10 +7,8 @@ import pytest
 
 from qimcf import (A_norm_sq, RadialProfile, cached_grid,
                    general_mean_curvature, hat_H, initial_profile, kernel,
-                   orbit_integral, profile_derivatives, shape_operator_adapted,
-                   sphere_volume)
-from qimcf.geometry import (KernelWork, make_theta_grid, q_terms,
-                            reduced_weight)
+                   orbit_integral, profile_derivatives, shape_operator_adapted)
+from qimcf.geometry import KernelWork, q_terms, reduced_weight
 
 COTH1 = 1.3130352854993313      # coth(1)
 TWO_COTH2 = 2.0746294414550962  # 2 coth(2) = coth(1) + tanh(1)
@@ -52,7 +50,8 @@ def test_reduced_weight_is_log_derivative_of_orbit_volume():
     # comparison only makes sense away from the poles, where log J and
     # its derivatives blow up
     for n in (2, 3):
-        theta, dth = make_theta_grid(512)
+        grid = cached_grid(n, 512)
+        theta, dth = grid.theta, grid.dtheta
         J = np.sin(theta) ** (4 * n - 5) * np.cos(theta) ** 3
         logJ = np.log(J)
         d_num = (logJ[2:] - logJ[:-2]) / (2 * dth)
@@ -70,7 +69,7 @@ def test_profile_invariants():
     with pytest.raises(ValueError):
         RadialProfile(n=2, rho=np.zeros(64))
     prof = bump()
-    assert prof.grid_size == 256
+    assert prof.theta.size == 256
     assert abs(prof.grid.dtheta - (np.pi / 2) / 256) < 1e-16
     # cell-centered: no endpoint nodes
     assert prof.theta[0] > 0 and prof.theta[-1] < np.pi / 2
@@ -82,15 +81,18 @@ def test_grid_is_cached_and_read_only():
     grid = cached_grid(2, 128)
     assert cached_grid(2, 128) is grid
     assert cached_grid(3, 128) is not grid
-    theta, dtheta = make_theta_grid(128)
-    assert np.array_equal(grid.theta, theta) and grid.dtheta == dtheta
-    assert np.array_equal(grid.w, reduced_weight(2, theta))
+    dtheta = (np.pi / 2) / 128
+    assert grid.dtheta == dtheta
+    assert np.array_equal(grid.theta, (np.arange(128) + 0.5) * dtheta)
+    assert np.array_equal(grid.w, reduced_weight(2, grid.theta))
     assert abs(grid.volume * grid.weights.sum() - VOL_S7) < 1e-10
     for arr in (grid.theta, grid.w, grid.weights):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     with pytest.raises(ValueError):
         cached_grid(1, 128)
+    with pytest.raises(ValueError, match="grid_size must be >= 2"):
+        cached_grid(2, 1)
 
 
 def test_kernel_H_is_shape_operator_trace_at_every_node():
@@ -264,7 +266,7 @@ def test_shape_operator_trace_and_couplings():
     rng = np.random.default_rng(14)
     for n in (2, 3):
         N = 96
-        theta, _ = make_theta_grid(N)
+        theta = cached_grid(n, N).theta
         rho = 2.5 + 0.2 * np.cos(2 * theta) + 0.05 * np.cos(4 * theta)
         prof = RadialProfile(n=n, rho=rho)
         d = profile_derivatives(prof)
@@ -295,7 +297,7 @@ def test_a_norm_sq_constant_profile():
 def test_a_norm_sq_dual_routes_agree():
     for prof in (bump(), bump(n=3, N=128, r0=2.0, a=0.15)):
         d = profile_derivatives(prof)
-        for k in (0, prof.grid_size // 3, prof.grid_size - 1):
+        for k in (0, prof.rho.size // 3, prof.rho.size - 1):
             S = shape_operator_adapted(prof, d, k)
             traced = float(np.einsum("ij,ji->", S, S))
             assert abs(A_norm_sq(prof, d, k) - traced) < 1e-12
@@ -320,14 +322,19 @@ def test_q_terms_volume_carries_v():
     v = np.sqrt(1 + (-0.6 * np.sin(2 * prof.theta) / np.sinh(rho))**2)
     assert 0.1 < v.max() - 1 < 0.15
     dens = v * np.sinh(rho)**7 * np.cosh(rho)**3
-    expected = sphere_volume(2) * float(prof.grid.weights @ dens)
+    expected = prof.grid.volume * float(prof.grid.weights @ dens)
     volume = q_terms(prof, profile_derivatives(prof))[0]
     assert abs(volume / expected - 1) < 1e-5
 
 
+def unit_sphere_volume(n):
+    """Vol(S^{4n-1}) as the grid carries it."""
+    return cached_grid(n, 2).volume
+
+
 def test_sphere_volume():
-    assert abs(sphere_volume(2) - np.pi**4 / 3) < 1e-12
-    assert abs(sphere_volume(3) - np.pi**6 / 60) < 1e-10
+    assert abs(unit_sphere_volume(2) - np.pi**4 / 3) < 1e-12
+    assert abs(unit_sphere_volume(3) - np.pi**6 / 60) < 1e-10
 
 
 def test_sphere_volume_large_n():
@@ -336,12 +343,13 @@ def test_sphere_volume_large_n():
         return 2 * math.pi ** (2 * n) / math.factorial(2 * n - 1)
 
     for n in range(2, 9):  # every n the workloads and tests use
-        assert sphere_volume(n) == as_float(n)
+        assert unit_sphere_volume(n) == as_float(n)
     for n in range(9, 86):
-        assert abs(sphere_volume(n) - as_float(n)) <= math.ulp(as_float(n))
+        assert abs(unit_sphere_volume(n) - as_float(n)) \
+            <= math.ulp(as_float(n))
     tiny = np.finfo(float).tiny
-    assert sphere_volume(86) < sphere_volume(85)
-    assert sphere_volume(109) >= tiny > sphere_volume(110) > 0
+    assert unit_sphere_volume(86) < unit_sphere_volume(85)
+    assert unit_sphere_volume(109) >= tiny > unit_sphere_volume(110) > 0
 
 
 def test_orbit_integral_constant_and_linearity():
@@ -358,7 +366,7 @@ def test_orbit_integral_constant_and_linearity():
 def test_orbit_integral_refinement():
     vals = {}
     for N in (128, 256, 512):
-        theta, _ = make_theta_grid(N)
+        theta = cached_grid(2, N).theta
         vals[N] = orbit_integral(np.exp(np.sin(2 * theta)), 2)
     coarse = abs(vals[128] - vals[256])
     fine = abs(vals[256] - vals[512])

@@ -19,9 +19,9 @@ from qimcf import (ConfigError, DiagnosticsRecord, ExperimentConfig,
                    StepControl, StiffnessError, ambient, flow, harness,
                    run_experiment, run_flow, sweep)
 from qimcf.cli import main
-from qimcf.config import build_initial_profile, override_config
+from qimcf.config import check_mean_convexity, override_config
 from qimcf.flow import MAX_STAGES, METHODS, diagnostics_record
-from qimcf.geometry import make_theta_grid
+from qimcf.geometry import cached_grid
 from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONFIG,
                            EXIT_CONVEXITY_LOST, EXIT_NONFINITE, EXIT_OK,
                            EXIT_STIFFNESS, SWEEP_RESULT_COLUMNS,
@@ -44,11 +44,6 @@ amplitude = 0.1
 [time]
 t_end = 21.0
 """
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("QIMCF_OUT", raising=False)
 
 
 def fast_cfg(**kw):
@@ -75,7 +70,7 @@ def observed_profiles(cfg):
     """(t, rho) of every record of cfg's flow, as a run_flow observer
     sees them, from a run_flow call of its own."""
     seen = []
-    run_flow(FlowState(t=0.0, profile=build_initial_profile(cfg)),
+    run_flow(FlowState(t=0.0, profile=check_mean_convexity(cfg)),
              StepControl(t_end=cfg.t_end, cfl_safety=cfg.cfl_safety),
              observers=[lambda state, _: seen.append(
                  (state.t, state.profile.rho))],
@@ -148,7 +143,7 @@ def test_profiles_match_observed_profiles(tmp_path):
     header, _ = read_csv(out / "profiles.csv")
     profiles = assert_profiles_follow_diagnostics(out)
     assert header[0] == "t"
-    expected_theta, _ = make_theta_grid(64)
+    expected_theta = cached_grid(2, 64).theta
     theta = np.array([float(x) for x in header[1:]])
     assert theta.tobytes() == expected_theta.tobytes()  # repr round-trips
     _, diagnostics = read_csv(out / "diagnostics.csv")
@@ -169,7 +164,7 @@ def test_profiles_bytes(tmp_path):
     run_experiment(cfg, out_dir=str(out))
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(["t", *map(repr, make_theta_grid(64)[0].tolist())])
+    writer.writerow(["t", *map(repr, cached_grid(2, 64).theta.tolist())])
     writer.writerows([repr(t), *("%.17g" % x for x in rho.tolist())]
                      for t, rho in observed_profiles(cfg))
     written = (out / "profiles.csv").read_bytes()
@@ -308,12 +303,9 @@ def test_integration_failure_exit_codes(tmp_path, monkeypatch, exc, code):
     assert not (out / "decay.dat").exists()
 
 
-def test_resolve_out_dir_priority(monkeypatch):
+def test_resolve_out_dir_priority():
     cfg = ExperimentConfig(output_dir="cfgdir")
-    monkeypatch.delenv("QIMCF_OUT", raising=False)
     assert resolve_out_dir(cfg) == Path("cfgdir")
-    monkeypatch.setenv("QIMCF_OUT", "envdir")
-    assert resolve_out_dir(cfg) == Path("envdir")
     assert resolve_out_dir(cfg, "argdir") == Path("argdir")
 
 
@@ -687,6 +679,16 @@ def test_cli_run_refuses_non_finite_config(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def test_cli_run_refuses_invalid_config(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, "[grid]\npoints = 8\n")
+    code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: grid.points must be >= 32, got 8\n"
+    assert not out.exists()
+
+
 def test_cli_sweep(tmp_path, capsys):
     code = main(["sweep", "--config", write_cfg(tmp_path),
                  "--vary", "initial.amplitude=0,0.1",
@@ -695,6 +697,16 @@ def test_cli_sweep(tmp_path, capsys):
     assert code == 0
     assert "sweep complete: 2 cells, 0 failed" in out
     assert (tmp_path / "sw" / "sweep.csv").exists()
+
+
+def test_cli_sweep_refuses_invalid_cell(tmp_path, capsys):
+    out = tmp_path / "sw"
+    code = main(["sweep", "--config", write_cfg(tmp_path),
+                 "--vary", "grid.points=8,64", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "config error: grid.points must be >= 32, got 8" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_bad_vary(tmp_path, capsys):
