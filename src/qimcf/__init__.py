@@ -18,7 +18,7 @@ from .flow import (DiagnosticsRecord, FlowError, FlowState,
                    integrate_sphere_ode, run_flow, sphere_ode_rhs, step)
 from .geometry import (A_norm_sq, Grid, KernelWork, ProfileDerivatives,
                        RadialProfile, cached_grid, general_mean_curvature,
-                       hat_H, kernel, orbit_integral, profile_derivatives,
+                       hat_H, kernel, profile_derivatives,
                        shape_operator_adapted)
 from .harness import ExperimentResult, run_experiment, sweep, verify_ambient_report
 from .limits import (ConformalFactor, ConstancyVerdict, constancy_verdict,

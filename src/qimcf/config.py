@@ -28,6 +28,7 @@ Example:
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,9 +69,13 @@ class ExperimentConfig:
     def __post_init__(self):
         for (section, key), (attr, conv) in _SCHEMA.items():
             value = getattr(self, attr)
-            if conv is float and not math.isfinite(value):
+            name = f"{section}.{key}" if section else key
+            # bool is an int, but no field means one
+            if isinstance(value, bool) or not isinstance(value, _TYPES[conv]):
                 raise ConfigError(
-                    f"{section}.{key} must be finite, got {value}")
+                    f"{name} expects {conv.__name__}, got {value!r}")
+            if conv is float and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.n < 2:
             raise ConfigError(f"n must be >= 2, got {self.n}")
         if self.n > MAX_N:
@@ -82,20 +87,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"initial.kind must be one of {', '.join(INITIAL_KINDS)}, "
                 f"got {self.initial_kind!r}")
-        if self.initial_r0 <= 0:
-            raise ConfigError(
-                f"initial.r0 must be positive, got {self.initial_r0}")
+        for name, radius in (("initial.r0", self.initial_r0),
+                             ("initial.tau", self.initial_tau)):
+            if radius <= 0:
+                raise ConfigError(f"{name} must be positive, got {radius}")
         if self.initial_amplitude < 0:
             raise ConfigError(f"initial.amplitude must be >= 0, "
                               f"got {self.initial_amplitude}")
-        if self.initial_tau <= 0:
-            raise ConfigError(
-                f"initial.tau must be positive, got {self.initial_tau}")
-        if self.t_end <= 0:
-            raise ConfigError(f"time.t_end must be positive, got {self.t_end}")
-        if not 0 < self.cfl_safety <= 1:
-            raise ConfigError(
-                f"time.cfl_safety must be in (0,1], got {self.cfl_safety}")
+        try:
+            StepControl(t_end=self.t_end, cfl_safety=self.cfl_safety)
+        except ValueError as err:
+            raise ConfigError(f"time.{err}")
         every = self.snapshot_every
         if every <= 0:
             raise ConfigError(
@@ -128,6 +130,7 @@ _SCHEMA = {
 }
 
 _SECTIONS = {s for s, _ in _SCHEMA if s}
+_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 def _convert(section: str, key: str, value: str, name: str, line: int = None):
@@ -146,14 +149,16 @@ def _convert(section: str, key: str, value: str, name: str, line: int = None):
 def check_mean_convexity(cfg: ExperimentConfig):
     """The initial profile, once it is checked to be mean convex.
 
-    The flow speed 1/H is undefined at H <= 0, so the run must not start;
-    the error lists the offending theta values to make the bad amplitude
-    obvious.
+    The only map of the config's kinds onto initial_profile: tau_family's
+    r0 is tau, a sphere's amplitude is 0.  The flow speed 1/H is undefined
+    at H <= 0, so the run must not start; the error lists the offending
+    theta values to make the bad amplitude obvious.
     """
+    kind = cfg.initial_kind
+    r0 = cfg.initial_tau if kind == "tau_family" else cfg.initial_r0
+    amplitude = 0.0 if kind == "sphere" else cfg.initial_amplitude
     try:
-        profile = initial_profile(
-            cfg.n, cfg.grid_points, cfg.initial_kind, r0=cfg.initial_r0,
-            amplitude=cfg.initial_amplitude, tau=cfg.initial_tau)
+        profile = initial_profile(cfg.n, cfg.grid_points, r0, amplitude)
     except ValueError as err:
         raise ConfigError(f"initial profile is not a radial graph: {err}")
     H = profile_derivatives(profile).H

@@ -127,7 +127,8 @@ class FlowState:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Explicit-stepping parameters; cfl_safety in (0, 1].
+    """Explicit-stepping parameters, checked here alone (ExperimentConfig
+    builds one): t_end, dt_max finite and positive, cfl_safety in (0, 1].
 
     step takes dt = min(dt_max, cfl_safety times the stability edge of the
     first method of METHODS that reaches dt_max times dtheta^2 min(K)^2/2,
@@ -151,10 +152,13 @@ class StepControl:
     cfl_safety: float = 0.8
 
     def __post_init__(self):
+        for name in ("t_end", "dt_max"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                need = "positive" if value <= 0 else "finite"
+                raise ValueError(f"{name} must be {need}, got {value}")
         if not 0 < self.cfl_safety <= 1:
             raise ValueError(f"cfl_safety must be in (0,1], got {self.cfl_safety}")
-        if self.t_end <= 0 or self.dt_max <= 0:
-            raise ValueError("t_end and dt_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -178,27 +182,13 @@ class DiagnosticsRecord:
     drift: float
 
 
-def initial_profile(n: int, grid_size: int, kind: str, r0: float = 1.0,
-                    amplitude: float = 0.0, tau: float = 4.0) -> RadialProfile:
-    """Initial data catalog: sphere, bump, or the tau family.
-
-    sphere:     rho = r0
-    bump:       rho = r0 + amplitude * cos(2 theta)
-    tau_family: rho = tau + amplitude * cos(2 theta)
-
-    cos(2 theta) has vanishing derivative at both ends, so every preset is
-    compatible with the even ghost extension.
-    """
+def initial_profile(n: int, grid_size: int, r0: float,
+                    amplitude: float = 0.0) -> RadialProfile:
+    """The one formula of initial data, rho = r0 + amplitude cos(2 theta);
+    cos(2 theta) has vanishing derivative at both ends, as the even ghost
+    extension needs."""
     theta = cached_grid(n, grid_size).theta
-    if kind == "sphere":
-        rho = np.full(grid_size, float(r0))
-    elif kind == "bump":
-        rho = r0 + amplitude * np.cos(2 * theta)
-    elif kind == "tau_family":
-        rho = tau + amplitude * np.cos(2 * theta)
-    else:
-        raise ValueError(f"unknown initial profile kind {kind!r}")
-    return RadialProfile(n=n, rho=rho)
+    return RadialProfile(n=n, rho=r0 + amplitude * np.cos(2 * theta))
 
 
 def sphere_ode_rhs(n: int, rho):

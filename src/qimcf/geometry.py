@@ -23,7 +23,7 @@ geodesic spheres.
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,9 +60,9 @@ class RadialProfile:
 
     @functools.cached_property
     def kernel_values(self) -> "KernelValues":
-        """kernel(grid, rho), read by profile_derivatives and by the first
-        stage of the step from this profile."""
-        return kernel(self.grid, self.rho)
+        """kernel(grid, rho) into a fresh KernelWork, read by
+        profile_derivatives and by the first stage of a step from here."""
+        return kernel(self.grid, self.rho, KernelWork(self.rho.size))
 
 
 class ProfileDerivatives(NamedTuple):
@@ -118,7 +118,7 @@ def angular_coefficient(n: int, theta):
 
 @dataclass(frozen=True)
 class Grid:
-    """The cell-centered grid and every per-node constant of (n, N).
+    """The cell-centered grid of (n, N), its per-node constants, quadrature.
 
     Built once by cached_grid; read-only arrays, as every caller shares them.
     """
@@ -130,6 +130,11 @@ class Grid:
     angular: np.ndarray  # angular_coefficient(n, theta)
     weights: np.ndarray
     volume: float
+
+    def integral(self, values: np.ndarray) -> float:
+        """Integral over S^{4n-1} of an invariant function given at the
+        nodes, by the orbital weights: the constant 1 gives volume."""
+        return self.volume * float(self.weights @ values)
 
 
 @functools.lru_cache(maxsize=64)
@@ -197,8 +202,7 @@ class KernelWork:
         self.scratch = rows[7], rows[8]
 
 
-def kernel(grid: Grid, rho: np.ndarray,
-           work: Optional[KernelWork] = None) -> KernelValues:
+def kernel(grid: Grid, rho: np.ndarray, work: KernelWork) -> KernelValues:
     """The evaluation kernel, all that step and profile_derivatives read.
 
     d is the first difference of rho with a zero at each end, so d[1:] +
@@ -207,16 +211,13 @@ def kernel(grid: Grid, rho: np.ndarray,
     phi' = rho'/s and v = sqrt(1 + phi'^2), H = [hat_H - (phi''/v^2 +
     w phi')/s]/v times v s is K = hat_K - (rho'' s - c rho'^2)/A - w rho'/s.
     The speed v/H is A/(s K) and the CFL quantity is K: no square root.
-    Every pass writes into work (a fresh KernelWork(rho.size) when None;
-    each ufunc's third argument is its out) and returns work.values, so
-    with a given work it allocates nothing.  The ufuncs and their operand
-    order are those of the plain formulas, so every value is bit for bit
-    the same.
-    rho is not checked: callers own the positivity and finiteness checks.
+    Every pass writes into the caller's work (each ufunc's third argument
+    is its out) and returns work.values, allocating nothing.  The ufuncs
+    and their operand order are those of the plain formulas, so every
+    value is bit for bit the same.  rho is not checked: callers own the
+    positivity and finiteness checks.
     """
-    if work is None:
-        work = KernelWork(rho.size)
-    elif work.d.size != rho.size + 1:
+    if work.d.size != rho.size + 1:
         raise ValueError(f"workspace for {work.d.size - 1} nodes, "
                          f"rho has {rho.size}")
     rho_t, rho_tt, s, c, A, hat_K, K = work.values
@@ -377,18 +378,6 @@ def A_norm_sq(profile: RadialProfile, derivs: ProfileDerivatives,
     return traced
 
 
-def orbit_integral(values, n: int) -> float:
-    """Integral over S^{4n-1} of an invariant function given per node.
-
-    The grid is inferred from len(values): cell-centered on (0, pi/2).
-    Midpoint rule with the orbital weight J, normalized so that the
-    constant 1 integrates to Vol(S^{4n-1}) exactly.
-    """
-    values = np.asarray(values, dtype=float)
-    grid = cached_grid(n, values.size)
-    return grid.volume * float(grid.weights @ values)
-
-
 def q_terms(profile: RadialProfile, derivs: ProfileDerivatives):
     """Volume |M|, Q(M) and the flow's dQ/dt from one kernel evaluation.
 
@@ -397,6 +386,7 @@ def q_terms(profile: RadialProfile, derivs: ProfileDerivatives):
     sphericity whose flow limit detects non-constant qc-scalar curvature.
     """
     n = profile.n
+    grid = profile.grid
     H = derivs.H
     sh, ch = derivs.sinh, derivs.cosh
     # an overflowing density or an underflowing volume (large n) gives a
@@ -406,9 +396,9 @@ def q_terms(profile: RadialProfile, derivs: ProfileDerivatives):
         # d mu / d sigma = v sinh^{4n-1} rho cosh^3 rho; the cosh^3 carries
         # the Berger stretching of the three Hopf directions at radius rho
         dens = derivs.v * sh ** (4 * n - 1) * ch ** 3
-        vol = orbit_integral(dens, n)
+        vol = grid.integral(dens)
         pref = float(np.float64(vol) ** (-1 + 1 / (2 * n + 1)))
-        Q = pref * orbit_integral((H - derivs.hat_H) * dens, n)
+        Q = pref * grid.integral((H - derivs.hat_H) * dens)
 
         # dQ/dt: the scaling term, then, under one integral, the
         # sphere-comparison term less the |A|^2 dissipation against speed
@@ -422,9 +412,8 @@ def q_terms(profile: RadialProfile, derivs: ProfileDerivatives):
         # times the unit roundoff, 1.8e-15 at n = 2: 6% of it at rho = 17
         # and more than all of it from rho ~ 18.5.
         sphere = _sphere_excess(n, sh, ch)
-        excess = _a_norm_sq_excess(n, profile.grid.angular, derivs, H,
-                                   sphere)
-        q_rhs = Q / (2 * n + 1) + pref * orbit_integral(
-            (sphere / derivs.v - excess) / H * dens, n)
+        excess = _a_norm_sq_excess(n, grid.angular, derivs, H, sphere)
+        q_rhs = Q / (2 * n + 1) + pref * grid.integral(
+            (sphere / derivs.v - excess) / H * dens)
     return vol, Q, q_rhs
 

@@ -219,6 +219,10 @@ def _sweep_cell(item):
     except (ConfigError, FlowError, ValueError, OSError,
             ArithmeticError) as err:
         result = _failure(err, out_dir)
+    return _cell_row(result, labels)
+
+
+def _cell_row(result: ExperimentResult, labels: dict) -> dict:
     if result.exit_code != EXIT_OK:
         logger.error("sweep cell %s failed with exit code %d: %s",
                      _cell_name(labels), result.exit_code, result.error)
@@ -244,8 +248,8 @@ def sweep(cfg: ExperimentConfig,
     names), then SWEEP_RESULT_COLUMNS.  Failed cells keep their row, with
     verdict FAILED, their exit code, the error's class and message, and
     empty numeric columns, and do not stop the sweep; error is empty for
-    a cell that succeeded.  Cells that would share a directory are
-    refused.
+    a cell that succeeded; a dead worker fails each unfinished cell with
+    BrokenProcessPool.  Cells that would share a directory are refused.
 
     Returns the aggregate rows as dicts in cell order.
     """
@@ -271,8 +275,16 @@ def sweep(cfg: ExperimentConfig,
     if workers > 1:
         # imported here, not at the top: it costs every run ~20 ms and ~1 MB
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, items))
+            futures = [pool.submit(_sweep_cell, item) for item in items]
+            rows = []
+            # a dead worker breaks the pool: each unfinished cell fails
+            for future, (_, cell, labels) in zip(futures, items):
+                try:
+                    rows.append(future.result())
+                except BrokenProcessPool as err:
+                    rows.append(_cell_row(_failure(err, cell), labels))
     else:
         rows = [_sweep_cell(item) for item in items]
 

@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .geometry import RadialProfile, cached_grid, orbit_integral
+from .geometry import RadialProfile, cached_grid
 
 T_USABLE = 10.0  # snapshots earlier than this sit in the initial layer
 VERDICT_TOL = 1e-6  # range threshold separating CONSTANT from NON_CONSTANT
@@ -121,8 +121,8 @@ def limit_Q(factor: ConformalFactor) -> float:
     zp, zpp = _derivatives4(z, grid.dtheta)
     lap = zpp + grid.w * zp
     weight = np.exp(2 * m * factor.f)
-    num = orbit_integral(weight * (z * lap - m * zp**2), n)
-    den = orbit_integral(weight, n)
+    num = grid.integral(weight * (z * lap - m * zp**2))
+    den = grid.integral(weight)
     return den ** (-1 + 1 / m) * num
 
 
@@ -155,17 +155,15 @@ def fit_decay_rate(series: Sequence[Tuple[float, float]],
     """Least-squares exponential rate of a positive series.
 
     Fits log y = rate * t + intercept over the points with t >= t_min and
-    returns the rate.  Decaying series give negative rates.
+    returns the rate, the closed-form slope sum((t - mean t) log y) /
+    sum((t - mean t)^2).  Decaying series give negative rates.
     """
     pts = [(float(t), float(y)) for t, y in series if t >= t_min]
     if len(pts) < 10:
         raise ValueError(f"need at least 10 points with t >= {t_min}, "
                          f"got {len(pts)}")
-    t = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
+    t, y = np.array(pts).T
     if np.any(y <= 0):
         raise ValueError("series values must be positive to fit a log rate")
-    logy = np.log(y)
-    A = np.column_stack([t, np.ones_like(t)])
-    coef, *_ = np.linalg.lstsq(A, logy, rcond=None)
-    return float(coef[0])
+    dt = t - t.mean()
+    return float(dt @ np.log(y) / (dt @ dt))

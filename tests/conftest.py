@@ -21,9 +21,9 @@ class RunData:
     snapshots: List[Tuple[float, RadialProfile]]
 
 
-def execute_run(kind: str, grid_size: int, t_end: float = 40.0,
-                **initial_kwargs) -> RunData:
-    profile = initial_profile(2, grid_size, kind, **initial_kwargs)
+def execute_run(grid_size: int, r0: float, amplitude: float = 0.0,
+                t_end: float = 40.0) -> RunData:
+    profile = initial_profile(2, grid_size, r0, amplitude)
     snapshots = []
 
     def keep(state, record):
@@ -36,24 +36,24 @@ def execute_run(kind: str, grid_size: int, t_end: float = 40.0,
 
 @pytest.fixture(scope="session")
 def sphere_run():
-    return execute_run("sphere", 256, r0=2.0)
+    return execute_run(256, 2.0)
 
 
 @pytest.fixture(scope="session")
 def bump_run():
-    return execute_run("bump", 256, r0=3.0, amplitude=0.1)
+    return execute_run(256, 3.0, 0.1)
 
 
 @pytest.fixture(scope="session")
 def bump_run_fine():
-    return execute_run("bump", 512, r0=3.0, amplitude=0.1)
+    return execute_run(512, 3.0, 0.1)
 
 
 @pytest.fixture(scope="session")
 def tau_run():
-    return execute_run("tau_family", 256, tau=4.0, amplitude=0.1)
+    return execute_run(256, 4.0, 0.1)
 
 
 @pytest.fixture(scope="session")
 def tau_run_fine():
-    return execute_run("tau_family", 512, tau=4.0, amplitude=0.1)
+    return execute_run(512, 4.0, 0.1)

@@ -202,8 +202,7 @@ def test_criterion_9_exact_identities():
             dual_err = max(dual_err, abs(
                 A_norm_sq(profile, derivs, k) - closed[k]))
 
-    spheres = [initial_profile(2, 256, "sphere", r0=r)
-               for r in (1.0, 2.0, 3.5)]
+    spheres = [initial_profile(2, 256, r) for r in (1.0, 2.0, 3.5)]
     q_sphere = max(abs(q_terms(p, profile_derivatives(p))[1])
                    for p in spheres)
 

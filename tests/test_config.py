@@ -218,6 +218,16 @@ INVALID = [
      "output.snapshot_every = 50 gives fewer"),
 ]
 
+# (attribute, value, message): a value of the wrong type, which only
+# library code can pass, as the parser and override_config convert first
+WRONG_TYPE = [
+    ("n", 2.5, "n expects int, got 2.5"),
+    ("n", True, "n expects int, got True"),
+    ("grid_points", 64.0, "grid.points expects int, got 64.0"),
+    ("initial_r0", "3", "initial.r0 expects float, got '3'"),
+    ("initial_kind", None, "initial.kind expects str, got None"),
+]
+
 
 def test_every_way_of_building_refuses_invalid_values():
     for key, attr, value, message in INVALID:
@@ -225,6 +235,8 @@ def test_every_way_of_building_refuses_invalid_values():
         text = f"[{section}]\n{name} = {value}" if section else \
             f"{name} = {value}"
         for build in (lambda: ExperimentConfig(**{attr: value}),
+                      lambda: dataclasses.replace(ExperimentConfig(),
+                                                  **{attr: value}),
                       lambda: parse_config(text),
                       lambda: override_config(ExperimentConfig(), key,
                                               str(value))):
@@ -232,6 +244,13 @@ def test_every_way_of_building_refuses_invalid_values():
                 build()
             assert str(excinfo.value) == message
             assert excinfo.value.line is None
+    for attr, value, message in WRONG_TYPE:
+        for build in (lambda: ExperimentConfig(**{attr: value}),
+                      lambda: dataclasses.replace(ExperimentConfig(),
+                                                  **{attr: value})):
+            with pytest.raises(ConfigError) as excinfo:
+                build()
+            assert str(excinfo.value) == message
 
 
 def test_record_window_boundary():
@@ -294,7 +313,7 @@ def test_last_record_matches_run_flow(monkeypatch):
     monkeypatch.setattr(flow, "step", lambda state, ctrl, dt_cap: (
         dataclasses.replace(state, t=state.t + dt_cap)))
     monkeypatch.setattr(flow, "diagnostics_record", lambda state: state.t)
-    state0 = FlowState(t=0.0, profile=initial_profile(2, 32, "sphere"))
+    state0 = FlowState(t=0.0, profile=initial_profile(2, 32, 1.0))
     rng = np.random.default_rng(0)
     for _ in range(50):
         every = float(rng.uniform(0.05, 2.0))

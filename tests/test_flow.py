@@ -1,6 +1,7 @@
 """Time integration: sphere ODE, method-of-lines PDE, evolution laws."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from qimcf.flow import (MAX_STAGES, METHODS, NonFiniteState, StiffnessError,
                         _half_stencil_eigenvalues, _require_mean_convex,
                         diagnostics_record, method_edges, record_index,
                         ssprk2, stage_edge)
-from qimcf.geometry import cached_grid, kernel, q_terms
+from qimcf.config import ExperimentConfig, check_mean_convexity
+from qimcf.geometry import KernelWork, cached_grid, kernel, q_terms
 
 SPHERE_RHS_2_1 = 0.08713815200031506  # sinh cosh / (7 cosh^2 + 3 sinh^2) at 1
 HEUN = ssprk2(2)
@@ -25,7 +27,7 @@ HEUN_EDGE = {2: 0.999698931351304, 3: 0.9990977132692933,
 
 
 def sphere_state(r0, N=64, n=2):
-    return FlowState(t=0.0, profile=initial_profile(n, N, "sphere", r0=r0))
+    return FlowState(t=0.0, profile=initial_profile(n, N, r0))
 
 
 def test_sphere_ode_rhs_values():
@@ -81,8 +83,7 @@ def test_pde_rhs_is_v_over_H():
     # moves rho by dt v/H up to O(dt^2) (2.9e-5 dt^2 here), so no hidden
     # factor (sinh rho, area weights) sneaks in; dropping v alone leaves
     # 2e-2 dt^2 at dt = 1e-3
-    state = FlowState(t=0.0, profile=initial_profile(
-        2, 256, "bump", r0=3.0, amplitude=0.1))
+    state = FlowState(t=0.0, profile=initial_profile(2, 256, 3.0, 0.1))
     d = profile_derivatives(state.profile)
     errors = []
     for dt in (2e-3, 1e-3):
@@ -155,14 +156,14 @@ def test_diagnostics_record_evaluates_once(monkeypatch):
     calls = []
     kernel = qimcf.geometry.kernel
 
-    def counting(grid, rho, work=None):
+    def counting(grid, rho, work):
         calls.append(rho.size)
         return kernel(grid, rho, work)
 
     monkeypatch.setattr(qimcf.geometry, "kernel", counting)
     monkeypatch.setattr(qimcf.flow, "kernel", counting)
-    diagnostics_record(FlowState(t=0.0, profile=initial_profile(
-        2, 128, "bump", r0=3.0, amplitude=0.1)))
+    diagnostics_record(FlowState(t=0.0,
+                                 profile=initial_profile(2, 128, 3.0, 0.1)))
     assert calls == [128]
 
 
@@ -175,8 +176,7 @@ def test_step_preserves_constancy():
 
 
 def test_step_volume_growth_rate():
-    state = FlowState(t=0.0, profile=initial_profile(
-        2, 256, "bump", r0=3.0, amplitude=0.1))
+    state = FlowState(t=0.0, profile=initial_profile(2, 256, 3.0, 0.1))
     v0 = q_terms(state.profile, profile_derivatives(state.profile))[0]
     nxt = step(state, StepControl(t_end=1.0))
     v1 = q_terms(nxt.profile, profile_derivatives(nxt.profile))[0]
@@ -208,7 +208,7 @@ def test_stage_rule_second_order_convergence(stages, ratio):
     # before SSPRK(s,2) in METHODS and at most its own: every step is
     # taken at dt_max with SSPRK(s,2), and halving dt_max quarters the
     # error
-    profile = initial_profile(2, 64, "bump", r0=3.0, amplitude=0.1)
+    profile = initial_profile(2, 64, 3.0, 0.1)
     ev = profile_derivatives(profile)
     bound = profile.grid.dtheta**2 * (ev.H * ev.sinh * ev.v).min()**2 / 2
     T = 0.08
@@ -229,7 +229,7 @@ def test_stage_rule_second_order_convergence(stages, ratio):
 
 def test_three_stage_step_is_ssprk33():
     # Shu and Osher's three stages, written out by hand
-    profile = initial_profile(2, 64, "bump", r0=3.0, amplitude=0.1)
+    profile = initial_profile(2, 64, 3.0, 0.1)
     nxt = step(FlowState(t=0.0, profile=profile), StepControl(t_end=1.0))
     assert nxt.evaluations == 3
     assert nxt.steps_by_method == (1,) + (0,) * (len(METHODS) - 1)
@@ -252,14 +252,14 @@ def test_step_matches_fresh_kernel_shu_osher_loop(r0, N, index):
     # the Shu-Osher loop with one fresh kernel call per stage, for
     # SSPRK(3,3), SSPRK(3,2) and SSPRK(7,2); the profile stepped from
     # keeps its kernel_values and shares no memory with the new rho
-    profile = initial_profile(2, N, "bump", r0=r0, amplitude=0.1)
+    profile = initial_profile(2, N, r0, 0.1)
     ctrl = StepControl(t_end=40.0)
     kept = [field.copy() for field in profile.kernel_values]
     nxt = step(FlowState(t=0.0, profile=profile), ctrl)
     assert nxt.steps_by_method[index] == 1
 
     grid, rho = profile.grid, profile.rho
-    ker = kernel(grid, rho)
+    ker = kernel(grid, rho, KernelWork(N))
     m = ker.K.min()
     base = ctrl.cfl_safety * grid.dtheta**2 * m * m / 2
     method = METHODS[index]
@@ -268,7 +268,7 @@ def test_step_matches_fresh_kernel_shu_osher_loop(r0, N, index):
     y = rho.copy()
     for i, a in enumerate(method.a):
         if i:
-            ker = kernel(grid, y)
+            ker = kernel(grid, y, KernelWork(N))
         y = y + method.c * dt * ker.A / (ker.sinh * ker.K)
         if a:
             y = (1 - a) * y + a * rho
@@ -311,9 +311,7 @@ def test_step_dt_max_binds_on_reference_runs(kind, radius, N, shift, scale):
     # the reference runs (amplitude 0.1, t_end 40), with r0/tau shifted by
     # 0.01 and amplitude scaled by 0.98/1.02, step at dt_max, not at the
     # CFL bound; t = 0 has the tightest bound, which grows with rho
-    key = "r0" if kind == "bump" else "tau"
-    profile = initial_profile(2, N, kind, amplitude=0.1 * scale,
-                              **{key: radius + shift})
+    profile = initial_profile(2, N, radius + shift, 0.1 * scale)
     ctrl = StepControl(t_end=40.0)
     assert step(FlowState(t=0.0, profile=profile), ctrl).last_dt == \
         ctrl.dt_max
@@ -402,7 +400,7 @@ def test_heun_edge_holds_across_grid_sizes(n, N):
 def test_speed_jacobian_spectrum_sets_the_cfl_bound(kind, r0):
     # for n = 2 the linearized speed is real-spectrum diffusion whose most
     # negative eigenvalue, times the edge-1 CFL dt, is Heun's edge -2
-    profile = initial_profile(2, 64, kind, r0=r0, amplitude=0.1)
+    profile = initial_profile(2, 64, r0, 0.0 if kind == "sphere" else 0.1)
     grid = profile.grid
 
     def speed(rho):
@@ -428,19 +426,34 @@ def test_default_step_is_stable_near_the_pole(n, N, r0, amplitude, t_end):
     # n = 32 case also loses it at node 0 near t = 0.01 under a two-stage
     # Runge-Kutta-Chebyshev step, whose stability polynomial is Heun's but
     # whose stages are not forward-Euler substeps
-    profile = initial_profile(n, N, "bump", r0=r0, amplitude=amplitude)
+    profile = initial_profile(n, N, r0, amplitude)
     final, records = run_flow(FlowState(t=0.0, profile=profile),
                               StepControl(t_end=t_end), record_every=t_end)
     assert final.t == t_end
     assert min(r.H_min for r in records) > 0
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"t_end": math.nan}, "t_end must be finite, got nan"),
+    ({"t_end": math.inf}, "t_end must be finite, got inf"),
+    ({"t_end": 40.0, "dt_max": math.nan}, "dt_max must be finite, got nan")],
+    ids=["t_end-nan", "t_end-inf", "dt_max-nan"])
+def test_step_control_refuses_non_finite_values(kwargs, message):
+    # a NaN t_end used to end run_flow at t = 0, an infinite one to
+    # overflow in record_index, and a NaN dt_max to fail as a negative
+    # trial stage
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StepControl(**kwargs)
+
+
 def test_step_control_validation():
     with pytest.raises(ValueError):
         StepControl(t_end=1.0, cfl_safety=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^cfl_safety must be in \(0,1\], got 1.5$"):
         StepControl(t_end=1.0, cfl_safety=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^t_end must be positive, got -1.0$"):
         StepControl(t_end=-1.0)
     with pytest.raises(StiffnessError):
         step(sphere_state(1.0), StepControl(t_end=1.0), dt_cap=1e-13)
@@ -499,7 +512,7 @@ def test_run_flow_records_land_on_cadence():
 
 def test_run_flow_from_a_later_start():
     # the records after state0 keep to the cadence and go forward in time
-    state0 = FlowState(t=2.0, profile=initial_profile(2, 32, "sphere", r0=3.0))
+    state0 = FlowState(t=2.0, profile=initial_profile(2, 32, 3.0))
     final, records = run_flow(state0, StepControl(t_end=3.0),
                               record_every=0.5)
     assert [r.t for r in records] == [2.0, 2.5, 3.0]
@@ -573,7 +586,7 @@ def test_q_rhs_keeps_its_digits_at_large_radius():
     # |A|^2 ~ 4(n+2) first would scatter it over +-2e-7; resolved, it is
     # grid-converged
     q_rhs = [q_terms(p, profile_derivatives(p))[2]
-             for p in (initial_profile(2, N, "bump", r0=12.0, amplitude=0.1)
+             for p in (initial_profile(2, N, 12.0, 0.1)
                        for N in (64, 256))]
     assert -1.3e-11 < q_rhs[1] < -1.1e-11
     assert abs(q_rhs[0] - q_rhs[1]) <= 1e-13
@@ -603,12 +616,18 @@ def test_diagnostics_record_fields():
 
 
 def test_initial_profile_kinds():
+    # one formula, rho = r0 + amplitude cos(2 theta); the config's kinds
+    # map onto it: tau_family's r0 is tau, and a sphere has amplitude 0
     theta = cached_grid(2, 64).theta
-    s = initial_profile(2, 64, "sphere", r0=1.5)
-    assert np.all(s.rho == 1.5)
-    b = initial_profile(2, 64, "bump", r0=3.0, amplitude=0.1)
-    assert np.allclose(b.rho, 3.0 + 0.1 * np.cos(2 * theta))
-    f = initial_profile(2, 64, "tau_family", tau=4.0, amplitude=0.2)
-    assert np.allclose(f.rho, 4.0 + 0.2 * np.cos(2 * theta))
-    with pytest.raises(ValueError):
-        initial_profile(2, 64, "torus")
+    assert np.all(initial_profile(2, 64, 1.5).rho == 1.5)
+    b = initial_profile(2, 64, 3.0, 0.1)
+    assert b.rho.tobytes() == (3.0 + 0.1 * np.cos(2 * theta)).tobytes()
+    base = ExperimentConfig(grid_points=64, initial_r0=3.0,
+                            initial_amplitude=0.2, initial_tau=4.0)
+    for kind, r0, amplitude in (("sphere", 3.0, 0.0), ("bump", 3.0, 0.2),
+                                ("tau_family", 4.0, 0.2)):
+        cfg = replace(base, initial_kind=kind)
+        assert check_mean_convexity(cfg).rho.tobytes() == \
+            initial_profile(2, 64, r0, amplitude).rho.tobytes()
+    with pytest.raises(ValueError, match="rho must be positive"):
+        initial_profile(2, 64, 0.1, 0.2)

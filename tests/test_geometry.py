@@ -7,7 +7,7 @@ import pytest
 
 from qimcf import (A_norm_sq, RadialProfile, cached_grid,
                    general_mean_curvature, hat_H, initial_profile, kernel,
-                   orbit_integral, profile_derivatives, shape_operator_adapted)
+                   profile_derivatives, shape_operator_adapted)
 from qimcf.geometry import KernelWork, q_terms, reduced_weight
 
 COTH1 = 1.3130352854993313      # coth(1)
@@ -19,7 +19,7 @@ TOTAL_VOL_2_1 = 369.34282478192679  # Vol(S^7) sinh(1)^7 cosh(1)^3
 
 
 def bump(n=2, N=256, r0=3.0, a=0.1):
-    return initial_profile(n, N, "bump", r0=r0, amplitude=a)
+    return initial_profile(n, N, r0, a)
 
 
 def test_hat_H_values():
@@ -129,9 +129,9 @@ def test_kernel_speed_and_cfl_quantity(kind):
             if kind == "steep_pole":
                 rho = 0.3 + 0.05 * np.exp(-(grid.theta / 0.05)**2)
             else:
-                rho = initial_profile(n, N, kind, r0=3.0, amplitude=0.1,
-                                      tau=8.0).rho
-            k = kernel(grid, rho)
+                r0 = 3.0 if kind == "bump" else 8.0
+                rho = initial_profile(n, N, r0, 0.1).rho
+            k = kernel(grid, rho, KernelWork(N))
             ev = profile_derivatives(RadialProfile(n, rho))
             v, H, sh = _phi_route(grid, rho)
             speed = k.A / (k.sinh * k.K)
@@ -157,7 +157,7 @@ def test_kernel_workspace_is_bit_identical():
         K = hat_K - (rho_tt * s - c * (rho_t * rho_t)) / A \
             - grid.w * rho_t / s
         plain = (rho_t, rho_tt, s, c, A, hat_K, K)
-        fresh = kernel(grid, rho)
+        fresh = kernel(grid, rho, KernelWork(rho.size))
         reused = kernel(grid, rho, work)
         assert reused is work.values
         for a, b, p in zip(fresh, reused, plain):
@@ -167,7 +167,7 @@ def test_kernel_workspace_is_bit_identical():
 
 
 def test_derivatives_constant_profile():
-    prof = initial_profile(2, 128, "sphere", r0=1.3)
+    prof = initial_profile(2, 128, 1.3)
     d = profile_derivatives(prof)
     assert np.all(d.phi_t == 0)
     assert np.all(d.phi_tt == 0)
@@ -194,12 +194,12 @@ def test_derivatives_match_analytic_bump():
 
 
 def test_mean_curvature_constant_profile():
-    prof = initial_profile(2, 64, "sphere", r0=1.0)
+    prof = initial_profile(2, 64, 1.0)
     d = profile_derivatives(prof)
     H = d.H
     assert np.max(np.abs(H - HAT_H_2_1)) < 1e-12
     assert abs(d.H[17] - HAT_H_2_1) < 1e-12
-    far = initial_profile(2, 64, "sphere", r0=40.0)
+    far = initial_profile(2, 64, 40.0)
     Hfar = profile_derivatives(far).H
     assert np.max(np.abs(Hfar - 10.0)) < 1e-12
 
@@ -251,7 +251,7 @@ def test_general_mean_curvature():
 
 
 def test_shape_operator_constant_profile():
-    prof = initial_profile(2, 64, "sphere", r0=1.0)
+    prof = initial_profile(2, 64, 1.0)
     d = profile_derivatives(prof)
     S = shape_operator_adapted(prof, d, 10)
     assert S.shape == (7, 7)
@@ -283,13 +283,13 @@ def test_shape_operator_trace_and_couplings():
 
 
 def test_a_norm_sq_constant_profile():
-    prof = initial_profile(2, 64, "sphere", r0=1.0)
+    prof = initial_profile(2, 64, 1.0)
     d = profile_derivatives(prof)
     val = A_norm_sq(prof, d, 30)
     assert abs(val - A2_CONST_2_1) < 1e-12
     # structural form (4n-4) coth^2 + 3 (2 coth 2 rho)^2
     assert abs(val - (4 * COTH1**2 + 3 * TWO_COTH2**2)) < 1e-12
-    far = initial_profile(2, 64, "sphere", r0=40.0)
+    far = initial_profile(2, 64, 40.0)
     dfar = profile_derivatives(far)
     assert abs(A_norm_sq(far, dfar, 30) - 16.0) < 1e-10
 
@@ -317,7 +317,7 @@ def test_q_terms_volume_carries_v():
     # a steep bump, v - 1 up to 0.14: the area density v sinh^7 cosh^3
     # with v from the analytic rho' = -2a sin(2 theta); without v the
     # volume is 5.6% low, the discrete rho' moves it by 2.7e-6
-    prof = initial_profile(2, 256, "bump", r0=1.0, amplitude=0.3)
+    prof = initial_profile(2, 256, 1.0, 0.3)
     rho = prof.rho
     v = np.sqrt(1 + (-0.6 * np.sin(2 * prof.theta) / np.sinh(rho))**2)
     assert 0.1 < v.max() - 1 < 0.15
@@ -352,22 +352,21 @@ def test_sphere_volume_large_n():
     assert unit_sphere_volume(109) >= tiny > unit_sphere_volume(110) > 0
 
 
-def test_orbit_integral_constant_and_linearity():
-    ones = np.ones(256)
-    assert abs(orbit_integral(ones, 2) - VOL_S7) < 1e-10
+def test_grid_integral_constant_and_linearity():
+    grid = cached_grid(2, 256)
+    assert abs(grid.integral(np.ones(256)) - VOL_S7) < 1e-10
     rng = np.random.default_rng(15)
     f = rng.standard_normal(256)
     g = rng.standard_normal(256)
-    lin = orbit_integral(2.0 * f - 3.0 * g, 2)
-    assert abs(lin - (2 * orbit_integral(f, 2) - 3 * orbit_integral(g, 2))) \
-        < 1e-10
+    lin = grid.integral(2.0 * f - 3.0 * g)
+    assert abs(lin - (2 * grid.integral(f) - 3 * grid.integral(g))) < 1e-10
 
 
-def test_orbit_integral_refinement():
+def test_grid_integral_refinement():
     vals = {}
     for N in (128, 256, 512):
-        theta = cached_grid(2, N).theta
-        vals[N] = orbit_integral(np.exp(np.sin(2 * theta)), 2)
+        grid = cached_grid(2, N)
+        vals[N] = grid.integral(np.exp(np.sin(2 * grid.theta)))
     coarse = abs(vals[128] - vals[256])
     fine = abs(vals[256] - vals[512])
     assert fine < coarse
@@ -375,7 +374,7 @@ def test_orbit_integral_refinement():
 
 
 def test_total_volume_and_Q():
-    sphere = initial_profile(2, 256, "sphere", r0=1.0)
+    sphere = initial_profile(2, 256, 1.0)
     volume = q_terms(sphere, profile_derivatives(sphere))[0]
     assert abs(volume - TOTAL_VOL_2_1) < 1e-9
     assert q_terms(sphere, profile_derivatives(sphere))[1] == 0.0

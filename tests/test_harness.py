@@ -4,9 +4,11 @@ import csv
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -197,7 +199,7 @@ def test_run_experiment_kernel_calls(tmp_path, monkeypatch):
     calls = []
     kernel = qimcf.geometry.kernel
 
-    def counting(grid, rho, work=None):
+    def counting(grid, rho, work):
         calls.append(rho.size)
         return kernel(grid, rho, work)
 
@@ -551,6 +553,53 @@ def test_sweep_cell_failure_keeps_other_cells(tmp_path, monkeypatch, exc):
     assert [r["verdict"] for r in rows] == ["FAILED", "NON_CONSTANT"]
     assert [r["error"] for r in rows] == [f"{type(exc).__name__}: {exc}", ""]
     assert (tmp_path / "sw" / "sweep.csv").exists()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched run_experiment only "
+                           "when forked")
+def test_sweep_dead_worker_keeps_other_cells_rows(tmp_path, monkeypatch,
+                                                  capsys):
+    # a worker that dies breaks the process pool: the cells finished
+    # before keep their rows, the dead one fails with BrokenProcessPool,
+    # sweep.csv is written and qimcf sweep exits 1
+    real, parent = run_experiment, os.getpid()
+
+    def dying(cfg, out_dir=None):
+        if (cfg.initial_tau, cfg.initial_amplitude) != (4.0, 0.1):
+            return real(cfg, out_dir=out_dir)
+        # the last cell dies once the other three have written their runs
+        deadline = time.monotonic() + 60
+        while (len(list(Path(out_dir).parent.glob("*/report.json"))) < 3
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        time.sleep(0.2)
+        if os.getpid() != parent:
+            os._exit(1)
+        raise RuntimeError("the dying cell ran outside a worker")
+
+    monkeypatch.setattr("qimcf.harness.run_experiment", dying)
+    vary = [("initial.tau", ["3.5", "4.0"]),
+            ("initial.amplitude", ["0.05", "0.1"])]
+    rows = sweep(fast_cfg(initial_kind="tau_family", t_end=10.5), vary,
+                 out_dir=str(tmp_path / "sw"), max_workers=2)
+    assert [r["exit_code"] for r in rows] == [0, 0, 0, EXIT_CONFIG]
+    assert [r["verdict"] for r in rows][3] == "FAILED"
+    assert rows[3]["error"].startswith("BrokenProcessPool: ")
+    header, csv_rows = read_csv(tmp_path / "sw" / "sweep.csv")
+    assert [row[header.index("exit_code")] for row in csv_rows] == \
+        ["0", "0", "0", "1"]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    text = CONFIG_TEXT.replace("kind = bump", "kind = tau_family") \
+        .replace("t_end = 21.0", "t_end = 10.5")
+    code = main(["sweep", "--config", write_cfg(tmp_path, text),
+                 "--vary", "initial.tau=3.5,4.0",
+                 "--vary", "initial.amplitude=0.05,0.1",
+                 "--out", str(tmp_path / "cli")])
+    assert code == EXIT_CONFIG
+    assert "sweep complete: 4 cells, 1 failed" in capsys.readouterr().out
+    assert (tmp_path / "cli" / "sweep.csv").exists()
 
 
 def test_sweep_product_order_and_naming(tmp_path):

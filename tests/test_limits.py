@@ -105,7 +105,7 @@ def test_extract_is_stable_in_final_time(bump_run):
 def test_extract_quotients_out_initial_radius(tau_run):
     # two members of the tau family differing only by the starting
     # radius settle to the same zero-mean limit profile
-    shifted = execute_run("tau_family", 256, tau=4.5, amplitude=0.1)
+    shifted = execute_run(256, 4.5, 0.1)
     f_a = extract_conformal_factor(tau_run.snapshots).f
     f_b = extract_conformal_factor(shifted.snapshots).f
     assert np.max(np.abs(f_a - f_b)) < 1e-4
