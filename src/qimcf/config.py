@@ -5,7 +5,8 @@ single global key `n` appears before any section.  Blank lines are
 ignored and `#` starts a comment.  Unknown keys and bad types are
 rejected with the offending line number, which is why this stays a
 hand-rolled parser rather than an off-the-shelf INI reader; invalid
-values are refused by ExperimentConfig itself, however it is built.
+values are refused by ExperimentConfig itself, however it is built, the
+time axis by StepControl and the initial profile by flow.checked_min_K.
 
 Example:
 
@@ -29,12 +30,11 @@ Example:
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .flow import StepControl, initial_profile, last_record, record_index
-from .geometry import profile_derivatives
+from .flow import (NodeFailure, StepControl, checked_min_K, initial_profile,
+                   last_record, record_index)
 from .limits import T_USABLE
 
 INITIAL_KINDS = ("sphere", "bump", "tau_family")
@@ -64,7 +64,7 @@ class ExperimentConfig:
     t_end: float = 40.0
     cfl_safety: float = StepControl.cfl_safety
     output_dir: str = "out"
-    snapshot_every: float = 0.5
+    snapshot_every: float = StepControl.record_every
 
     def __post_init__(self):
         for (section, key), (attr, conv) in _SCHEMA.items():
@@ -95,17 +95,12 @@ class ExperimentConfig:
             raise ConfigError(f"initial.amplitude must be >= 0, "
                               f"got {self.initial_amplitude}")
         try:
-            StepControl(t_end=self.t_end, cfl_safety=self.cfl_safety)
+            StepControl(t_end=self.t_end, cfl_safety=self.cfl_safety,
+                        record_every=self.snapshot_every)
         except ValueError as err:
-            raise ConfigError(f"time.{err}")
+            raise ConfigError(re.sub(r"\w+", lambda m: _STEP_CONTROL_KEYS.get(
+                m[0], m[0]), str(err)))
         every = self.snapshot_every
-        if every <= 0:
-            raise ConfigError(
-                f"output.snapshot_every must be positive, got {every}")
-        if not math.isfinite(self.t_end / every):
-            raise ConfigError(
-                f"time.t_end / output.snapshot_every overflows: "
-                f"{self.t_end:g} / {every:g}")
         # the limit analysis needs the first record at t >= T_USABLE to be
         # followed by another
         if record_index(every, T_USABLE) >= last_record(every, self.t_end)[0]:
@@ -130,6 +125,9 @@ _SCHEMA = {
 }
 
 _SECTIONS = {s for s, _ in _SCHEMA if s}
+# the config key of each StepControl field that ExperimentConfig sets
+_STEP_CONTROL_KEYS = {"t_end": "time.t_end", "cfl_safety": "time.cfl_safety",
+                      "record_every": "output.snapshot_every"}
 _TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
@@ -151,8 +149,8 @@ def check_mean_convexity(cfg: ExperimentConfig):
 
     The only map of the config's kinds onto initial_profile: tau_family's
     r0 is tau, a sphere's amplitude is 0.  The flow speed 1/H is undefined
-    at H <= 0, so the run must not start; the error lists the offending
-    theta values to make the bad amplitude obvious.
+    at H <= 0, so the run must not start; flow.checked_min_K, every
+    stage's guard, checks the kernel values that the first step reads.
     """
     kind = cfg.initial_kind
     r0 = cfg.initial_tau if kind == "tau_family" else cfg.initial_r0
@@ -161,14 +159,10 @@ def check_mean_convexity(cfg: ExperimentConfig):
         profile = initial_profile(cfg.n, cfg.grid_points, r0, amplitude)
     except ValueError as err:
         raise ConfigError(f"initial profile is not a radial graph: {err}")
-    H = profile_derivatives(profile).H
-    bad = np.flatnonzero(H <= 0)
-    if bad.size:
-        shown = ", ".join(f"{profile.theta[k]:.4f}" for k in bad[:5])
-        more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
-        raise ConfigError(
-            f"initial profile is not mean convex: H <= 0 at theta = "
-            f"{shown}{more}; min H = {H.min():.6g}")
+    try:
+        checked_min_K(profile.kernel_values, 0.0, profile.theta)
+    except NodeFailure as err:
+        raise ConfigError(f"initial profile is not mean convex: {err}")
     return profile
 
 

@@ -10,6 +10,8 @@ wherever its stability edge covers the step wanted, else the optimal
 second-order SSPRK(s,2) with the fewest stages that does.  The step
 obeys a parabolic CFL restriction derived from linearizing the speed in
 phi'', scaled by each method's stability edge for the pole drift of n.
+StepControl checks the time axis, checked_min_K every profile evaluated,
+and each failure class carries the exit code of a run that it stops.
 
 Everything is deterministic: fixed evaluation order, no threading inside
 a run.
@@ -56,7 +58,7 @@ METHODS = ((Method("SSPRK(3,3)", 1.0, (0.0, 3 / 4, 1 / 3)),)
 
 
 class FlowError(Exception):
-    """Base class for integration failures."""
+    """Base class for integration failures; a classified one has exit_code."""
 
 
 class NodeFailure(FlowError):
@@ -76,18 +78,20 @@ class NodeFailure(FlowError):
 class MeanConvexityLost(NodeFailure):
     """H <= 0 appeared at some node; the 1/H speed is no longer defined."""
 
-    cause = "mean convexity lost"
+    cause, exit_code = "mean convexity lost", 2
 
 
 class NonFiniteState(NodeFailure):
     """H is NaN or infinite at some node, e.g. once sinh(rho) overflows."""
 
-    cause = "non-finite state"
+    cause, exit_code = "non-finite state", 4
 
 
 class NonFiniteRecord(FlowError):
     """A record's volume, Q or q_rhs is NaN or infinite, e.g. on overflow,
     or its volume underflowed below the smallest normal float."""
+
+    exit_code = 4
 
     def __init__(self, t: float, quantity: str, value: float):
         self.t, self.quantity = t, quantity
@@ -97,6 +101,8 @@ class NonFiniteRecord(FlowError):
 
 class StiffnessError(FlowError):
     """CFL-admissible step size collapsed below the underflow floor."""
+
+    exit_code = 3
 
     def __init__(self, t: float, dt: float):
         self.t = t
@@ -127,8 +133,9 @@ class FlowState:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Explicit-stepping parameters, checked here alone (ExperimentConfig
-    builds one): t_end, dt_max finite and positive, cfl_safety in (0, 1].
+    """Explicit-stepping parameters and run_flow's record cadence, checked
+    here alone (ExperimentConfig builds one): t_end, dt_max, record_every
+    finite and positive, t_end / record_every finite, cfl_safety in (0, 1].
 
     step takes dt = min(dt_max, cfl_safety times the stability edge of the
     first method of METHODS that reaches dt_max times dtheta^2 min(K)^2/2,
@@ -150,15 +157,19 @@ class StepControl:
     # bound of 1e-6 (a cap of 0.25 put that sphere at 9.7e-7).
     dt_max: float = 1 / 6
     cfl_safety: float = 0.8
+    record_every: float = 0.5
 
     def __post_init__(self):
-        for name in ("t_end", "dt_max"):
+        for name in ("t_end", "dt_max", "record_every"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 need = "positive" if value <= 0 else "finite"
                 raise ValueError(f"{name} must be {need}, got {value}")
         if not 0 < self.cfl_safety <= 1:
             raise ValueError(f"cfl_safety must be in (0,1], got {self.cfl_safety}")
+        if not math.isfinite(self.t_end / self.record_every):
+            raise ValueError(f"t_end / record_every overflows: "
+                             f"{self.t_end:g} / {self.record_every:g}")
 
 
 @dataclass(frozen=True)
@@ -200,8 +211,10 @@ def sphere_ode_rhs(n: int, rho):
 
 def integrate_sphere_ode(n: int, rho0: float, t_end: float, dt: float):
     """Classical RK4 for the sphere ODE; returns (times, radii) arrays."""
-    if rho0 <= 0 or dt <= 0:
-        raise ValueError("rho0 and dt must be positive")
+    for name, value in (("rho0", rho0), ("t_end", t_end), ("dt", dt)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {value}")
     times = [0.0]
     radii = [float(rho0)]
     t, rho = 0.0, float(rho0)
@@ -218,27 +231,23 @@ def integrate_sphere_ode(n: int, rho0: float, t_end: float, dt: float):
     return np.array(times), np.array(radii)
 
 
-def _require_mean_convex(H: np.ndarray, t: float, theta: np.ndarray):
-    """Raise unless every H is positive and finite; non-finite H is
-    reported first."""
-    # min is NaN when any H is, so two reductions cover every case
-    if H.min() > 0 and H.max() < math.inf:
-        return
+def checked_min_K(ker, t: float, theta: np.ndarray) -> float:
+    """min K = min H v sinh(rho) of kernel values ker when every K is
+    positive and finite, else NonFiniteState at the first node where
+    H = K/sqrt(A) is not finite, else MeanConvexityLost at the smallest H:
+    the one node guard of every stage and of the config's initial profile."""
+    # the ufunc reductions skip ndarray.min's Python wrapper, ~1 us a call;
+    # min is NaN when any K is, so two reductions cover every case
+    m = np.minimum.reduce(ker.K)
+    if m > 0 and np.maximum.reduce(ker.K) < math.inf:
+        return float(m)
+    H = ker.K / np.sqrt(ker.A)
     finite = np.isfinite(H)
     if finite.all():
         k, error = int(np.argmin(H)), MeanConvexityLost
     else:
         k, error = int(np.argmin(finite)), NonFiniteState
     raise error(t, k, float(theta[k]), float(H[k]))
-
-
-def _checked_min_K(ker, t: float, theta: np.ndarray) -> float:
-    """min K = min H v sinh(rho), after _require_mean_convex's checks."""
-    # the ufunc reductions skip ndarray.min's Python wrapper, ~1 us a call
-    m = np.minimum.reduce(ker.K)
-    if not (m > 0 and np.maximum.reduce(ker.K) < math.inf):
-        _require_mean_convex(ker.K / np.sqrt(ker.A), t, theta)
-    return float(m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -314,13 +323,15 @@ def step(state: FlowState, ctrl: StepControl,
     v/H = A/(sinh(rho) K), averaged with rho by the method's weight a_i;
     the first stage reads the profile's kernel_values, which a record made
     at this state has already evaluated, and the later stages evaluate
-    into one KernelWork that the step owns and drops.
+    into one KernelWork that the step owns and drops.  A stage mixes rho
+    and y + h A/(sinh(rho) K), K > 0, so it is never <= 0; a NaN one is
+    named, with its node, by the next evaluation's checked_min_K.
     """
     profile = state.profile
     grid = profile.grid
     rho = profile.rho
     ker = profile.kernel_values
-    m = _checked_min_K(ker, state.t, grid.theta)
+    m = checked_min_K(ker, state.t, grid.theta)
     base = ctrl.cfl_safety * grid.dtheta**2 * m * m / 2
     want = ctrl.dt_max if dt_cap is None else min(ctrl.dt_max, dt_cap)
     edges = method_edges(profile.n)
@@ -340,11 +351,8 @@ def step(state: FlowState, ctrl: StepControl,
     inc, den = work.scratch
     for i, a in enumerate(method.a):
         if i:
-            if not np.minimum.reduce(y) > 0:
-                raise ValueError(
-                    f"trial stage rho <= 0, min rho = {y.min():.6g}")
             ker = kernel(grid, y, work)
-            _checked_min_K(ker, state.t, grid.theta)
+            checked_min_K(ker, state.t, grid.theta)
         np.multiply(h, ker.A, inc)
         np.multiply(ker.sinh, ker.K, den)
         np.divide(inc, den, inc)
@@ -414,9 +422,8 @@ def last_record(every: float, t_end: float) -> Tuple[int, float]:
 
 
 def run_flow(state0: FlowState, ctrl: StepControl,
-             observers: Sequence[Observer] = (),
-             record_every: float = 0.5):
-    """Integrate to ctrl.t_end, recording diagnostics every record_every.
+             observers: Sequence[Observer] = ()):
+    """Integrate to ctrl.t_end, recording diagnostics every ctrl.record_every.
 
     Records are made at state0 and at the times last_record gives that
     lie beyond it.  They are hit exactly (dt is clamped, then the time
@@ -426,8 +433,7 @@ def run_flow(state0: FlowState, ctrl: StepControl,
 
     Returns (final state, list of DiagnosticsRecord).
     """
-    if record_every <= 0:
-        raise ValueError("record_every must be positive")
+    every = ctrl.record_every
     state = state0
     records = []
 
@@ -438,9 +444,9 @@ def run_flow(state0: FlowState, ctrl: StepControl,
             obs(s, rec)
 
     emit(state)
-    first = record_index(record_every, state.t + RECORD_SNAP)
-    for k in range(first, last_record(record_every, ctrl.t_end)[0] + 1):
-        target = min(k * record_every, ctrl.t_end)
+    first = record_index(every, state.t + RECORD_SNAP)
+    for k in range(first, last_record(every, ctrl.t_end)[0] + 1):
+        target = min(k * every, ctrl.t_end)
         while state.t < target - RECORD_SNAP:
             state = step(state, ctrl, dt_cap=target - state.t)
         state = replace(state, t=target)

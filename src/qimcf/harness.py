@@ -15,11 +15,11 @@ Both per-record files get their row as each record is made, so any
 exception leaves them with matching rows.
 
 Exit codes: 0 success, 1 configuration, verification or arithmetic
-failure, 2 mean convexity lost, 3 step-size collapse, 4 non-finite
-state or record.  Sweeps run one cell per worker process and classify
-failures per cell without aborting the sweep; the process pool is
-imported on the first parallel sweep, so a single run never loads
-concurrent.futures or multiprocessing.
+failure, else the flow failure's exit_code: 2 mean convexity lost, 3
+step-size collapse, 4 non-finite state or record.  Sweeps run one cell
+per worker process and classify failures per cell without aborting the
+sweep; the process pool is imported on the first parallel sweep, so a
+single run never loads concurrent.futures or multiprocessing.
 """
 
 import csv
@@ -36,8 +36,7 @@ from . import __version__, ambient
 from .config import (ConfigError, ExperimentConfig, check_mean_convexity,
                      override_config)
 from .flow import (METHODS, DiagnosticsRecord, FlowError, FlowState,
-                   MeanConvexityLost, NonFiniteRecord, NonFiniteState,
-                   StepControl, StiffnessError, last_record, run_flow)
+                   StepControl, last_record, run_flow)
 from .limits import (T_USABLE, LimitSnapshots, constancy_verdict,
                      extract_conformal_factor, fit_decay_rate)
 
@@ -45,14 +44,6 @@ logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_CONVEXITY_LOST = 2
-EXIT_STIFFNESS = 3
-EXIT_NONFINITE = 4
-
-FLOW_EXIT_CODES = {MeanConvexityLost: EXIT_CONVEXITY_LOST,
-                   StiffnessError: EXIT_STIFFNESS,
-                   NonFiniteState: EXIT_NONFINITE,
-                   NonFiniteRecord: EXIT_NONFINITE}
 
 SWEEP_RESULT_COLUMNS = ("Q_final", "limit_Q", "verdict", "min_H_over_run",
                         "exit_code", "error")
@@ -112,11 +103,12 @@ def run_experiment(cfg: ExperimentConfig,
         (out / stale).unlink(missing_ok=True)
 
     state0 = FlowState(t=0.0, profile=profile0)
-    ctrl = StepControl(t_end=cfg.t_end, cfl_safety=cfg.cfl_safety)
+    ctrl = StepControl(t_end=cfg.t_end, cfl_safety=cfg.cfl_safety,
+                       record_every=cfg.snapshot_every)
 
     records = []
     limit_snapshots = LimitSnapshots(
-        last_record(cfg.snapshot_every, cfg.t_end)[1])
+        last_record(ctrl.record_every, ctrl.t_end)[1])
     names = [f.name for f in fields(DiagnosticsRecord)]
     values = operator.attrgetter(*names)
 
@@ -141,9 +133,8 @@ def run_experiment(cfg: ExperimentConfig,
                 records.append(record)
                 limit_snapshots.add(state.t, state.profile)
 
-            final, _ = run_flow(state0, ctrl, observers=[observer],
-                                record_every=cfg.snapshot_every)
-    except (*FLOW_EXIT_CODES, ArithmeticError) as err:
+            final, _ = run_flow(state0, ctrl, observers=[observer])
+    except (FlowError, ArithmeticError) as err:
         result = _failure(err, out, _min_H(records))
         logger.error("run failed, %s", result.error)
         return result
@@ -197,8 +188,8 @@ def _min_H(records) -> Optional[float]:
 
 def _failure(err: BaseException, out_dir,
              min_H: Optional[float] = None) -> ExperimentResult:
-    """The result of a run that err stopped, classified by its type."""
-    return ExperimentResult(FLOW_EXIT_CODES.get(type(err), EXIT_CONFIG),
+    """The result of a run that err stopped, exit code err.exit_code or 1."""
+    return ExperimentResult(getattr(err, "exit_code", EXIT_CONFIG),
                             str(out_dir), None, min_H,
                             f"{type(err).__name__}: {err}")
 
@@ -216,8 +207,7 @@ def _sweep_cell(item):
     cfg, out_dir, labels = item
     try:
         result = run_experiment(cfg, out_dir=out_dir)
-    except (ConfigError, FlowError, ValueError, OSError,
-            ArithmeticError) as err:
+    except (ConfigError, ValueError, OSError) as err:
         result = _failure(err, out_dir)
     return _cell_row(result, labels)
 

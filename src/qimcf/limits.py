@@ -113,17 +113,23 @@ def limit_Q(factor: ConformalFactor) -> float:
     where I is the orbit integral and Lap z = z'' + w z' is the invariant
     round Laplacian.  Vanishes iff f is constant (for invariant f);
     invariant under f -> f + const by homogeneity of the two factors.
+    Evaluated at f - max f in log scale, so e^{2mf} cannot overflow: with
+    L = log(weights) + 2mf, top = max L and E = e^{L-top}, it is
+    Vol^{1/m} e^{top/m} (sum E)^{-1+1/m} sum E (z Lap z - m |z'|^2).
     """
     n = factor.n
     grid = cached_grid(n, factor.f.size)
     m = 2 * n + 1
-    z = np.exp(-factor.f)
+    f = factor.f - factor.f.max()
+    z = np.exp(-f)
     zp, zpp = _derivatives4(z, grid.dtheta)
-    lap = zpp + grid.w * zp
-    weight = np.exp(2 * m * factor.f)
-    num = grid.integral(weight * (z * lap - m * zp**2))
-    den = grid.integral(weight)
-    return den ** (-1 + 1 / m) * num
+    integrand = z * (zpp + grid.w * zp) - m * zp**2
+    with np.errstate(divide="ignore"):  # a weight that underflowed to 0
+        log_terms = np.log(grid.weights) + 2 * m * f
+    top = log_terms.max()
+    terms = np.exp(log_terms - top)
+    return float(grid.volume ** (1 / m) * np.exp(top / m)
+                 * terms.sum() ** (-1 + 1 / m) * (terms @ integrand))
 
 
 @dataclass(frozen=True)

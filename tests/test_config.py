@@ -165,10 +165,25 @@ def test_non_finite_values_refused(text, needle):
 
 
 def test_mean_convexity_refusal():
+    # flow.checked_min_K's message: the node of the smallest H, its theta
+    # and H, at t = 0
     e = err_of("[initial]\nkind = bump\nr0 = 1.0\namplitude = 0.9")
-    assert "not mean convex" in str(e)
-    assert "theta =" in str(e)
-    assert "min H" in str(e)
+    assert str(e).startswith("initial profile is not mean convex: mean "
+                             "convexity lost at t=0: H=-")
+    assert " at node " in str(e) and "(theta=" in str(e)
+
+
+def test_mean_convexity_check_is_the_stage_guard():
+    # at r0 = 400, A = sinh^2 overflows and H = K/sqrt(A) underflows to 0,
+    # which an H <= 0 test refused, though K > 0; at r0 = 800, H is NaN,
+    # which an H <= 0 test admitted
+    with np.errstate(all="ignore"):
+        check_mean_convexity(ExperimentConfig(initial_r0=400.0))
+        with pytest.raises(ConfigError) as excinfo:
+            check_mean_convexity(ExperimentConfig(initial_r0=800.0))
+    assert str(excinfo.value).startswith(
+        "initial profile is not mean convex: non-finite state at t=0: "
+        "H=nan at node 0 (theta=")
 
 
 def test_check_mean_convexity_accepts_good_profiles():
@@ -320,8 +335,8 @@ def test_last_record_matches_run_flow(monkeypatch):
         k = int(rng.integers(5, 300))
         for eps in (0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.3 * every):
             t_end = k * every + eps
-            _, times = flow.run_flow(state0, StepControl(t_end=t_end),
-                                     record_every=every)
+            _, times = flow.run_flow(
+                state0, StepControl(t_end=t_end, record_every=every))
             assert last_record(every, t_end) == (len(times) - 1, times[-1])
             assert times == [min(k * every, t_end)
                              for k in range(len(times))]

@@ -1,7 +1,9 @@
 """Time integration: sphere ODE, method-of-lines PDE, evolution laws."""
 
 import math
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from qimcf import (FlowState, MeanConvexityLost, RadialProfile, StepControl,
                    hat_H, initial_profile, integrate_sphere_ode,
                    profile_derivatives, run_flow, sphere_ode_rhs, step)
 from qimcf.flow import (MAX_STAGES, METHODS, NonFiniteState, StiffnessError,
-                        _half_stencil_eigenvalues, _require_mean_convex,
+                        _half_stencil_eigenvalues, checked_min_K,
                         diagnostics_record, method_edges, record_index,
                         ssprk2, stage_edge)
 from qimcf.config import ExperimentConfig, check_mean_convexity
@@ -106,21 +108,39 @@ def test_pde_rhs_mean_convexity_error():
     assert err.value.t == 0.0
 
 
+def guard(H, t, theta):
+    """checked_min_K on kernel values with A = 1, so that H = K."""
+    return checked_min_K(SimpleNamespace(K=np.array(H), A=np.ones(len(H))),
+                         t, theta)
+
+
 def test_non_finite_H_is_not_mean_convexity_loss():
     theta = np.array([0.1, 0.2, 0.3])
+    assert guard([5.0, 2.0, 5.0], 0.0, theta) == 2.0
     # NaN compares False both ways, so H <= 0 alone would let this pass
     with pytest.raises(NonFiniteState) as err:
-        _require_mean_convex(np.array([5.0, np.nan, 5.0]), 1.5, theta)
+        guard([5.0, np.nan, 5.0], 1.5, theta)
     assert (err.value.t, err.value.node, err.value.theta) == (1.5, 1, 0.2)
     assert "node 1" in str(err.value) and "t=1.5" in str(err.value)
     with pytest.raises(NonFiniteState):
-        _require_mean_convex(np.array([-1.0, np.inf, 5.0]), 0.0, theta)
+        guard([-1.0, np.inf, 5.0], 0.0, theta)
     # +inf passes H > 0 and would give the node speed v/H = 0
     with pytest.raises(NonFiniteState) as err:
-        _require_mean_convex(np.array([5.0, np.inf, 5.0]), 0.0, theta)
+        guard([5.0, np.inf, 5.0], 0.0, theta)
     assert err.value.node == 1
     with pytest.raises(MeanConvexityLost):
-        _require_mean_convex(np.array([5.0, -1.0, 5.0]), 0.0, theta)
+        guard([5.0, -1.0, 5.0], 0.0, theta)
+
+
+def test_nan_stage_is_a_non_finite_state():
+    # at rho = 356, A = sinh^2 overflows while K stays finite, so the first
+    # stage's speed A/(sinh K) is inf/inf = NaN; the second stage's guard
+    # names the node (a check of min y > 0 raised a bare ValueError)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteState) as err:
+            step(sphere_state(356.0), StepControl(t_end=1.0))
+    assert (err.value.t, err.value.node) == (0.0, 0)
+    assert math.isnan(err.value.H)
 
 
 def test_step_reports_overflowed_node():
@@ -193,7 +213,7 @@ def test_step_third_order_convergence():
     errors = []
     for h in (0.2, 0.1, 0.05):
         final, _ = run_flow(sphere_state(0.5, N=16),
-                            StepControl(t_end=1.0, dt_max=h), record_every=1.0)
+                            StepControl(t_end=1.0, dt_max=h, record_every=1.0))
         assert final.step_count == round(1.0 / h)
         assert final.steps_by_method[0] == final.step_count
         errors.append(np.abs(final.profile.rho - rho_ode[-1]).max())
@@ -213,12 +233,12 @@ def test_stage_rule_second_order_convergence(stages, ratio):
     bound = profile.grid.dtheta**2 * (ev.H * ev.sinh * ev.v).min()**2 / 2
     T = 0.08
     ref, _ = run_flow(FlowState(t=0.0, profile=profile),
-                      StepControl(t_end=T, dt_max=0.001), record_every=T)
+                      StepControl(t_end=T, dt_max=0.001, record_every=T))
     errors = []
     for h in (0.04, 0.02, 0.01):
-        ctrl = StepControl(t_end=T, dt_max=h, cfl_safety=h / (ratio * bound))
-        final, _ = run_flow(FlowState(t=0.0, profile=profile), ctrl,
-                            record_every=T)
+        ctrl = StepControl(t_end=T, dt_max=h, cfl_safety=h / (ratio * bound),
+                           record_every=T)
+        final, _ = run_flow(FlowState(t=0.0, profile=profile), ctrl)
         assert final.step_count == round(T / h)
         assert final.evaluations == stages * final.step_count
         assert final.steps_by_method[stages - 2] == final.step_count
@@ -428,7 +448,7 @@ def test_default_step_is_stable_near_the_pole(n, N, r0, amplitude, t_end):
     # whose stages are not forward-Euler substeps
     profile = initial_profile(n, N, r0, amplitude)
     final, records = run_flow(FlowState(t=0.0, profile=profile),
-                              StepControl(t_end=t_end), record_every=t_end)
+                              StepControl(t_end=t_end, record_every=t_end))
     assert final.t == t_end
     assert min(r.H_min for r in records) > 0
 
@@ -436,14 +456,38 @@ def test_default_step_is_stable_near_the_pole(n, N, r0, amplitude, t_end):
 @pytest.mark.parametrize("kwargs,message", [
     ({"t_end": math.nan}, "t_end must be finite, got nan"),
     ({"t_end": math.inf}, "t_end must be finite, got inf"),
-    ({"t_end": 40.0, "dt_max": math.nan}, "dt_max must be finite, got nan")],
-    ids=["t_end-nan", "t_end-inf", "dt_max-nan"])
+    ({"t_end": 40.0, "dt_max": math.nan}, "dt_max must be finite, got nan"),
+    ({"t_end": 40.0, "record_every": math.nan},
+     "record_every must be finite, got nan"),
+    ({"t_end": 40.0, "record_every": math.inf},
+     "record_every must be finite, got inf"),
+    ({"t_end": 40.0, "record_every": 1e-320},
+     "t_end / record_every overflows: 40 / 9.99989e-321"),
+    ({"t_end": 1e308}, "t_end / record_every overflows: 1e+308 / 0.5")],
+    ids=["t_end-nan", "t_end-inf", "dt_max-nan", "record_every-nan",
+         "record_every-inf", "record_every-1e-320", "t_end-1e308"])
 def test_step_control_refuses_non_finite_values(kwargs, message):
     # a NaN t_end used to end run_flow at t = 0, an infinite one to
     # overflow in record_index, and a NaN dt_max to fail as a negative
-    # trial stage
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    # trial stage; run_flow's own cadence check refused only <= 0, so a
+    # NaN or infinite cadence ended at t = nan after 0 steps and 1e-320
+    # raised OverflowError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         StepControl(**kwargs)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((1.0, math.nan, 0.01), "t_end must be finite and positive, got nan"),
+    ((1.0, -5.0, 0.01), "t_end must be finite and positive, got -5.0"),
+    ((1.0, math.inf, 0.01), "t_end must be finite and positive, got inf"),
+    ((math.nan, 1.0, 0.01), "rho0 must be finite and positive, got nan"),
+    ((1.0, 1.0, math.inf), "dt must be finite and positive, got inf"),
+    ((0.0, 1.0, 0.01), "rho0 must be finite and positive, got 0.0")])
+def test_sphere_ode_refuses_invalid_inputs(args, message):
+    # a NaN or negative t_end returned ([0.], [rho0]), and an infinite one
+    # never returned
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate_sphere_ode(2, *args)
 
 
 def test_step_control_validation():
@@ -455,6 +499,11 @@ def test_step_control_validation():
     with pytest.raises(ValueError,
                        match=r"^t_end must be positive, got -1.0$"):
         StepControl(t_end=-1.0)
+    for every in (0.0, -1.0):
+        with pytest.raises(ValueError, match=(
+                rf"^record_every must be positive, got {every}$")):
+            StepControl(t_end=1.0, record_every=every)
+    assert StepControl(t_end=1.0).record_every == 0.5
     with pytest.raises(StiffnessError):
         step(sphere_state(1.0), StepControl(t_end=1.0), dt_cap=1e-13)
     # the underflow check guards every method: want / base between the
@@ -505,16 +554,15 @@ def test_run_flow_matches_sphere_ode():
 
 
 def test_run_flow_records_land_on_cadence():
-    _, records = run_flow(sphere_state(1.0), StepControl(t_end=3.0),
-                          record_every=0.5)
+    _, records = run_flow(sphere_state(1.0),
+                          StepControl(t_end=3.0, record_every=0.5))
     assert [r.t for r in records] == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
 
 
 def test_run_flow_from_a_later_start():
     # the records after state0 keep to the cadence and go forward in time
     state0 = FlowState(t=2.0, profile=initial_profile(2, 32, 3.0))
-    final, records = run_flow(state0, StepControl(t_end=3.0),
-                              record_every=0.5)
+    final, records = run_flow(state0, StepControl(t_end=3.0, record_every=0.5))
     assert [r.t for r in records] == [2.0, 2.5, 3.0]
     assert final.t == 3.0
 

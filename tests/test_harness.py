@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -17,18 +18,18 @@ import pytest
 
 import qimcf
 from qimcf import (ConfigError, DiagnosticsRecord, ExperimentConfig,
-                   FlowState, MeanConvexityLost, NonFiniteState,
-                   StepControl, StiffnessError, ambient, flow, harness,
-                   run_experiment, run_flow, sweep)
+                   FlowState, MeanConvexityLost, NonFiniteRecord,
+                   NonFiniteState, StepControl, StiffnessError, ambient, flow,
+                   harness, run_experiment, run_flow, sweep)
 from qimcf.cli import main
 from qimcf.config import check_mean_convexity, override_config
 from qimcf.flow import MAX_STAGES, METHODS, diagnostics_record
 from qimcf.geometry import cached_grid
-from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONFIG,
-                           EXIT_CONVEXITY_LOST, EXIT_NONFINITE, EXIT_OK,
-                           EXIT_STIFFNESS, SWEEP_RESULT_COLUMNS,
-                           resolve_out_dir, verify_ambient_report)
-from qimcf.limits import constancy_verdict, extract_conformal_factor
+from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONFIG, EXIT_OK,
+                           SWEEP_RESULT_COLUMNS, resolve_out_dir,
+                           verify_ambient_report)
+from qimcf.limits import (VERDICT_TOL, constancy_verdict,
+                          extract_conformal_factor)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,10 +74,10 @@ def observed_profiles(cfg):
     sees them, from a run_flow call of its own."""
     seen = []
     run_flow(FlowState(t=0.0, profile=check_mean_convexity(cfg)),
-             StepControl(t_end=cfg.t_end, cfl_safety=cfg.cfl_safety),
+             StepControl(t_end=cfg.t_end, cfl_safety=cfg.cfl_safety,
+                         record_every=cfg.snapshot_every),
              observers=[lambda state, _: seen.append(
-                 (state.t, state.profile.rho))],
-             record_every=cfg.snapshot_every)
+                 (state.t, state.profile.rho))])
     return seen
 
 
@@ -246,11 +247,10 @@ def test_limit_analysis_matches_every_profile(tmp_path, monkeypatch,
     profiles = []
     real_run_flow = harness.run_flow
 
-    def run_flow(state0, ctrl, observers=(), record_every=0.5):
+    def run_flow(state0, ctrl, observers=()):
         def keep(state, record):
             profiles.append((state.t, state.profile))
-        return real_run_flow(state0, ctrl, observers=[*observers, keep],
-                             record_every=record_every)
+        return real_run_flow(state0, ctrl, observers=[*observers, keep])
 
     monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
     result = run_experiment(fast_cfg(t_end=t_end, snapshot_every=every),
@@ -282,13 +282,21 @@ def test_too_short_run_is_rejected(tmp_path):
     assert not out.exists()  # refused before any integration or output
 
 
+class SlowStep(StiffnessError):
+    """A subclass of a classified failure, which exits with its code."""
+
+
 @pytest.mark.parametrize("exc,code", [
-    (MeanConvexityLost(0.7, 3, 0.05, -0.2), EXIT_CONVEXITY_LOST),
-    (StiffnessError(0.7, 1e-14), EXIT_STIFFNESS),
-    (NonFiniteState(0.7, 3, 0.05, float("nan")), EXIT_NONFINITE),
+    (MeanConvexityLost(0.7, 3, 0.05, -0.2), 2),
+    (StiffnessError(0.7, 1e-14), 3),
+    (NonFiniteState(0.7, 3, 0.05, float("nan")), 4),
+    (NonFiniteRecord(0.7, "Q", float("nan")), 4),
+    (SlowStep(0.7, 1e-14), 3),
 ])
 def test_integration_failure_exit_codes(tmp_path, monkeypatch, exc, code):
-    def fake_run_flow(state0, ctrl, observers=(), record_every=0.5):
+    # each failure class carries its exit code, so a subclass keeps it (an
+    # exact-type lookup gave SlowStep exit code 1)
+    def fake_run_flow(state0, ctrl, observers=()):
         rec = diagnostics_record(state0)
         for obs in observers:
             obs(state0, rec)
@@ -355,12 +363,12 @@ def test_sweep_failed_cell_keeps_row(tmp_path):
 def test_sweep_rows_name_the_varied_key(tmp_path, monkeypatch):
     real_run_flow = harness.run_flow
 
-    def run_flow(state0, ctrl, observers=(), record_every=0.5):
+    def run_flow(state0, ctrl, observers=()):
         if state0.profile.rho.mean() > 3.4:  # the r0 = 3.5 cell
             for obs in observers:
                 obs(state0, diagnostics_record(state0))
             raise StiffnessError(0.7, 1e-14)
-        return real_run_flow(state0, ctrl, observers, record_every)
+        return real_run_flow(state0, ctrl, observers)
 
     monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
     rows = sweep(fast_cfg(), [("initial.r0", ["2.5", "3.5", "3.0"])],
@@ -372,9 +380,9 @@ def test_sweep_rows_name_the_varied_key(tmp_path, monkeypatch):
     error = "StiffnessError: time step underflow at t=0.7: dt=1.000e-14"
     assert [(r[0], r[3], r[-2], r[-1]) for r in srows[1:]] == [
         ("2.5", "NON_CONSTANT", "0", ""),
-        ("3.5", "FAILED", str(EXIT_STIFFNESS), error),
+        ("3.5", "FAILED", "3", error),
         ("3.0", "NON_CONSTANT", "0", "")]
-    assert rows[1]["exit_code"] == EXIT_STIFFNESS
+    assert rows[1]["exit_code"] == 3
     assert rows[1]["error"] == error
     assert rows[1]["min_H_over_run"] != ""
     assert (tmp_path / "sw" / "r0=3.5" / "diagnostics.csv").exists()
@@ -398,8 +406,7 @@ def test_sweep_survives_non_positive_initial_profile(tmp_path):
     assert rows[0]["error"].startswith("ConfigError: ")
 
 
-def divide_by_zero_after_first_record(state0, ctrl, observers=(),
-                                      record_every=0.5):
+def divide_by_zero_after_first_record(state0, ctrl, observers=()):
     """A run_flow that records t = 0, then raises an ArithmeticError."""
     for obs in observers:
         obs(state0, diagnostics_record(state0))
@@ -411,10 +418,10 @@ def test_sweep_survives_arithmetic_error(tmp_path, monkeypatch, caplog):
     # runs, and sweep.csv gives the failed cell's reason
     real_run_flow = harness.run_flow
 
-    def run_flow(state0, ctrl, observers=(), record_every=0.5):
+    def run_flow(state0, ctrl, observers=()):
         flow = (divide_by_zero_after_first_record
                 if state0.profile.rho.mean() < 2.8 else real_run_flow)
-        return flow(state0, ctrl, observers, record_every)
+        return flow(state0, ctrl, observers)
 
     monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
     rows = sweep(fast_cfg(), [("initial.r0", ["2.5", "3.0"])],
@@ -452,7 +459,7 @@ def test_run_refuses_volume_underflow(tmp_path, caplog, r0, volume):
             f"r0 = {r0}\n\n[time]\nt_end = 12\n")
     out = tmp_path / "run"
     assert main(["run", "--config", write_cfg(tmp_path, text),
-                 "--out", str(out)]) == EXIT_NONFINITE
+                 "--out", str(out)]) == 4
     assert (f"NonFiniteRecord: underflowed volume={volume} at t=0"
             in caplog.text)
     assert assert_profiles_follow_diagnostics(out) == []
@@ -472,13 +479,12 @@ def test_failed_rerun_leaves_no_earlier_results(tmp_path, monkeypatch):
         if state.t == 1.0:
             raise MeanConvexityLost(state.t, 0, 0.01, -1.0)
 
-    def run_flow(state0, ctrl, observers, record_every):
-        return real_run_flow(state0, ctrl, observers=[*observers, fail_at_1],
-                             record_every=record_every)
+    def run_flow(state0, ctrl, observers):
+        return real_run_flow(state0, ctrl, observers=[*observers, fail_at_1])
 
     monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
     result = run_experiment(fast_cfg(), out_dir=str(out))
-    assert result.exit_code == EXIT_CONVEXITY_LOST
+    assert result.exit_code == 2
     assert sorted(p.name for p in out.iterdir()) == [
         "diagnostics.csv", "notes.txt", "profiles.csv"]
     profiles = assert_profiles_follow_diagnostics(out)
@@ -508,6 +514,19 @@ def test_unclassified_failure_leaves_matching_rows(tmp_path, monkeypatch):
         repr(0.5 * k) for k in range(7)]
 
 
+def test_largest_n_run_reports_a_finite_limit_q(tmp_path):
+    # at n = 109 (m = 219) e^{2mf} overflowed in limit_Q, and the run died
+    # writing a NaN into report.json, with exit code 1 and no report
+    text = ("n = 109\n\n[grid]\npoints = 64\n\n[initial]\nkind = bump\n"
+            "r0 = 1.0\namplitude = 0.9\n\n[time]\nt_end = 12\n")
+    out = tmp_path / "run"
+    assert main(["run", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == EXIT_OK
+    with open(out / "report.json", encoding="utf-8") as fh:
+        limit_q = json.load(fh)["limit_Q"]
+    assert math.isfinite(limit_q) and abs(limit_q) > VERDICT_TOL
+
+
 def test_run_refuses_non_finite_record(tmp_path, caplog):
     # Vol(S^{4n-1}) sinh^{4n-1}(rho) overflows at t = 0 for n = 80 and
     # r0 = 3: the run stops with exit code 4 instead of recording NaN, and
@@ -518,7 +537,7 @@ def test_run_refuses_non_finite_record(tmp_path, caplog):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", "--config", write_cfg(tmp_path, text),
-                     "--out", str(out)]) == EXIT_NONFINITE
+                     "--out", str(out)]) == 4
     assert "NonFiniteRecord: non-finite volume=nan at t=0" in caplog.text
     assert assert_profiles_follow_diagnostics(out) == []
     assert not (out / "report.json").exists()
@@ -540,18 +559,23 @@ def test_report_refuses_nan(tmp_path, monkeypatch):
     OSError("disk full"), ValueError("bad array"),
     NonFiniteState(0.7, 3, 0.05, float("nan"))])
 def test_sweep_cell_failure_keeps_other_cells(tmp_path, monkeypatch, exc):
-    real = run_experiment
+    # raised from the flow of the amplitude-0 cell: run_experiment returns
+    # a flow failure with its exit code, and the sweep cell catches the
+    # rest with exit code 1
+    real = run_flow
 
-    def flaky(cfg, out_dir=None):
-        if cfg.initial_amplitude == 0.0:
+    def flaky(state0, ctrl, observers=()):
+        if np.ptp(state0.profile.rho) == 0.0:
             raise exc
-        return real(cfg, out_dir=out_dir)
+        return real(state0, ctrl, observers)
 
-    monkeypatch.setattr("qimcf.harness.run_experiment", flaky)
+    monkeypatch.setattr("qimcf.harness.run_flow", flaky)
     rows = sweep(fast_cfg(), [("initial.amplitude", ["0", "0.1"])],
                  out_dir=str(tmp_path / "sw"), max_workers=1)
     assert [r["verdict"] for r in rows] == ["FAILED", "NON_CONSTANT"]
     assert [r["error"] for r in rows] == [f"{type(exc).__name__}: {exc}", ""]
+    assert [r["exit_code"] for r in rows] == [
+        getattr(exc, "exit_code", EXIT_CONFIG), EXIT_OK]
     assert (tmp_path / "sw" / "sweep.csv").exists()
 
 

@@ -138,6 +138,15 @@ def test_limit_q_shift_invariance():
         assert abs(limit_Q(make_factor(f0 + shift)) - base) < 1e-9
 
 
+def test_limit_q_large_shifts_do_not_overflow():
+    # e^{2mf} overflowed at f + 100 (m = 5), and limit_Q came out NaN;
+    # evaluated at f - max f in log scale it is the same number
+    base = limit_Q(cos_factor(0.1))
+    for shift in (100.0, -400.0, 400.0):
+        shifted = make_factor(cos_factor(0.1).f + shift)
+        assert limit_Q(shifted) == pytest.approx(base, rel=1e-10, abs=0)
+
+
 def test_limit_q_sign_for_small_bumps():
     # a non-constant factor gives nonzero limiting Q; cos(2 theta)
     # bumps of either sign give a positive value at leading order
