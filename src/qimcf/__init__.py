@@ -14,12 +14,10 @@ from .ambient import (apply_J, curvature_tensor, ricci_check, sectional,
 from .config import ConfigError, ExperimentConfig, parse_config
 from .flow import (DiagnosticsRecord, FlowError, FlowState,
                    MeanConvexityLost, NonFiniteRecord, NonFiniteState,
-                   StepControl, StiffnessError, initial_profile,
-                   integrate_sphere_ode, run_flow, sphere_ode_rhs, step)
-from .geometry import (A_norm_sq, Grid, KernelWork, ProfileDerivatives,
-                       RadialProfile, cached_grid, general_mean_curvature,
-                       hat_H, kernel, profile_derivatives,
-                       shape_operator_adapted)
+                   StepControl, StiffnessError, initial_profile, run_flow,
+                   step)
+from .geometry import (Grid, KernelWork, ProfileDerivatives, RadialProfile,
+                       cached_grid, kernel, profile_derivatives)
 from .harness import ExperimentResult, run_experiment, sweep, verify_ambient_report
 from .limits import (ConformalFactor, ConstancyVerdict, constancy_verdict,
                      extract_conformal_factor, fit_decay_rate, limit_Q)

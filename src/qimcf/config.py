@@ -95,8 +95,7 @@ class ExperimentConfig:
             raise ConfigError(f"initial.amplitude must be >= 0, "
                               f"got {self.initial_amplitude}")
         try:
-            StepControl(t_end=self.t_end, cfl_safety=self.cfl_safety,
-                        record_every=self.snapshot_every)
+            self.step_control()
         except ValueError as err:
             raise ConfigError(re.sub(r"\w+", lambda m: _STEP_CONTROL_KEYS.get(
                 m[0], m[0]), str(err)))
@@ -108,6 +107,12 @@ class ExperimentConfig:
                 f"limit analysis needs two records at t >= {T_USABLE:g}; "
                 f"time.t_end = {self.t_end:g} with output.snapshot_every = "
                 f"{every:g} gives fewer")
+
+    def step_control(self) -> StepControl:
+        """The run's StepControl: t_end, cfl_safety, and snapshot_every as
+        the record cadence."""
+        return StepControl(t_end=self.t_end, cfl_safety=self.cfl_safety,
+                           record_every=self.snapshot_every)
 
 
 # (section, key) -> (attribute, converter); the global n has section "".

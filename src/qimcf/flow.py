@@ -1,13 +1,12 @@
 """Inverse mean curvature flow of invariant radial graphs.
 
 The coordinate-gauge evolution of the profile is d rho/dt = v/H per node
-(the normal speed 1/H re-expressed on the radial graph).  Geodesic
-spheres reduce to a scalar ODE, integrated with classical RK4 as an
-independent oracle; general profiles use an explicit method of lines
-stepped by strong-stability-preserving Runge-Kutta methods in Shu-Osher
-form, every stage a forward-Euler substep: the third-order SSPRK(3,3)
-wherever its stability edge covers the step wanted, else the optimal
-second-order SSPRK(s,2) with the fewest stages that does.  The step
+(the normal speed 1/H re-expressed on the radial graph), an explicit
+method of lines stepped by strong-stability-preserving Runge-Kutta
+methods in Shu-Osher form, every stage a forward-Euler substep: the
+third-order SSPRK(3,3) wherever its stability edge covers the step
+wanted, else the optimal second-order SSPRK(s,2) with the fewest stages
+that does.  The step
 obeys a parabolic CFL restriction derived from linearizing the speed in
 phi'', scaled by each method's stability edge for the pole drift of n.
 StepControl checks the time axis, checked_min_K every profile evaluated,
@@ -25,8 +24,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (KernelWork, RadialProfile, cached_grid, hat_H,
-                       kernel, profile_derivatives, q_terms)
+from .geometry import (KernelWork, RadialProfile, cached_grid, kernel,
+                       profile_derivatives, q_terms)
 
 RECORD_SNAP = 1e-12  # absolute tolerance for landing on scheduled times
 EDGE_NODES = 128     # grid of the operator whose spectrum sets stage_edge
@@ -200,35 +199,6 @@ def initial_profile(n: int, grid_size: int, r0: float,
     extension needs."""
     theta = cached_grid(n, grid_size).theta
     return RadialProfile(n=n, rho=r0 + amplitude * np.cos(2 * theta))
-
-
-def sphere_ode_rhs(n: int, rho):
-    """d rho/dt = 1/hat_H(n, rho) for a geodesic sphere under the flow;
-    tends to 1/(4n+2).  The kernel reads hat_K, not hat_H, so the RK4
-    oracle below stays independent of it."""
-    return 1 / hat_H(n, rho)
-
-
-def integrate_sphere_ode(n: int, rho0: float, t_end: float, dt: float):
-    """Classical RK4 for the sphere ODE; returns (times, radii) arrays."""
-    for name, value in (("rho0", rho0), ("t_end", t_end), ("dt", dt)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, "
-                             f"got {value}")
-    times = [0.0]
-    radii = [float(rho0)]
-    t, rho = 0.0, float(rho0)
-    while t < t_end - RECORD_SNAP:
-        h = min(dt, t_end - t)
-        k1 = sphere_ode_rhs(n, rho)
-        k2 = sphere_ode_rhs(n, rho + 0.5 * h * k1)
-        k3 = sphere_ode_rhs(n, rho + 0.5 * h * k2)
-        k4 = sphere_ode_rhs(n, rho + h * k3)
-        rho += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        t += h
-        times.append(t)
-        radii.append(rho)
-    return np.array(times), np.array(radii)
 
 
 def checked_min_K(ker, t: float, theta: np.ndarray) -> float:

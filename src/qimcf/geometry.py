@@ -5,11 +5,11 @@ where theta in (0, pi/2) is the lifted Fubini-Study distance on the
 quaternionic projective base; invariance under the Hopf S^3 action makes
 the orbit space one-dimensional.
 
-All pointwise quantities (v, mean curvature, shape operator, |A|^2, area
-density) and the orbit-weighted integrals (volume, Q functional) live
-here.  Profiles sit on a uniform cell-centered grid so that the cot/tan
-singular endpoints are never sampled; derivative stencils use even ghost
-reflection, which encodes the Neumann symmetry of the invariant profiles.
+All pointwise quantities (v, mean curvature, area density) and the
+orbit-weighted integrals (volume, Q functional) live here.  Profiles sit
+on a uniform cell-centered grid so that the cot/tan singular endpoints
+are never sampled; derivative stencils use even ghost reflection, which
+encodes the Neumann symmetry of the invariant profiles.
 A profile evaluates the kernel once, on first use, and keeps the result,
 so a record and the step taken from it share one evaluation; those
 arrays belong to the profile.  Every other evaluation writes into a
@@ -77,20 +77,6 @@ class ProfileDerivatives(NamedTuple):
     H: np.ndarray
 
 
-def hat_H(n: int, rho):
-    """Mean curvature of the geodesic sphere of radius rho.
-
-    (4n-1) coth(rho) + 3 tanh(rho); tends to 4n+2 (the horosphere value)
-    as rho grows and blows up like (4n-1)/rho at the origin.  Apart from
-    the kernel, it is the oracle of the sphere tests in test_flow.py.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("rho must be positive")
-    val = (4 * n - 1) / np.tanh(rho) + 3 * np.tanh(rho)
-    return float(val) if val.ndim == 0 else val
-
-
 def reduced_weight(n: int, theta):
     """Drift w(theta) = (4n-5) cot(theta) - 3 tan(theta).
 
@@ -104,18 +90,6 @@ def reduced_weight(n: int, theta):
     return float(val) if val.ndim == 0 else val
 
 
-def angular_coefficient(n: int, theta):
-    """12 cot^2(2 theta) + (4n-8) cot^2(theta) + 6.
-
-    The invariant Hessian contraction of |A|^2 is (phi'')^2/v^4 plus this
-    coefficient times (phi')^2: 3 (2 phi' cot 2theta)^2 from the J_i
-    e_theta directions, (4n-8)(phi' cot theta)^2 from the remaining
-    horizontal ones and 6 (phi')^2 from the vertical/horizontal couplings.
-    """
-    return (12 / np.tan(2 * theta)**2 + (4 * n - 8) / np.tan(theta)**2
-            + 6)
-
-
 @dataclass(frozen=True)
 class Grid:
     """The cell-centered grid of (n, N), its per-node constants, quadrature.
@@ -127,7 +101,9 @@ class Grid:
     theta: np.ndarray
     dtheta: float
     w: np.ndarray
-    angular: np.ndarray  # angular_coefficient(n, theta)
+    # 12 cot^2(2 theta) + (4n-8) cot^2(theta) + 6, the coefficient of
+    # (phi')^2 in the invariant Hessian contraction of |A|^2
+    angular: np.ndarray
     weights: np.ndarray
     volume: float
 
@@ -157,7 +133,8 @@ def cached_grid(n: int, grid_size: int) -> Grid:
     dtheta = (np.pi / 2) / grid_size
     theta = (np.arange(grid_size) + 0.5) * dtheta
     w = reduced_weight(n, theta)
-    angular = angular_coefficient(n, theta)
+    angular = (12 / np.tan(2 * theta)**2 + (4 * n - 8) / np.tan(theta)**2
+               + 6)
     J = np.sin(theta) ** (4 * n - 5) * np.cos(theta) ** 3
     weights = J / J.sum()
     for arr in (theta, w, angular, weights):
@@ -264,69 +241,6 @@ def profile_derivatives(profile: RadialProfile) -> ProfileDerivatives:
                               k.hat_K / k.sinh, k.K / root)
 
 
-def general_mean_curvature(n: int, rho: float, v: float,
-                           hat_hessian_contraction: float,
-                           vertical_gradient_sq: float) -> float:
-    """Mean curvature of a general (not necessarily invariant) radial graph.
-
-    H = -(contraction)/(v sinh rho) + hat_H/v
-        + sinh rho * (vertical gradient squared) / (v^3 cosh rho),
-
-    where the contraction is phi_ij sigma~^{ji} of the deformed-metric
-    Hessian and the last term collects the squared Hopf-direction
-    derivatives of phi.  Invariant profiles have that term equal to zero
-    and reduce to the H of profile_derivatives.  Not a pipeline path: the
-    oracle of test_mean_curvature_independent_evaluation (np.gradient).
-    """
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
-    sh, ch = math.sinh(rho), math.cosh(rho)
-    return (-hat_hessian_contraction / (v * sh) + hat_H(n, rho) / v
-            + sh * vertical_gradient_sq / (v**3 * ch))
-
-
-def shape_operator_adapted(profile: RadialProfile, derivs: ProfileDerivatives,
-                           k: int) -> np.ndarray:
-    """Shape operator h_i^k at node k in the adapted orthonormal frame.
-
-    Frame order: xi_1, xi_2, xi_3 (Hopf vertical), e_theta, J_1 e_theta,
-    J_2 e_theta, J_3 e_theta, then the remaining 4n-8 horizontal
-    directions.  Nonzero entries:
-
-      vertical diagonal          2 coth(2 rho) / v
-      (e_theta, e_theta)         -phi''/(v^3 sinh rho) + coth(rho)/v
-      J_i e_theta diagonal       -2 phi' cot(2 theta)/(v sinh rho) + coth/v
-      remaining horizontal       -phi' cot(theta)/(v sinh rho) + coth/v
-      (xi_i, J_i e_theta)        cosh^2(rho) phi' / (v sinh rho)
-      (J_i e_theta, xi_i)        phi' / (v sinh rho)
-
-    The mixed tensor is not symmetric because the vertical and horizontal
-    blocks of the induced metric carry different conformal factors; its
-    trace equals the mean curvature and tr(S^2) gives |A|^2.
-    """
-    n = profile.n
-    dim = 4 * n - 1
-    rho = float(profile.rho[k])
-    theta = float(profile.theta[k])
-    phi_t = float(derivs.phi_t[k])
-    phi_tt = float(derivs.phi_tt[k])
-    v = float(derivs.v[k])
-    sh, ch = math.sinh(rho), math.cosh(rho)
-    coth = ch / sh
-
-    S = np.zeros((dim, dim))
-    mu = (sh / ch + ch / sh) / v  # 2 coth(2 rho) / v
-    for i in range(3):
-        S[i, i] = mu
-        S[i, 4 + i] = ch**2 * phi_t / (v * sh)
-        S[4 + i, i] = phi_t / (v * sh)
-        S[4 + i, 4 + i] = -2 * phi_t / math.tan(2 * theta) / (v * sh) + coth / v
-    S[3, 3] = -phi_tt / (v**3 * sh) + coth / v
-    for j in range(7, dim):
-        S[j, j] = -phi_t / math.tan(theta) / (v * sh) + coth / v
-    return S
-
-
 def _sphere_excess(n: int, sh, ch):
     """|A|^2 - 4(n+2) = (4n-1)/sinh^2 - 3/cosh^2 on the geodesic sphere
     of radius rho, which is -hat_H'(rho)."""
@@ -336,7 +250,7 @@ def _sphere_excess(n: int, sh, ch):
 def _a_norm_sq_excess(n: int, angular, d: ProfileDerivatives, H, sphere):
     """|A|^2 - 4(n+2) via the closed identity in H - hat_H; vectorized.
 
-    angular is angular_coefficient(n, theta) and sphere is
+    angular is grid.angular at the nodes of d and sphere is
     _sphere_excess(n, sinh, cosh) at the same nodes; on a sphere (phi' = 0,
     H = hat_H) the result is sphere exactly.
     """
@@ -347,35 +261,6 @@ def _a_norm_sq_excess(n: int, angular, d: ProfileDerivatives, H, sphere):
     return (contraction / (v2 * sh**2) + 6 * om / v2
             + (2 * ch / (v * sh)) * (H - hatH + hatH * om / (v * (v + 1)))
             + sphere / v2 - 4 * (n + 2) * om / v2)
-
-
-def _a_norm_sq_identity(n, theta, d: ProfileDerivatives, H):
-    """|A|^2 via the closed identity in H - hat_H; vectorized."""
-    return 4 * (n + 2) + _a_norm_sq_excess(
-        n, angular_coefficient(n, theta), d, H,
-        _sphere_excess(n, d.sinh, d.cosh))
-
-
-def A_norm_sq(profile: RadialProfile, derivs: ProfileDerivatives,
-              k: int) -> float:
-    """Squared norm of the second fundamental form at node k.
-
-    Computed two independent ways: tr(S^2) of the adapted-frame shape
-    operator, and the closed identity expressing |A|^2 - 4(n+2) through
-    H - hat_H and the invariant Hessian contraction.  The two must agree
-    to 1e-8 (a mismatch means a formula transcription bug); returns the
-    trace value.
-    """
-    S = shape_operator_adapted(profile, derivs, k)
-    traced = float(np.einsum("ij,ji->", S, S))
-    node = ProfileDerivatives._make(field[k] for field in derivs)
-    closed = float(_a_norm_sq_identity(profile.n, profile.theta[k], node,
-                                       node.H))
-    if abs(traced - closed) > 1e-8:
-        raise ValueError(
-            f"|A|^2 cross-check failed at node {k}: "
-            f"trace route {traced!r} vs identity route {closed!r}")
-    return traced
 
 
 def q_terms(profile: RadialProfile, derivs: ProfileDerivatives):

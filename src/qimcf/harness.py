@@ -36,7 +36,7 @@ from . import __version__, ambient
 from .config import (ConfigError, ExperimentConfig, check_mean_convexity,
                      override_config)
 from .flow import (METHODS, DiagnosticsRecord, FlowError, FlowState,
-                   StepControl, last_record, run_flow)
+                   last_record, run_flow)
 from .limits import (T_USABLE, LimitSnapshots, constancy_verdict,
                      extract_conformal_factor, fit_decay_rate)
 
@@ -103,8 +103,7 @@ def run_experiment(cfg: ExperimentConfig,
         (out / stale).unlink(missing_ok=True)
 
     state0 = FlowState(t=0.0, profile=profile0)
-    ctrl = StepControl(t_end=cfg.t_end, cfl_safety=cfg.cfl_safety,
-                       record_every=cfg.snapshot_every)
+    ctrl = cfg.step_control()
 
     records = []
     limit_snapshots = LimitSnapshots(
@@ -224,6 +223,22 @@ def _cell_row(result: ExperimentResult, labels: dict) -> dict:
                 exit_code=result.exit_code, error=result.error)
 
 
+def _pool_rows(items, workers: int) -> list:
+    """_sweep_cell of each item in a pool of workers processes, in item
+    order; None for each cell left unfinished when a worker died."""
+    # imported here, not at the top: it costs every run ~20 ms and ~1 MB
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    rows = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(_sweep_cell, item) for item in items]:
+            try:
+                rows.append(future.result())
+            except BrokenProcessPool:
+                rows.append(None)
+    return rows
+
+
 def sweep(cfg: ExperimentConfig,
           vary: Sequence[Tuple[str, Sequence[str]]],
           out_dir: Optional[str] = None,
@@ -238,8 +253,11 @@ def sweep(cfg: ExperimentConfig,
     names), then SWEEP_RESULT_COLUMNS.  Failed cells keep their row, with
     verdict FAILED, their exit code, the error's class and message, and
     empty numeric columns, and do not stop the sweep; error is empty for
-    a cell that succeeded; a dead worker fails each unfinished cell with
-    BrokenProcessPool.  Cells that would share a directory are refused.
+    a cell that succeeded.  A dead worker breaks the pool: each cell left
+    unfinished then reruns once, one after another, alone in a fresh
+    one-worker pool, so only a cell whose worker dies again fails, with a
+    BrokenProcessPool that names it.  Cells that would share a directory
+    are refused.
 
     Returns the aggregate rows as dicts in cell order.
     """
@@ -263,18 +281,16 @@ def sweep(cfg: ExperimentConfig,
 
     workers = max_workers or min(len(items), os.cpu_count() or 1)
     if workers > 1:
-        # imported here, not at the top: it costs every run ~20 ms and ~1 MB
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_cell, item) for item in items]
-            rows = []
-            # a dead worker breaks the pool: each unfinished cell fails
-            for future, (_, cell, labels) in zip(futures, items):
-                try:
-                    rows.append(future.result())
-                except BrokenProcessPool as err:
-                    rows.append(_cell_row(_failure(err, cell), labels))
+        rows = _pool_rows(items, workers)
+        for i, (_, cell, labels) in enumerate(items):
+            if rows[i] is None:
+                # alone in a fresh pool, a second death is the cell's own
+                rows[i] = _pool_rows(items[i:i + 1], 1)[0]
+            if rows[i] is None:
+                from concurrent.futures.process import BrokenProcessPool
+                err = BrokenProcessPool(f"the worker running cell "
+                                        f"{_cell_name(labels)} died twice")
+                rows[i] = _cell_row(_failure(err, cell), labels)
     else:
         rows = [_sweep_cell(item) for item in items]
 

@@ -10,14 +10,14 @@ import numpy as np
 from fd_sphere_oracle import (adapted_frame, fd_hessian,
                               sample_interior_points, tangent_basis, theta_of)
 from linear_oracle import mode, response
-from qimcf import (A_norm_sq, FlowState, RadialProfile, StepControl,
-                   constancy_verdict, extract_conformal_factor,
-                   fit_decay_rate, initial_profile, integrate_sphere_ode,
-                   limit_Q, profile_derivatives, run_flow,
-                   shape_operator_adapted, verify_ambient)
-from qimcf.geometry import (_a_norm_sq_identity, cached_grid, q_terms,
-                            reduced_weight)
+from qimcf import (FlowState, RadialProfile, StepControl, constancy_verdict,
+                   extract_conformal_factor, fit_decay_rate, initial_profile,
+                   limit_Q, profile_derivatives, run_flow, verify_ambient)
+from qimcf.geometry import (_a_norm_sq_excess, _sphere_excess, cached_grid,
+                            q_terms, reduced_weight)
 from qimcf.limits import ConformalFactor
+from shape_operator_oracle import shape_operator_adapted
+from sphere_ode_oracle import integrate_sphere_ode
 
 HORO_H = 10.0  # 4n+2 at n=2, the late-time mean curvature level
 
@@ -194,13 +194,15 @@ def test_criterion_9_exact_identities():
                + 0.1 * rng.uniform(-1, 1) * np.cos(4 * theta))
         profile = RadialProfile(n=n, rho=rho)
         derivs = profile_derivatives(profile)
-        closed = _a_norm_sq_identity(n, theta, derivs, derivs.H)
+        closed = 4 * (n + 2) + _a_norm_sq_excess(
+            n, profile.grid.angular, derivs, derivs.H,
+            _sphere_excess(n, derivs.sinh, derivs.cosh))
         for k in (3, 40, 64, 124):
             S = shape_operator_adapted(profile, derivs, k)
             trace_err = max(trace_err, abs(
                 float(np.trace(S)) - derivs.H[k]))
             dual_err = max(dual_err, abs(
-                A_norm_sq(profile, derivs, k) - closed[k]))
+                float(np.einsum("ij,ji->", S, S)) - closed[k]))
 
     spheres = [initial_profile(2, 256, r) for r in (1.0, 2.0, 3.5)]
     q_sphere = max(abs(q_terms(p, profile_derivatives(p))[1])

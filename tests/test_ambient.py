@@ -1,10 +1,14 @@
-"""Quaternionic algebra and ambient curvature."""
+"""Quaternionic algebra and ambient curvature, and the curvature tensor as
+the oracle of the kernel's geodesic sphere."""
+
+import math
 
 import numpy as np
 import pytest
 
-from qimcf import (apply_J, curvature_tensor, ricci_check, sectional,
-                   verify_ambient)
+from qimcf import (apply_J, cached_grid, curvature_tensor, initial_profile,
+                   profile_derivatives, ricci_check, sectional, verify_ambient)
+from qimcf.geometry import q_terms
 
 
 def unit(dim, k):
@@ -132,3 +136,44 @@ def test_verify_ambient_report():
     assert rep["bianchi_error"] < 1e-10
     assert rep["ricci_max_error"] < 1e-10
     assert -4.0 <= rep["sectional_min"] <= rep["sectional_max"] <= -1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_jacobi_fields_give_the_kernel_sphere(n):
+    # along a unit-speed geodesic in direction u, the Jacobi operator
+    # M_jk = R(e_j, u, e_k, u) on u^perp has -M with eigenvalues kappa;
+    # a Jacobi field vanishing at the center grows as
+    # sinh(sqrt(kappa) rho) / sqrt(kappa), so the geodesic sphere of
+    # radius rho has mean curvature sum sqrt(kappa) coth(sqrt(kappa) rho)
+    # and area density prod sinh(sqrt(kappa) rho) / sqrt(kappa): the
+    # kernel's hat_K/sinh and H, and q_terms' volume over Vol(S^{4n-1}),
+    # on a sphere profile
+    rng = np.random.default_rng(n)
+    dim = 4 * n
+    u = rng.standard_normal(dim)
+    u /= np.linalg.norm(u)
+    columns = np.column_stack([u, rng.standard_normal((dim, dim - 1))])
+    e = np.linalg.qr(columns)[0][:, 1:].T  # an orthonormal basis of u^perp
+    M = curvature_tensor(e[:, None], u, e[None, :], u)
+    kappa = np.linalg.eigvalsh(-M)
+    expected = np.array([1.0] * (dim - 4) + [4.0] * 3)
+    assert np.max(np.abs(kappa - expected)) < 1e-12
+    root = np.sqrt(kappa)
+    volume_S = cached_grid(n, 32).volume
+    for rho in np.geomspace(0.05, 20.0, 25):
+        mean_curvature = float(np.sum(root / np.tanh(root * rho)))
+        log_density = float(np.sum(np.log(np.sinh(root * rho) / root)))
+        profile = initial_profile(n, 32, rho)
+        ker = profile.kernel_values
+        d = profile_derivatives(profile)
+        assert np.max(np.abs(ker.hat_K / ker.sinh / mean_curvature - 1)) \
+            < 1e-14
+        assert np.max(np.abs(d.H / mean_curvature - 1)) < 1e-14
+        volume = q_terms(profile, d)[0]
+        if math.isfinite(volume):
+            assert abs(math.log(volume / volume_S) - log_density) < 1e-12
+        else:
+            # past the float range: the orbit density q_terms forms,
+            # sinh^{4n-1} cosh^3, in log scale
+            assert abs(((4 * n - 1) * np.log(ker.sinh[0])
+                        + 3 * np.log(ker.cosh[0])) / log_density - 1) < 1e-12

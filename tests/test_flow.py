@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from qimcf import (FlowState, MeanConvexityLost, RadialProfile, StepControl,
-                   hat_H, initial_profile, integrate_sphere_ode,
-                   profile_derivatives, run_flow, sphere_ode_rhs, step)
+                   initial_profile, profile_derivatives, run_flow, step)
 from qimcf.flow import (MAX_STAGES, METHODS, NonFiniteState, StiffnessError,
                         _half_stencil_eigenvalues, checked_min_K,
                         diagnostics_record, method_edges, record_index,
                         ssprk2, stage_edge)
 from qimcf.config import ExperimentConfig, check_mean_convexity
 from qimcf.geometry import KernelWork, cached_grid, kernel, q_terms
+from sphere_ode_oracle import hat_H, integrate_sphere_ode
 
 SPHERE_RHS_2_1 = 0.08713815200031506  # sinh cosh / (7 cosh^2 + 3 sinh^2) at 1
 HEUN = ssprk2(2)
@@ -33,14 +33,17 @@ def sphere_state(r0, N=64, n=2):
 
 
 def test_sphere_ode_rhs_values():
-    assert abs(sphere_ode_rhs(2, 1.0) - SPHERE_RHS_2_1) < 1e-15
-    assert abs(sphere_ode_rhs(2, 50.0) - 0.1) < 1e-12
-    assert abs(sphere_ode_rhs(3, 50.0) - 1 / 14) < 1e-12
+    # the sphere ODE's rate 1/hat_H
+    assert abs(1 / hat_H(2, 1.0) - SPHERE_RHS_2_1) < 1e-15
+    assert abs(1 / hat_H(2, 50.0) - 0.1) < 1e-12
+    assert abs(1 / hat_H(3, 50.0) - 1 / 14) < 1e-12
     rng = np.random.default_rng(16)
     for rho in rng.uniform(0.05, 6.0, size=100):
-        assert abs(sphere_ode_rhs(2, rho) - 1 / hat_H(2, rho)) < 1e-14
+        sh, ch = math.sinh(rho), math.cosh(rho)
+        assert abs(1 / hat_H(2, rho)
+                   - sh * ch / (7 * ch**2 + 3 * sh**2)) < 1e-14
     with pytest.raises(ValueError):
-        sphere_ode_rhs(2, 0.0)
+        hat_H(2, 0.0)
 
 
 def test_sphere_ode_drift_is_cauchy():
@@ -77,7 +80,7 @@ def test_pde_rhs_constant_profile():
     state = sphere_state(1.0)
     ev = profile_derivatives(state.profile)
     rhs = ev.v / ev.H
-    assert np.max(np.abs(rhs - sphere_ode_rhs(2, 1.0))) < 1e-14
+    assert np.max(np.abs(rhs - 1 / hat_H(2, 1.0))) < 1e-14
 
 
 def test_pde_rhs_is_v_over_H():

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from qimcf import (A_norm_sq, RadialProfile, cached_grid,
-                   general_mean_curvature, hat_H, initial_profile, kernel,
-                   profile_derivatives, shape_operator_adapted)
-from qimcf.geometry import KernelWork, q_terms, reduced_weight
+from qimcf import (RadialProfile, cached_grid, initial_profile, kernel,
+                   profile_derivatives)
+from qimcf.geometry import (KernelWork, _a_norm_sq_excess, _sphere_excess,
+                            q_terms, reduced_weight)
+from shape_operator_oracle import (general_mean_curvature,
+                                   shape_operator_adapted)
+from sphere_ode_oracle import hat_H
 
 COTH1 = 1.3130352854993313      # coth(1)
 TWO_COTH2 = 2.0746294414550962  # 2 coth(2) = coth(1) + tanh(1)
@@ -282,35 +285,33 @@ def test_shape_operator_trace_and_couplings():
                 assert np.max(np.abs(off)) > 0
 
 
+def a_norm_sq_traced(prof, d, k):
+    """|A|^2 at node k as tr(S^2) of the adapted-frame shape operator."""
+    S = shape_operator_adapted(prof, d, k)
+    return float(np.einsum("ij,ji->", S, S))
+
+
 def test_a_norm_sq_constant_profile():
     prof = initial_profile(2, 64, 1.0)
     d = profile_derivatives(prof)
-    val = A_norm_sq(prof, d, 30)
+    val = a_norm_sq_traced(prof, d, 30)
     assert abs(val - A2_CONST_2_1) < 1e-12
     # structural form (4n-4) coth^2 + 3 (2 coth 2 rho)^2
     assert abs(val - (4 * COTH1**2 + 3 * TWO_COTH2**2)) < 1e-12
     far = initial_profile(2, 64, 40.0)
     dfar = profile_derivatives(far)
-    assert abs(A_norm_sq(far, dfar, 30) - 16.0) < 1e-10
+    assert abs(a_norm_sq_traced(far, dfar, 30) - 16.0) < 1e-10
 
 
 def test_a_norm_sq_dual_routes_agree():
+    # tr(S^2) against the closed identity that q_terms integrates
     for prof in (bump(), bump(n=3, N=128, r0=2.0, a=0.15)):
         d = profile_derivatives(prof)
+        closed = 4 * (prof.n + 2) + _a_norm_sq_excess(
+            prof.n, prof.grid.angular, d, d.H,
+            _sphere_excess(prof.n, d.sinh, d.cosh))
         for k in (0, prof.rho.size // 3, prof.rho.size - 1):
-            S = shape_operator_adapted(prof, d, k)
-            traced = float(np.einsum("ij,ji->", S, S))
-            assert abs(A_norm_sq(prof, d, k) - traced) < 1e-12
-
-
-def test_a_norm_sq_cross_check_trips_on_inconsistent_data():
-    # v inconsistent with phi' breaks the algebraic identity between the
-    # two routes, which is exactly what the guard is for
-    prof = bump(N=64)
-    d = profile_derivatives(prof)
-    broken = d._replace(v=np.ones_like(d.v))
-    with pytest.raises(ValueError):
-        A_norm_sq(prof, broken, 20)
+            assert abs(closed[k] - a_norm_sq_traced(prof, d, k)) < 1e-12
 
 
 def test_q_terms_volume_carries_v():

@@ -626,6 +626,37 @@ def test_sweep_dead_worker_keeps_other_cells_rows(tmp_path, monkeypatch,
     assert (tmp_path / "cli" / "sweep.csv").exists()
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched run_experiment only "
+                           "when forked")
+def test_sweep_dead_worker_costs_only_its_own_cell(tmp_path, monkeypatch):
+    # the first cell kills its worker at once, while the other cells are
+    # queued or running: they rerun in a fresh pool and keep their rows,
+    # and only the dying cell fails, named in its error
+    real, parent = run_experiment, os.getpid()
+    first = (3.5, 0.05)
+
+    def dying(cfg, out_dir=None):
+        if (cfg.initial_tau, cfg.initial_amplitude) == first \
+                and os.getpid() != parent:
+            os._exit(1)
+        return real(cfg, out_dir=out_dir)
+
+    cfg = fast_cfg(initial_kind="tau_family", t_end=10.5)
+    vary = [("initial.tau", ["3.5", "4.0", "4.5"]),
+            ("initial.amplitude", ["0.05", "0.1"])]
+    serial = sweep(cfg, vary, out_dir=str(tmp_path / "serial"),
+                   max_workers=1)
+    monkeypatch.setattr("qimcf.harness.run_experiment", dying)
+    rows = sweep(cfg, vary, out_dir=str(tmp_path / "sw"), max_workers=2)
+    assert [r["exit_code"] for r in rows] == [EXIT_CONFIG] + [EXIT_OK] * 5
+    assert rows[0]["verdict"] == "FAILED"
+    assert rows[0]["error"] == ("BrokenProcessPool: the worker running cell "
+                                "tau=3.5_amplitude=0.05 died twice")
+    assert rows[1:] == serial[1:]
+    assert len(list((tmp_path / "sw").glob("*/report.json"))) == 5
+
+
 def test_sweep_product_order_and_naming(tmp_path):
     # the shortest t_end on the 0.5 record cadence that leaves the limit
     # analysis two records at t >= 10
