@@ -6,10 +6,12 @@ method of lines stepped by strong-stability-preserving Runge-Kutta
 methods in Shu-Osher form, every stage a forward-Euler substep: the
 third-order SSPRK(3,3) wherever its stability edge covers the step
 wanted, else the optimal second-order SSPRK(s,2) with the fewest stages
-that does.  The step
-obeys a parabolic CFL restriction derived from linearizing the speed in
-phi'', scaled by each method's stability edge for the pole drift of n.
-StepControl checks the time axis, checked_min_K every profile evaluated,
+that does.  The step obeys a parabolic CFL restriction derived from
+linearizing the speed in phi'', scaled by each method's stability edge
+for the pole drift of n.  The edges are a table shipped in
+stage_edges.py and generated offline by tests/stage_edge_oracle.py, so
+no run computes an eigenvalue and the step sizes do not depend on the
+machine's LAPACK build.  StepControl checks the time axis, checked_min_K every profile evaluated,
 and each failure class carries the exit code of a run that it stops.
 
 Everything is deterministic: fixed evaluation order, no threading inside
@@ -20,7 +22,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .geometry import (KernelWork, RadialProfile, cached_grid, kernel,
                        profile_derivatives, q_terms)
 
 RECORD_SNAP = 1e-12  # absolute tolerance for landing on scheduled times
-EDGE_NODES = 128     # grid of the operator whose spectrum sets stage_edge
 MAX_STAGES = 7       # most stages one SSPRK(s,2) step may take
 
 
@@ -221,60 +222,34 @@ def checked_min_K(ker, t: float, theta: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _half_stencil_eigenvalues(n: int, grid_size: int) -> np.ndarray:
-    """Eigenvalues / 2 of the dimensionless stencil of stage_edge."""
-    grid = cached_grid(n, grid_size)
-    a = grid.w * grid.dtheta / 2
-    stencil = (np.diag(np.full(grid_size, -2.0)) + np.diag(1 + a[:-1], 1)
-               + np.diag(1 - a[1:], -1))
-    stencil[0, 0] += 1 - a[0]
-    stencil[-1, -1] += 1 + a[-1]
-    return np.linalg.eigvals(stencil) / 2
+def _edge_table() -> Dict[int, Tuple[float, ...]]:
+    """The shipped rows of stage_edges.STAGE_EDGES by n; a row whose
+    width is not len(METHODS) is stale and refused."""
+    # imported here, not at the top: import qimcf and parse_config never
+    # read the table
+    from .stage_edges import STAGE_EDGES
+    table = {}
+    for line in STAGE_EDGES.splitlines():
+        n, *edges = line.split()
+        if len(edges) != len(METHODS):
+            raise ValueError(f"stage edge row for n={n} has {len(edges)} "
+                             f"edges, METHODS has {len(METHODS)}; "
+                             f"regenerate stage_edges.py")
+        table[int(n)] = tuple(map(float, edges))
+    return table
 
 
-@functools.lru_cache(maxsize=None)
-def stage_edge(n: int, method: Method, grid_size: int = EDGE_NODES) -> float:
-    """Stability edge of method for u'' + w u' as a multiple kappa of the
-    pure-diffusion bound dtheta^2 / 2.
-
-    The dimensionless stencil (1+a_k) u_{k+1} - 2 u_k + (1-a_k) u_{k-1},
-    a_k = w_k dtheta / 2, with the even ghosts at both ends, has
-    eigenvalues lam; kappa is the largest k with |R(z)| <= 1 at every
-    z = k lam / 2.  The stability function R comes from the Shu-Osher
-    table as r_i = a_i + (1 - a_i) r_{i-1} (1 + c z), r_{-1} = 1: it is
-    1 + z + z^2/2 + z^3/6 for SSPRK(3,3) and 1/s + (s-1)/s (1 +
-    z/(s-1))^s for SSPRK(s,2).  For Heun |R(s mu)|^2 - 1 is s times a
-    cubic in s that increases for every mu, so each lam is stable on an
-    interval of k and bisection finds the edge; a dense scan finds
-    intervals for SSPRK(3,3) and s = 3, 4 as well.  For n = 2, lam fills
-    [-4, 0] and kappa is 1.256 for SSPRK(3,3), 0.9997 for Heun and 2.259
-    to 6.124 for SSPRK(s,2), s = 3..7; the pole drift (4n-5) cot(theta)
-    pushes lam off the real axis and past -4 as n grows (SSPRK(3,3)
-    0.403, Heun 0.322 at n = 48).  a_k depends on k, not on the grid size,
-    near both ends, so one EDGE_NODES grid serves every N.
-    """
-    half_lam = _half_stencil_eigenvalues(n, grid_size)
-
-    def stable(k):
-        euler = 1 + method.c * k * half_lam
-        growth = 1.0
-        for a in method.a:
-            # a = 0 skips two passes that change no |growth|
-            growth = a + (1 - a) * growth * euler if a else growth * euler
-        # the slack absorbs the rounding of the constant mode's lam = 0
-        return np.abs(growth).max() <= 1 + 1e-12
-
-    lo, hi = 0.0, float(len(method.a))  # each edge is below the stage count
-    while hi - lo > 1e-9:
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
-    return lo
-
-
-@functools.lru_cache(maxsize=None)
 def method_edges(n: int) -> Tuple[float, ...]:
-    """stage_edge(n, method) for each method of METHODS, in its order."""
-    return tuple(stage_edge(n, method) for method in METHODS)
+    """The stability edge kappa(n) of each method of METHODS, in its
+    order, as a multiple of the pure-diffusion bound dtheta^2 / 2: the
+    shipped table stage_edges.py, which tests/stage_edge_oracle.py
+    bisects on the spectrum of the pole stencil and which covers every
+    n the config admits; ValueError for any other n."""
+    table = _edge_table()
+    if n not in table:
+        raise ValueError(f"no stability edges for n={n}: the table covers "
+                         f"n = {min(table)}..{max(table)}")
+    return table[n]
 
 
 def step(state: FlowState, ctrl: StepControl,
@@ -287,8 +262,10 @@ def step(state: FlowState, ctrl: StepControl,
     F = H sinh(rho)/v, K = H sinh(rho) v, obtained by differentiating the
     speed with respect to phi''.  The step wants min(dt_max, dt_cap)
     (dt_cap lands on record times exactly); it takes the first method of
-    METHODS with base * stage_edge(n, method) >= that, else the last, and
-    dt = min(wanted, base * stage_edge(n, method)).  Each stage is one
+    METHODS whose edge in method_edges(n) gives base * edge >= that, else
+    the last, and dt = min(wanted, base * edge).  The edges are read from
+    the shipped table, so dt is the same whatever LAPACK the machine
+    has.  Each stage is one
     kernel evaluation and one forward-Euler substep of c dt at the speed
     v/H = A/(sinh(rho) K), averaged with rho by the method's weight a_i;
     the first stage reads the profile's kernel_values, which a record made

@@ -202,11 +202,13 @@ def _text(value) -> str:
 
 
 def _sweep_cell(item):
-    """Worker body: run one cell, classify, never raise across the pool."""
+    """Worker body: run one cell, classify, never raise across the pool;
+    an exception that run_experiment does not classify fails only this
+    cell, with exit code 1."""
     cfg, out_dir, labels = item
     try:
         result = run_experiment(cfg, out_dir=out_dir)
-    except (ConfigError, ValueError, OSError) as err:
+    except Exception as err:  # not BaseException: Ctrl-C still stops it
         result = _failure(err, out_dir)
     return _cell_row(result, labels)
 

@@ -3,20 +3,23 @@
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qimcf import (FlowState, MeanConvexityLost, RadialProfile, StepControl,
-                   initial_profile, profile_derivatives, run_flow, step)
+                   flow, initial_profile, profile_derivatives, run_flow, step)
 from qimcf.flow import (MAX_STAGES, METHODS, NonFiniteState, StiffnessError,
-                        _half_stencil_eigenvalues, checked_min_K,
-                        diagnostics_record, method_edges, record_index,
-                        ssprk2, stage_edge)
-from qimcf.config import ExperimentConfig, check_mean_convexity
+                        checked_min_K, diagnostics_record, method_edges,
+                        record_index, ssprk2)
+from qimcf.config import MAX_N, ExperimentConfig, check_mean_convexity
 from qimcf.geometry import KernelWork, cached_grid, kernel, q_terms
+from qimcf.stage_edges import STAGE_EDGES
 from sphere_ode_oracle import hat_H, integrate_sphere_ode
+from stage_edge_oracle import (_half_stencil_eigenvalues, stage_edge,
+                               table_module)
 
 SPHERE_RHS_2_1 = 0.08713815200031506  # sinh cosh / (7 cosh^2 + 3 sinh^2) at 1
 HEUN = ssprk2(2)
@@ -286,7 +289,7 @@ def test_step_matches_fresh_kernel_shu_osher_loop(r0, N, index):
     m = ker.K.min()
     base = ctrl.cfl_safety * grid.dtheta**2 * m * m / 2
     method = METHODS[index]
-    dt = min(ctrl.dt_max, base * stage_edge(2, method))
+    dt = min(ctrl.dt_max, base * method_edges(2)[index])
     assert nxt.last_dt == dt
     y = rho.copy()
     for i, a in enumerate(method.a):
@@ -311,6 +314,57 @@ def test_method_edges_keep_their_bits():
     assert method_edges(48) == (0.40329762920737267, 0.6889954498037696,
                                 0.9668774735182524, 1.31327664188575,
                                 1.6112486582715064, 1.9453380854101852)
+
+
+def test_stage_edge_table_covers_every_admitted_n():
+    # one row per n the config admits, in order, so no n reads another's
+    ns = [int(line.split()[0]) for line in STAGE_EDGES.splitlines()]
+    assert ns == list(range(2, MAX_N + 1))
+
+
+def test_stage_edge_table_is_the_oracles():
+    # every shipped edge bit for bit as the oracle bisects it, and the
+    # shipped module is the oracle's output, header and all
+    for n in range(2, MAX_N + 1):
+        assert method_edges(n) == tuple(stage_edge(n, m) for m in METHODS)
+    path = Path(flow.__file__).with_name("stage_edges.py")
+    assert path.read_text(encoding="utf-8") == table_module()
+
+
+def test_stage_edges_grow_with_the_stage_count():
+    # METHODS is ordered by stage count, and within each row no method
+    # with more stages has a smaller edge, so step's first method that
+    # covers a step is the cheapest one that does
+    stages = [len(method.a) for method in METHODS]
+    assert stages == sorted(stages)
+    for n in range(2, MAX_N + 1):
+        edges = method_edges(n)
+        assert all(b >= a for a, b in zip(edges, edges[1:])), n
+
+
+@pytest.mark.parametrize("n", [0, 1, MAX_N + 1])
+def test_method_edges_refuse_n_outside_the_table(n):
+    with pytest.raises(ValueError, match=(
+            rf"^no stability edges for n={n}: the table covers "
+            rf"n = 2\.\.{MAX_N}$")):
+        method_edges(n)
+
+
+def test_stale_stage_edge_table_is_refused(monkeypatch):
+    # a row whose width is not len(METHODS) fails loudly, not silently
+    # pairing edges with the wrong methods
+    monkeypatch.setattr("qimcf.stage_edges.STAGE_EDGES",
+                        "2 1.0 2.0 3.0\n3 1.0 2.0 3.0\n")
+    flow._edge_table.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=(
+                r"^stage edge row for n=2 has 3 edges, METHODS has 6; "
+                r"regenerate stage_edges.py$")):
+            method_edges(2)
+    finally:
+        monkeypatch.undo()
+        flow._edge_table.cache_clear()
+    assert len(method_edges(2)) == len(METHODS)
 
 
 def test_step_cfl_binds_at_small_radius():
@@ -516,7 +570,7 @@ def test_step_control_validation():
     state = sphere_state(1.0)
     ev = profile_derivatives(state.profile)
     bound = state.profile.grid.dtheta**2 * (ev.H * ev.sinh * ev.v).min()**2 / 2
-    edges = [0.0] + [stage_edge(2, m) for m in METHODS] + [math.inf]
+    edges = [0.0] + list(method_edges(2)) + [math.inf]
     for i in range(len(METHODS)):
         last = i == len(METHODS) - 1
         ratio = 2 * edges[i + 1] if last else (edges[i] + edges[i + 1]) / 2

@@ -49,6 +49,11 @@ t_end = 21.0
 """
 
 
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the patched run_experiment only when forked")
+
+
 def fast_cfg(**kw):
     base = dict(grid_points=64, initial_kind="bump", initial_r0=3.0,
                 initial_amplitude=0.1, t_end=21.0)
@@ -579,9 +584,37 @@ def test_sweep_cell_failure_keeps_other_cells(tmp_path, monkeypatch, exc):
     assert (tmp_path / "sw" / "sweep.csv").exists()
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers see the patched run_experiment only "
-                           "when forked")
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORK_ONLY)])
+def test_sweep_unexpected_exception_costs_only_its_cell(tmp_path, monkeypatch,
+                                                         workers):
+    # an exception that no layer classifies fails its own cells with exit
+    # code 1 and loses no other cell; it used to propagate out of sweep,
+    # which then wrote no sweep.csv
+    real = run_experiment
+
+    def flaky(cfg, out_dir=None):
+        if cfg.initial_tau == 3.5:
+            raise RuntimeError("boom in a worker")
+        return real(cfg, out_dir=out_dir)
+
+    monkeypatch.setattr("qimcf.harness.run_experiment", flaky)
+    vary = [("initial.tau", ["3.5", "4.0"]),
+            ("initial.amplitude", ["0.05", "0.1"])]
+    out = tmp_path / "sw"
+    rows = sweep(fast_cfg(initial_kind="tau_family", t_end=10.5), vary,
+                 out_dir=str(out), max_workers=workers)
+    assert [r["exit_code"] for r in rows] == [EXIT_CONFIG] * 2 + [EXIT_OK] * 2
+    assert [r["verdict"] for r in rows[:2]] == ["FAILED"] * 2
+    assert [r["error"] for r in rows] == \
+        ["RuntimeError: boom in a worker"] * 2 + ["", ""]
+    assert sorted(p.parent.name for p in out.glob("*/report.json")) == [
+        "tau=4.0_amplitude=0.05", "tau=4.0_amplitude=0.1"]
+    header, csv_rows = read_csv(out / "sweep.csv")
+    assert [row[header.index("exit_code")] for row in csv_rows] == \
+        ["1", "1", "0", "0"]
+
+
+@FORK_ONLY
 def test_sweep_dead_worker_keeps_other_cells_rows(tmp_path, monkeypatch,
                                                   capsys):
     # a worker that dies breaks the process pool: the cells finished
@@ -626,9 +659,7 @@ def test_sweep_dead_worker_keeps_other_cells_rows(tmp_path, monkeypatch,
     assert (tmp_path / "cli" / "sweep.csv").exists()
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers see the patched run_experiment only "
-                           "when forked")
+@FORK_ONLY
 def test_sweep_dead_worker_costs_only_its_own_cell(tmp_path, monkeypatch):
     # the first cell kills its worker at once, while the other cells are
     # queued or running: they rerun in a fresh pool and keep their rows,
