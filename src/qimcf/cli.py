@@ -5,8 +5,8 @@
     qimcf verify-ambient [--n N] [--samples K]
 
 A run or sweep writes under --out when given, else under the config's
-output.dir.  A config with an invalid value is refused with exit code 1
-before anything is written.
+output.dir.  A usage error, or a config with an invalid value, is
+refused with exit code 1 before anything is written.
 """
 
 import argparse
@@ -16,8 +16,6 @@ import sys
 from .config import ConfigError, parse_config
 from .harness import (EXIT_CONFIG, EXIT_OK, run_experiment, sweep,
                       verify_ambient_report)
-
-logger = logging.getLogger(__name__)
 
 
 def _load_config(path: str):
@@ -99,7 +97,11 @@ def main(argv=None) -> int:
     p_ver.add_argument("--samples", type=int, default=1000,
                        help="random samples per check (default 1000)")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 2, MeanConvexityLost's code, on a usage error
+        return stop.code and EXIT_CONFIG
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

@@ -6,7 +6,7 @@ ignored and `#` starts a comment.  Unknown keys and bad types are
 rejected with the offending line number, which is why this stays a
 hand-rolled parser rather than an off-the-shelf INI reader; invalid
 values are refused by ExperimentConfig itself, however it is built, the
-time axis by StepControl and the initial profile by flow.checked_min_K.
+time axis by StepControl, and the initial profile by the run alone.
 
 Example:
 
@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .flow import (NodeFailure, StepControl, checked_min_K, initial_profile,
-                   last_record, record_index)
+                   last_record)
 from .limits import T_USABLE
 
 INITIAL_KINDS = ("sphere", "bump", "tau_family")
@@ -100,9 +100,8 @@ class ExperimentConfig:
             raise ConfigError(re.sub(r"\w+", lambda m: _STEP_CONTROL_KEYS.get(
                 m[0], m[0]), str(err)))
         every = self.snapshot_every
-        # the limit analysis needs the first record at t >= T_USABLE to be
-        # followed by another
-        if record_index(every, T_USABLE) >= last_record(every, self.t_end)[0]:
+        # the limit analysis needs the record before the last at t >= T_USABLE
+        if (last_record(every, self.t_end)[0] - 1) * every < T_USABLE:
             raise ConfigError(
                 f"limit analysis needs two records at t >= {T_USABLE:g}; "
                 f"time.t_end = {self.t_end:g} with output.snapshot_every = "
@@ -156,6 +155,7 @@ def check_mean_convexity(cfg: ExperimentConfig):
     r0 is tau, a sphere's amplitude is 0.  The flow speed 1/H is undefined
     at H <= 0, so the run must not start; flow.checked_min_K, every
     stage's guard, checks the kernel values that the first step reads.
+    Only run_experiment calls this, before it writes anything.
     """
     kind = cfg.initial_kind
     r0 = cfg.initial_tau if kind == "tau_family" else cfg.initial_r0
@@ -172,7 +172,7 @@ def check_mean_convexity(cfg: ExperimentConfig):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a config; errors carry line numbers."""
+    """Parse a config and check its values; the run checks its profile."""
     values = {}
     seen = {}
     section = ""
@@ -201,20 +201,18 @@ def parse_config(text: str) -> ExperimentConfig:
         values[attr] = converted
         seen[attr] = lineno
 
-    cfg = ExperimentConfig(**values)
-    check_mean_convexity(cfg)
-    return cfg
+    return ExperimentConfig(**values)
 
 
-def override_config(cfg: ExperimentConfig, dotted_key: str,
-                    value: str) -> ExperimentConfig:
-    """Replace one field addressed as section.key (e.g. initial.tau) or n.
-
-    Used by parameter sweeps; the value goes through the parser's
-    converter, and the mean convexity check is left to the run.
-    """
-    section, _, key = dotted_key.rpartition(".")
-    entry = _convert(section, key, value, dotted_key)
-    if entry is None:
-        raise ConfigError(f"unknown config key {dotted_key!r}")
-    return replace(cfg, **dict([entry]))
+def override_config(cfg: ExperimentConfig, pairs) -> ExperimentConfig:
+    """cfg with each (key, value string) of pairs set, a key being
+    section.key or n; the values are converted as the parser does and set
+    in one replace, which alone is validated.  The profile is the run's."""
+    changes = {}
+    for dotted_key, value in pairs:
+        section, _, key = dotted_key.rpartition(".")
+        entry = _convert(section, key, value, dotted_key)
+        if entry is None:
+            raise ConfigError(f"unknown config key {dotted_key!r}")
+        changes.update([entry])
+    return replace(cfg, **changes)

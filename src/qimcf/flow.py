@@ -11,8 +11,8 @@ linearizing the speed in phi'', scaled by each method's stability edge
 for the pole drift of n.  The edges are a table shipped in
 stage_edges.py and generated offline by tests/stage_edge_oracle.py, so
 no run computes an eigenvalue and the step sizes do not depend on the
-machine's LAPACK build.  StepControl checks the time axis, checked_min_K every profile evaluated,
-and each failure class carries the exit code of a run that it stops.
+machine's LAPACK build.  StepControl checks the time axis, checked_min_K
+every profile; each failure class carries the exit code of its run.
 
 Everything is deterministic: fixed evaluation order, no threading inside
 a run.
@@ -166,7 +166,8 @@ class StepControl:
                 need = "positive" if value <= 0 else "finite"
                 raise ValueError(f"{name} must be {need}, got {value}")
         if not 0 < self.cfl_safety <= 1:
-            raise ValueError(f"cfl_safety must be in (0,1], got {self.cfl_safety}")
+            raise ValueError(
+                f"cfl_safety must be in (0,1], got {self.cfl_safety}")
         if not math.isfinite(self.t_end / self.record_every):
             raise ValueError(f"t_end / record_every overflows: "
                              f"{self.t_end:g} / {self.record_every:g}")
@@ -228,6 +229,7 @@ def _edge_table() -> Dict[int, Tuple[float, ...]]:
     # imported here, not at the top: import qimcf and parse_config never
     # read the table
     from .stage_edges import STAGE_EDGES
+    # a string: without a .pyc, a dict literal's 756 floats cost 4x its RSS
     table = {}
     for line in STAGE_EDGES.splitlines():
         n, *edges = line.split()
@@ -265,14 +267,14 @@ def step(state: FlowState, ctrl: StepControl,
     METHODS whose edge in method_edges(n) gives base * edge >= that, else
     the last, and dt = min(wanted, base * edge).  The edges are read from
     the shipped table, so dt is the same whatever LAPACK the machine
-    has.  Each stage is one
-    kernel evaluation and one forward-Euler substep of c dt at the speed
-    v/H = A/(sinh(rho) K), averaged with rho by the method's weight a_i;
-    the first stage reads the profile's kernel_values, which a record made
-    at this state has already evaluated, and the later stages evaluate
-    into one KernelWork that the step owns and drops.  A stage mixes rho
-    and y + h A/(sinh(rho) K), K > 0, so it is never <= 0; a NaN one is
-    named, with its node, by the next evaluation's checked_min_K.
+    has.  Each stage is one kernel evaluation and one forward-Euler
+    substep of c dt at the speed v/H = A/(sinh(rho) K), averaged with rho
+    by the method's weight a_i; the first stage reads the profile's
+    kernel_values, which a record made at this state has already
+    evaluated, and the later stages evaluate into one KernelWork that the
+    step owns and drops.  A stage mixes rho and y + h A/(sinh(rho) K),
+    K > 0, so it is never <= 0; a NaN one is named, with its node, by the
+    next evaluation's checked_min_K.
     """
     profile = state.profile
     grid = profile.grid

@@ -88,12 +88,12 @@ def run_experiment(cfg: ExperimentConfig,
                    out_dir: Optional[str] = None) -> ExperimentResult:
     """Run one configured flow and write the output files.
 
-    Raises ConfigError when the initial profile is not mean convex
-    (nothing is written); integration and arithmetic failures are
-    reported through the exit code with the diagnostics and profiles
-    recorded so far on disk, and no report.json.  A rerun first deletes
-    the earlier run's report and decay table, and rewrites both
-    per-record files from their headers.
+    The only check of a config's initial profile: ConfigError, with
+    nothing written, when it is not mean convex or has rho <= 0.
+    Integration and arithmetic failures are reported through the exit
+    code with the diagnostics and profiles recorded so far on disk, and
+    no report.json.  A rerun first deletes the earlier run's report and
+    decay table, and rewrites both per-record files from their headers.
     """
     profile0 = check_mean_convexity(cfg)
     out = resolve_out_dir(cfg, out_dir)
@@ -270,9 +270,7 @@ def sweep(cfg: ExperimentConfig,
     axes = [[(key, val) for val in values] for key, values in vary]
     items = []
     for combo in itertools.product(*axes):
-        cell_cfg = cfg
-        for key, val in combo:
-            cell_cfg = override_config(cell_cfg, key, val)
+        cell_cfg = override_config(cfg, combo)
         labels = {key.rpartition(".")[2]: val for key, val in combo}
         cell = str(base / _cell_name(labels))
         if any(item[1] == cell for item in items):

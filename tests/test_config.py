@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qimcf import (ConfigError, ExperimentConfig, FlowState, StepControl,
-                   cached_grid, flow, initial_profile, parse_config)
+                   cached_grid, flow, initial_profile, parse_config,
+                   run_experiment, sweep)
 from qimcf.config import check_mean_convexity, override_config
 from qimcf.flow import RECORD_SNAP, last_record
 
@@ -68,6 +69,15 @@ def test_n_range():
 def err_of(text):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
+    return excinfo.value
+
+
+def refusal_of(text, out):
+    """The ConfigError that refuses text before anything is written:
+    parse_config's for a value, the run's for the initial profile."""
+    with pytest.raises(ConfigError) as excinfo:
+        run_experiment(parse_config(text), out_dir=str(out))
+    assert not out.exists()
     return excinfo.value
 
 
@@ -138,8 +148,8 @@ def test_duplicate_key():
     ("[time]\nt_end = 40\n[output]\nsnapshot_every = 50",
      "limit analysis needs two records at t >= 10"),
 ])
-def test_invariant_violations(text, needle):
-    e = err_of(text)
+def test_invariant_violations(text, needle, tmp_path):
+    e = refusal_of(text, tmp_path / "o")
     assert needle in str(e)
     assert e.line is None  # semantic, not syntactic
 
@@ -164,10 +174,12 @@ def test_non_finite_values_refused(text, needle):
     assert e.line is None
 
 
-def test_mean_convexity_refusal():
+def test_mean_convexity_refusal(tmp_path):
     # flow.checked_min_K's message: the node of the smallest H, its theta
-    # and H, at t = 0
-    e = err_of("[initial]\nkind = bump\nr0 = 1.0\namplitude = 0.9")
+    # and H, at t = 0, from the run; parse_config leaves the profile alone
+    text = "[initial]\nkind = bump\nr0 = 1.0\namplitude = 0.9"
+    assert parse_config(text).initial_amplitude == 0.9
+    e = refusal_of(text, tmp_path / "o")
     assert str(e).startswith("initial profile is not mean convex: mean "
                              "convexity lost at t=0: H=-")
     assert " at node " in str(e) and "(theta=" in str(e)
@@ -253,8 +265,8 @@ def test_every_way_of_building_refuses_invalid_values():
                       lambda: dataclasses.replace(ExperimentConfig(),
                                                   **{attr: value}),
                       lambda: parse_config(text),
-                      lambda: override_config(ExperimentConfig(), key,
-                                              str(value))):
+                      lambda: override_config(ExperimentConfig(),
+                                              [(key, str(value))])):
             with pytest.raises(ConfigError) as excinfo:
                 build()
             assert str(excinfo.value) == message
@@ -274,47 +286,75 @@ def test_record_window_boundary():
     ExperimentConfig(t_end=10.4, snapshot_every=0.5)
     ExperimentConfig(t_end=60.0, snapshot_every=50.0)
     with pytest.raises(ConfigError, match="limit analysis"):
-        override_config(ExperimentConfig(), "output.snapshot_every", "50")
+        override_config(ExperimentConfig(), [("output.snapshot_every", "50")])
+
+
+def test_record_rule_cannot_overflow(tmp_path):
+    # 10 / 1e-308 is no record index; the rule reads the run's own
+    # schedule, whose record before the last falls before t = 10
+    message = ("limit analysis needs two records at t >= 10; time.t_end = "
+               "1e-300 with output.snapshot_every = 1e-308 gives fewer")
+    pairs = [("time.t_end", "1e-300"), ("output.snapshot_every", "1e-308")]
+    base = ExperimentConfig(output_dir=str(tmp_path / "sw"))
+    for build in (
+            lambda: parse_config("[time]\nt_end = 1e-300\n"
+                                 "[output]\nsnapshot_every = 1e-308\n"),
+            lambda: ExperimentConfig(t_end=1e-300, snapshot_every=1e-308),
+            lambda: override_config(base, pairs),
+            lambda: sweep(base, [(key, [val]) for key, val in pairs])):
+        with pytest.raises(ConfigError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+    assert not (tmp_path / "sw").exists()
 
 
 def test_override_dotted_key():
     base = ExperimentConfig()
-    out = override_config(base, "initial.tau", "5.5")
+    out = override_config(base, [("initial.tau", "5.5")])
     assert out.initial_tau == 5.5
     assert base.initial_tau == 4.0
     assert out.n == base.n
 
 
+def test_override_sets_every_pair_in_one_replace():
+    # snapshot_every = 50 alone is refused at the default t_end = 40;
+    # set with t_end = 100 in one replace, in either order, it is not
+    pairs = [("output.snapshot_every", "50"), ("time.t_end", "100")]
+    out = override_config(ExperimentConfig(), pairs)
+    assert (out.snapshot_every, out.t_end) == (50.0, 100.0)
+    assert override_config(ExperimentConfig(), pairs[::-1]) == out
+
+
 def test_override_bare_attribute():
     # sweep keys are section.key (or n); attribute names are not keys
     with pytest.raises(ConfigError) as excinfo:
-        override_config(ExperimentConfig(), "t_end", "10")
+        override_config(ExperimentConfig(), [("t_end", "10")])
     assert "unknown config key 't_end'" in str(excinfo.value)
-    assert override_config(ExperimentConfig(), "n", "3").n == 3
+    assert override_config(ExperimentConfig(), [("n", "3")]).n == 3
 
 
 def test_override_unknown_key():
     with pytest.raises(ConfigError) as excinfo:
-        override_config(ExperimentConfig(), "quantum.flux", "1")
+        override_config(ExperimentConfig(), [("quantum.flux", "1")])
     assert "unknown config key" in str(excinfo.value)
 
 
 def test_override_bad_value():
     with pytest.raises(ConfigError) as excinfo:
-        override_config(ExperimentConfig(), "grid.points", "many")
+        override_config(ExperimentConfig(), [("grid.points", "many")])
     assert "expects int" in str(excinfo.value)
 
 
 def test_override_revalidates():
     with pytest.raises(ConfigError):
-        override_config(ExperimentConfig(), "grid.points", "16")
+        override_config(ExperimentConfig(), [("grid.points", "16")])
 
 
 def test_override_defers_convexity_to_run_time():
     # amplitude alone passes static validation; the run entry point is
     # responsible for the surface-level refusal
     out = override_config(ExperimentConfig(initial_kind="bump"),
-                          "initial.amplitude", "0.9")
+                          [("initial.amplitude", "0.9")])
     assert out.initial_amplitude == 0.9
     with pytest.raises(ConfigError):
         check_mean_convexity(out)

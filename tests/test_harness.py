@@ -268,11 +268,18 @@ def test_limit_analysis_matches_every_profile(tmp_path, monkeypatch,
 
 
 def test_refusal_creates_no_files(tmp_path):
-    bad = fast_cfg(initial_r0=1.0, initial_amplitude=0.9,
-                   output_dir=str(tmp_path / "bad"))
-    with pytest.raises(ConfigError):
-        run_experiment(bad)
-    assert not (tmp_path / "bad").exists()
+    # the run is the one check of the initial profile, before any mkdir
+    for r0, amplitude, message in [
+            (1.0, 0.9, "initial profile is not mean convex: mean convexity "
+                       "lost at t=0: H=-1187.11 at node 63 (theta=1.55852)"),
+            (0.05, 0.1, "initial profile is not a radial graph: rho must be "
+                        "positive everywhere, min rho = -0.0499699")]:
+        bad = fast_cfg(initial_r0=r0, initial_amplitude=amplitude,
+                       output_dir=str(tmp_path / "bad"))
+        with pytest.raises(ConfigError) as excinfo:
+            run_experiment(bad)
+        assert str(excinfo.value) == message
+        assert not (tmp_path / "bad").exists()
 
     with pytest.raises(ConfigError):
         run_experiment(fast_cfg(grid_points=16), out_dir=str(tmp_path / "g"))
@@ -330,8 +337,9 @@ def test_sweep_cells_match_individual_runs(tmp_path):
                  out_dir=str(tmp_path / "sw"), max_workers=2)
     assert [r["verdict"] for r in rows] == ["CONSTANT", "NON_CONSTANT"]
 
-    direct = run_experiment(override_config(base, "initial.amplitude", "0.1"),
-                            out_dir=str(tmp_path / "direct"))
+    direct = run_experiment(
+        override_config(base, [("initial.amplitude", "0.1")]),
+        out_dir=str(tmp_path / "direct"))
     cell_report = json.loads(
         (tmp_path / "sw" / "amplitude=0.1" / "report.json").read_text())
     assert cell_report == direct.report
@@ -363,6 +371,74 @@ def test_sweep_failed_cell_keeps_row(tmp_path):
     assert bad["error"].startswith("ConfigError: ")
     # the cell was refused before any directory was created
     assert not (tmp_path / "sw" / "amplitude=0.9").exists()
+
+
+def test_sweep_cells_that_inherit_a_non_convex_start_fail_alone(tmp_path):
+    # every cell keeps the base's amplitude 0.9: each fails its own row
+    base = fast_cfg(initial_r0=1.0, initial_amplitude=0.9)
+    rows = sweep(base, [("grid.points", ["32", "64"])],
+                 out_dir=str(tmp_path / "sw"), max_workers=1)
+    assert [(r["verdict"], r["exit_code"]) for r in rows] == [
+        ("FAILED", EXIT_CONFIG), ("FAILED", EXIT_CONFIG)]
+    assert all(r["error"].startswith("ConfigError: initial profile is not "
+                                     "mean convex") for r in rows)
+    assert sorted(p.name for p in (tmp_path / "sw").iterdir()) == \
+        ["sweep.csv"]
+    assert len(read_csv(tmp_path / "sw" / "sweep.csv")[1]) == 2
+
+
+def test_sweep_cells_that_leave_a_non_convex_base_run(tmp_path, capsys):
+    # parse_config leaves the base's profile to a run, and no cell runs
+    # amplitude 0.9
+    cfg = write_cfg(tmp_path, "[grid]\npoints = 32\n[initial]\nkind = bump"
+                              "\nr0 = 1.0\namplitude = 0.9\n[time]\n"
+                              "t_end = 12\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--vary",
+                 "initial.amplitude=0.1,0.2", "--out", str(out)]) == EXIT_OK
+    assert "2 cells, 0 failed" in capsys.readouterr().out
+    header, rows = read_csv(out / "sweep.csv")
+    assert [row[header.index("exit_code")] for row in rows] == ["0", "0"]
+
+
+def test_sweep_axis_order_does_not_matter(tmp_path):
+    # snapshot_every = 50 with the base's t_end = 21 leaves the limit
+    # analysis one record at t >= 10, but no cell has that t_end
+    vary = [("output.snapshot_every", ["50"]), ("time.t_end", ["100"])]
+    reports = []
+    for name, axes in (("a", vary), ("b", vary[::-1])):
+        rows = sweep(fast_cfg(), axes, out_dir=str(tmp_path / name),
+                     max_workers=1)
+        assert [r["exit_code"] for r in rows] == [EXIT_OK]
+        cell = next(p for p in (tmp_path / name).iterdir() if p.is_dir())
+        reports.append(json.loads((cell / "report.json").read_text()))
+    assert reports[0] == reports[1]
+    assert (reports[0]["t_end"], reports[0]["snapshot_every"]) == (100, 50)
+
+
+def test_sweep_builds_one_config_per_cell(tmp_path, monkeypatch):
+    # a 3-axis sweep of 2 x 2 x 3 cells validates the 12 configs it runs
+    # and no other
+    base = fast_cfg()
+    built, ran = [], []
+    post_init = ExperimentConfig.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def run_experiment(cfg, out_dir=None):
+        ran.append(cfg)
+        raise RuntimeError("not run")
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counting_post_init)
+    monkeypatch.setattr(harness, "run_experiment", run_experiment)
+    rows = sweep(base, [("initial.r0", ["2.5", "3"]),
+                        ("initial.amplitude", ["0", "0.1"]),
+                        ("time.t_end", ["20", "21", "22"])],
+                 out_dir=str(tmp_path / "sw"), max_workers=1)
+    assert len(rows) == len(built) == len(ran) == 12
+    assert all(cfg is cell for cfg, cell in zip(built, ran))
 
 
 def test_sweep_rows_name_the_varied_key(tmp_path, monkeypatch):
@@ -849,6 +925,21 @@ def test_cli_sweep_bad_vary(tmp_path, capsys):
                  "--vary", "notakv"])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["run"], ["sweep", "--config", "x.cfg"], ["frobnicate"],
+    ["verify-ambient", "--n", "x"]])
+def test_cli_usage_error_exits_1(capsys, argv):
+    # exit code 2 is MeanConvexityLost's, not argparse's
+    assert main(argv) == EXIT_CONFIG
+    assert "usage: qimcf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_cli_help_exits_0(capsys, argv):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: qimcf")
 
 
 def test_cli_verify_ambient(capsys):
