@@ -18,6 +18,6 @@ from .flow import (DiagnosticsRecord, FlowError, FlowState,
                    step)
 from .geometry import (Grid, KernelWork, ProfileDerivatives, RadialProfile,
                        cached_grid, kernel, profile_derivatives)
-from .harness import ExperimentResult, run_experiment, sweep, verify_ambient_report
+from .harness import ExperimentResult, run_experiment, sweep
 from .limits import (ConformalFactor, ConstancyVerdict, constancy_verdict,
                      extract_conformal_factor, fit_decay_rate, limit_Q)

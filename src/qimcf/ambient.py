@@ -103,9 +103,9 @@ def verify_ambient(n: int, samples: int, seed: int = 0) -> dict:
     """Curvature verification report: sectional range, anchor values,
     tensor symmetries, first Bianchi, and the Einstein constant.
 
-    Returns a dict of worst-case residuals; the CLI and the acceptance
-    suite assert the tolerances.  Raises ValueError unless n >= 2 and
-    samples >= 1.
+    Returns a dict of worst-case residuals; harness.verify_ambient_report
+    and the acceptance suite assert the tolerances.  Raises ValueError
+    unless n >= 2 and samples >= 1.
     """
     ricci = ricci_check(n, min(samples, 100), seed=seed)  # refuses bad n, samples
     rng = np.random.default_rng(seed)

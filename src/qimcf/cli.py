@@ -2,11 +2,11 @@
 
     qimcf run --config FILE [--out DIR]
     qimcf sweep --config FILE --vary KEY=V1,V2,... [--vary ...] [--out DIR]
-    qimcf verify-ambient [--n N] [--samples K]
 
 A run or sweep writes under --out when given, else under the config's
-output.dir.  A usage error, or a config with an invalid value, is
-refused with exit code 1 before anything is written.
+output.dir.  A usage error, a config file that is not UTF-8, or a
+config with an invalid value, is refused with exit code 1 before
+anything is written.
 """
 
 import argparse
@@ -14,13 +14,17 @@ import logging
 import sys
 
 from .config import ConfigError, parse_config
-from .harness import (EXIT_CONFIG, EXIT_OK, run_experiment, sweep,
-                      verify_ambient_report)
+from .harness import EXIT_CONFIG, EXIT_OK, run_experiment, sweep
 
 
 def _load_config(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path} is not UTF-8: {err}",
+                          err.object.count(b"\n", 0, err.start) + 1)
+    return parse_config(text)
 
 
 def _parse_vary(entries):
@@ -57,21 +61,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_CONFIG
 
 
-def _cmd_verify_ambient(args) -> int:
-    try:
-        report, checks, ok = verify_ambient_report(args.n, args.samples)
-    except ValueError as err:
-        print(f"verify-ambient: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(f"ambient verification, n={args.n}, {args.samples} samples:")
-    print(f"  sectional range observed [{report['sectional_min']:.6f}, "
-          f"{report['sectional_max']:.6f}]")
-    for name, value, tol, passed in checks:
-        status = "PASS" if passed else "FAIL"
-        print(f"  {status}  {name} = {value:.3e} (tol {tol:g})")
-    return EXIT_OK if ok else EXIT_CONFIG
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qimcf",
@@ -90,13 +79,6 @@ def main(argv=None) -> int:
                          help="axis to vary; repeat for a product sweep")
     p_sweep.add_argument("--out", help="output directory override")
 
-    p_ver = sub.add_parser("verify-ambient",
-                           help="verify ambient curvature identities")
-    p_ver.add_argument("--n", type=int, default=2,
-                       help="quaternionic dimension (default 2)")
-    p_ver.add_argument("--samples", type=int, default=1000,
-                       help="random samples per check (default 1000)")
-
     try:
         args = parser.parse_args(argv)
     except SystemExit as stop:
@@ -107,9 +89,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_verify_ambient(args)
+        return _cmd_sweep(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

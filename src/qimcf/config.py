@@ -94,6 +94,8 @@ class ExperimentConfig:
         if self.initial_amplitude < 0:
             raise ConfigError(f"initial.amplitude must be >= 0, "
                               f"got {self.initial_amplitude}")
+        if not self.output_dir.strip():
+            raise ConfigError("output.dir must not be empty")
         try:
             self.step_control()
         except ValueError as err:

@@ -173,8 +173,7 @@ class StepControl:
                              f"{self.t_end:g} / {self.record_every:g}")
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
+class DiagnosticsRecord(NamedTuple):
     """Monitored quantities at one record time.
 
     drift is the orbit-weighted mean radius minus t/(2(2n+1)), the

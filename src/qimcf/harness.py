@@ -14,21 +14,20 @@ Output contract per run directory:
 Both per-record files get their row as each record is made, so any
 exception leaves them with matching rows.
 
-Exit codes: 0 success, 1 configuration, verification or arithmetic
-failure, else the flow failure's exit_code: 2 mean convexity lost, 3
-step-size collapse, 4 non-finite state or record.  Sweeps run one cell
-per worker process and classify failures per cell without aborting the
-sweep; the process pool is imported on the first parallel sweep, so a
-single run never loads concurrent.futures or multiprocessing.
+Exit codes: 0 success, 1 configuration or arithmetic failure, else the
+flow failure's exit_code: 2 mean convexity lost, 3 step-size collapse,
+4 non-finite state or record.  Sweeps run one cell per worker process
+and classify failures per cell without aborting the sweep; the process
+pool is imported on the first parallel sweep, so a single run never
+loads concurrent.futures or multiprocessing.
 """
 
 import csv
 import itertools
 import json
 import logging
-import operator
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -108,14 +107,12 @@ def run_experiment(cfg: ExperimentConfig,
     records = []
     limit_snapshots = LimitSnapshots(
         last_record(ctrl.record_every, ctrl.t_end)[1])
-    names = [f.name for f in fields(DiagnosticsRecord)]
-    values = operator.attrgetter(*names)
-
     try:
         with open(out / "diagnostics.csv", "w", encoding="utf-8",
                   newline="") as diagnostics, \
                 open(out / "profiles.csv", "w", encoding="utf-8",
                      newline="") as profiles:
+            names = DiagnosticsRecord._fields
             diagnostics.write(",".join(names) + "\n")
             theta = ",".join(map(repr, profile0.theta.tolist()))
             profiles.write(f"t,{theta}\n")
@@ -126,7 +123,7 @@ def run_experiment(cfg: ExperimentConfig,
             profiles_row = "%r" + ",%.17g" * profile0.rho.size + "\n"
 
             def observer(state, record):
-                diagnostics.write(diagnostics_row % values(record))
+                diagnostics.write(diagnostics_row % record)
                 profiles.write(profiles_row
                                % (state.t, *state.profile.rho.tolist()))
                 records.append(record)
@@ -263,8 +260,10 @@ def sweep(cfg: ExperimentConfig,
 
     Returns the aggregate rows as dicts in cell order.
     """
-    if not vary or len({key for key, _ in vary}) < len(vary):
-        raise ConfigError("sweep needs at least one key to vary, each once")
+    if (not vary or len({key for key, _ in vary}) < len(vary)
+            or not all(values for _, values in vary)):
+        raise ConfigError("sweep needs at least one key to vary, each once, "
+                          "each with a value")
     base = resolve_out_dir(cfg, out_dir)
 
     axes = [[(key, val) for val in values] for key, values in vary]

@@ -243,6 +243,9 @@ INVALID = [
     ("output.snapshot_every", "snapshot_every", 50.0,
      "limit analysis needs two records at t >= 10; time.t_end = 40 with "
      "output.snapshot_every = 50 gives fewer"),
+    # Path("") is the working directory, where a run would overwrite files
+    ("output.dir", "output_dir", "", "output.dir must not be empty"),
+    ("output.dir", "output_dir", " ", "output.dir must not be empty"),
 ]
 
 # (attribute, value, message): a value of the wrong type, which only

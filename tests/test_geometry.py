@@ -71,6 +71,8 @@ def test_profile_invariants():
         RadialProfile(n=1, rho=np.array([1.0]))
     with pytest.raises(ValueError):
         RadialProfile(n=2, rho=np.zeros(64))
+    with pytest.raises(ValueError, match="rho must be a 1d array"):
+        RadialProfile(n=2, rho=np.ones((2, 64)))
     prof = bump()
     assert prof.theta.size == 256
     assert abs(prof.grid.dtheta - (np.pi / 2) / 256) < 1e-16

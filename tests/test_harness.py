@@ -109,7 +109,7 @@ def test_run_experiment_artifacts(tmp_path):
 
     with open(out / "diagnostics.csv", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == [f.name for f in dataclasses.fields(DiagnosticsRecord)]
+    assert rows[0] == list(DiagnosticsRecord._fields)
     assert len(rows) == 44
     assert float(rows[1][0]) == 0.0
     assert float(rows[-1][0]) == 21.0
@@ -608,6 +608,32 @@ def test_largest_n_run_reports_a_finite_limit_q(tmp_path):
     assert math.isfinite(limit_q) and abs(limit_q) > VERDICT_TOL
 
 
+@pytest.mark.parametrize("index,name,value", [(1, "Q", math.nan),
+                                              (2, "q_rhs", math.inf)])
+def test_run_refuses_non_finite_Q_or_q_rhs(tmp_path, monkeypatch, index,
+                                           name, value):
+    # no admitted config makes Q or q_rhs overflow while the volume stays
+    # finite, so q_terms is patched to return one of them non-finite
+    real_q_terms = flow.q_terms
+
+    def q_terms(profile, derivs):
+        terms = list(real_q_terms(profile, derivs))
+        terms[index] = value
+        return tuple(terms)
+
+    monkeypatch.setattr("qimcf.flow.q_terms", q_terms)
+    message = f"non-finite {name}={value!r} at t=0"
+    state = FlowState(t=0.0, profile=check_mean_convexity(fast_cfg()))
+    with pytest.raises(NonFiniteRecord, match=message):
+        diagnostics_record(state)
+    out = tmp_path / "run"
+    result = run_experiment(fast_cfg(), out_dir=str(out))
+    assert result.exit_code == 4
+    assert result.error == f"NonFiniteRecord: {message}"
+    assert assert_profiles_follow_diagnostics(out) == []
+    assert not (out / "report.json").exists()
+
+
 def test_run_refuses_non_finite_record(tmp_path, caplog):
     # Vol(S^{4n-1}) sinh^{4n-1}(rho) overflows at t = 0 for n = 80 and
     # r0 = 3: the run stops with exit code 4 instead of recording NaN, and
@@ -789,6 +815,14 @@ def test_sweep_requires_axes(tmp_path):
     assert not (tmp_path / "y").exists()
 
 
+def test_sweep_refuses_an_axis_without_values(tmp_path):
+    # an empty axis makes no cell: refused before anything is created
+    with pytest.raises(ConfigError, match="each with a value"):
+        sweep(fast_cfg(), [("initial.r0", ["3"]), ("initial.tau", [])],
+              out_dir=str(tmp_path / "sw"))
+    assert not (tmp_path / "sw").exists()
+
+
 def test_sweep_refuses_cells_that_share_a_directory(tmp_path):
     with pytest.raises(ConfigError, match="r0=3 appears twice"):
         sweep(fast_cfg(), [("initial.r0", ["3", "3"])],
@@ -942,20 +976,24 @@ def test_cli_help_exits_0(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: qimcf")
 
 
-def test_cli_verify_ambient(capsys):
-    code = main(["verify-ambient", "--n", "2", "--samples", "100"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.count("PASS") == 6
-    assert "FAIL" not in out
+def test_cli_has_only_run_and_sweep(capsys):
+    # the ambient checks run in the test suite, through verify_ambient
+    assert main(["verify-ambient"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qimcf [-h] {run,sweep} ...\n")
+    assert "invalid choice: 'verify-ambient'" in err
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--n", "1"), ("--samples", "0"), ("--samples", "-3")])
-def test_cli_verify_ambient_bad_input(capsys, flag, value):
-    code = main(["verify-ambient", flag, value])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("verify-ambient: need n >= 2")
+@pytest.mark.parametrize("argv", [
+    ["run"], ["sweep", "--vary", "initial.amplitude=0,0.1"]])
+def test_cli_refuses_a_config_that_is_not_utf8(tmp_path, capsys, argv):
+    # "# café" saved as Latin-1 is a config error, not a traceback
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("n = 2\n# caf\xe9\n".encode("latin-1"))
+    out = tmp_path / "o"
+    code = main([*argv, "--config", str(path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: line 2: {path} is not UTF-8: 'utf-8' codec can't "
+        f"decode byte 0xe9")
+    assert not out.exists()
