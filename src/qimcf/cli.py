@@ -4,9 +4,9 @@
     qimcf sweep --config FILE --vary KEY=V1,V2,... [--vary ...] [--out DIR]
 
 A run or sweep writes under --out when given, else under the config's
-output.dir.  A usage error, a config file that is not UTF-8, or a
-config with an invalid value, is refused with exit code 1 before
-anything is written.
+output.dir.  A usage error, a config file that is not UTF-8 (a
+byte-order mark is allowed), a config with an invalid value, or an empty
+--out, is refused with exit code 1 before anything is written.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from .harness import EXIT_CONFIG, EXIT_OK, run_experiment, sweep
 
 def _load_config(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path} is not UTF-8: {err}",

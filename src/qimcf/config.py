@@ -150,20 +150,24 @@ def _convert(section: str, key: str, value: str, name: str, line: int = None):
                           line)
 
 
+def initial_shape(cfg: ExperimentConfig) -> tuple:
+    """initial_profile's (r0, amplitude) for cfg's kind, the one such map:
+    tau_family's r0 is tau, a sphere's amplitude is 0."""
+    kind = cfg.initial_kind
+    return (cfg.initial_tau if kind == "tau_family" else cfg.initial_r0,
+            0.0 if kind == "sphere" else cfg.initial_amplitude)
+
+
 def check_mean_convexity(cfg: ExperimentConfig):
     """The initial profile, once it is checked to be mean convex.
 
-    The only map of the config's kinds onto initial_profile: tau_family's
-    r0 is tau, a sphere's amplitude is 0.  The flow speed 1/H is undefined
-    at H <= 0, so the run must not start; flow.checked_min_K, every
-    stage's guard, checks the kernel values that the first step reads.
-    Only run_experiment calls this, before it writes anything.
+    The flow speed 1/H is undefined at H <= 0, so the run must not start;
+    flow.checked_min_K, every stage's guard, checks the kernel values that
+    the first step reads.  Only run_experiment calls this, before it
+    writes anything.
     """
-    kind = cfg.initial_kind
-    r0 = cfg.initial_tau if kind == "tau_family" else cfg.initial_r0
-    amplitude = 0.0 if kind == "sphere" else cfg.initial_amplitude
     try:
-        profile = initial_profile(cfg.n, cfg.grid_points, r0, amplitude)
+        profile = initial_profile(cfg.n, cfg.grid_points, *initial_shape(cfg))
     except ValueError as err:
         raise ConfigError(f"initial profile is not a radial graph: {err}")
     try:

@@ -9,7 +9,6 @@ Output contract per run directory:
                    significant digits
   report.json      limit-analysis summary and how the run was made
                    (success only, never partial)
-  decay.dat        gnuplot-ready decay table (# comment header)
 
 Both per-record files get their row as each record is made, so any
 exception leaves them with matching rows.
@@ -33,7 +32,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import __version__, ambient
 from .config import (ConfigError, ExperimentConfig, check_mean_convexity,
-                     override_config)
+                     initial_shape, override_config)
 from .flow import (METHODS, DiagnosticsRecord, FlowError, FlowState,
                    last_record, run_flow)
 from .limits import (T_USABLE, LimitSnapshots, constancy_verdict,
@@ -61,18 +60,11 @@ class ExperimentResult:
 
 def resolve_out_dir(cfg: ExperimentConfig,
                     out_dir: Optional[str] = None) -> Path:
-    """The output directory: out_dir (--out) when given, else output.dir."""
-    return Path(out_dir or cfg.output_dir)
-
-
-def _write_decay_table(out: Path, records: Sequence[DiagnosticsRecord],
-                       h_dev: Sequence[float]):
-    """Decay table for plotting: t, sup(phi')^2, max|H - (4n+2)|, |Q|."""
-    with open(out / "decay.dat", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# t sup_grad_phi_sq H_dev_max abs_Q\n")
-        for rec, dev in zip(records, h_dev):
-            fh.write(f"{rec.t!r} {rec.sup_grad_phi_sq!r} {dev!r} "
-                     f"{abs(rec.Q)!r}\n")
+    """The output directory: out_dir (--out) unless None, else output.dir;
+    an empty or blank out_dir is refused, as an empty output.dir is."""
+    if out_dir is not None and not str(out_dir).strip():
+        raise ConfigError("the output directory (--out) must not be empty")
+    return Path(cfg.output_dir if out_dir is None else out_dir)
 
 
 def _fit_or_none(series, t_min: float) -> Optional[float]:
@@ -91,8 +83,8 @@ def run_experiment(cfg: ExperimentConfig,
     nothing written, when it is not mean convex or has rho <= 0.
     Integration and arithmetic failures are reported through the exit
     code with the diagnostics and profiles recorded so far on disk, and
-    no report.json.  A rerun first deletes the earlier run's report and
-    decay table, and rewrites both per-record files from their headers.
+    no report.json.  A rerun first deletes an earlier report.json and
+    decay.dat, and rewrites both per-record files from their headers.
     """
     profile0 = check_mean_convexity(cfg)
     out = resolve_out_dir(cfg, out_dir)
@@ -135,15 +127,13 @@ def run_experiment(cfg: ExperimentConfig,
         logger.error("run failed, %s", result.error)
         return result
 
-    horo = 4 * cfg.n + 2
-    h_dev = [max(abs(r.H_min - horo), abs(r.H_max - horo)) for r in records]
-    _write_decay_table(out, records, h_dev)
-
     factor = extract_conformal_factor(limit_snapshots.kept)
     verdict = constancy_verdict(factor)
 
+    horo = 4 * cfg.n + 2
     grad_series = [(r.t, r.sup_grad_phi_sq) for r in records]
-    h_series = [(r.t, dev) for r, dev in zip(records, h_dev)]
+    h_series = [(r.t, max(abs(r.H_min - horo), abs(r.H_max - horo)))
+                for r in records]
     report = {
         "n": cfg.n,
         "grid_size": cfg.grid_points,
@@ -255,8 +245,8 @@ def sweep(cfg: ExperimentConfig,
     a cell that succeeded.  A dead worker breaks the pool: each cell left
     unfinished then reruns once, one after another, alone in a fresh
     one-worker pool, so only a cell whose worker dies again fails, with a
-    BrokenProcessPool that names it.  Cells that would share a directory
-    are refused.
+    BrokenProcessPool that names it.  Two cells that would run the same
+    flow are refused, and with them two cells that would share a directory.
 
     Returns the aggregate rows as dicts in cell order.
     """
@@ -267,15 +257,17 @@ def sweep(cfg: ExperimentConfig,
     base = resolve_out_dir(cfg, out_dir)
 
     axes = [[(key, val) for val in values] for key, values in vary]
-    items = []
+    items, flows = [], {}
     for combo in itertools.product(*axes):
-        cell_cfg = override_config(cfg, combo)
+        c = override_config(cfg, combo)
         labels = {key.rpartition(".")[2]: val for key, val in combo}
-        cell = str(base / _cell_name(labels))
-        if any(item[1] == cell for item in items):
-            raise ConfigError(f"sweep cell {_cell_name(labels)} appears "
-                              f"twice; give each value once")
-        items.append((cell_cfg, cell, labels))
+        flow = (initial_shape(c), c.n, c.grid_points, c.t_end, c.cfl_safety,
+                c.snapshot_every)
+        if flow in flows:
+            raise ConfigError(f"sweep cells {flows[flow]} and "
+                              f"{_cell_name(labels)} run the same flow")
+        flows[flow] = _cell_name(labels)
+        items.append((c, str(base / _cell_name(labels)), labels))
     base.mkdir(parents=True, exist_ok=True)
 
     workers = max_workers or min(len(items), os.cpu_count() or 1)

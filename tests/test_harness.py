@@ -28,8 +28,8 @@ from qimcf.geometry import cached_grid
 from qimcf.harness import (AMBIENT_TOLERANCES, EXIT_CONFIG, EXIT_OK,
                            SWEEP_RESULT_COLUMNS, resolve_out_dir,
                            verify_ambient_report)
-from qimcf.limits import (VERDICT_TOL, constancy_verdict,
-                          extract_conformal_factor)
+from qimcf.limits import (T_USABLE, VERDICT_TOL, constancy_verdict,
+                          extract_conformal_factor, fit_decay_rate)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -101,7 +101,7 @@ def test_run_experiment_artifacts(tmp_path):
     assert result.out_dir == str(out)
 
     assert sorted(p.name for p in out.iterdir()) == [
-        "decay.dat", "diagnostics.csv", "profiles.csv", "report.json"]
+        "diagnostics.csv", "profiles.csv", "report.json"]
     header, profiles = read_csv(out / "profiles.csv")
     assert len(header) == 1 + 64
     assert len(profiles) == 43  # t = 0, 0.5, ..., 21
@@ -116,11 +116,18 @@ def test_run_experiment_artifacts(tmp_path):
     h_min_col = [float(r[4]) for r in rows[1:]]
     assert min(h_min_col) == result.min_H_over_run > 0
 
-    with open(out / "decay.dat", encoding="utf-8") as fh:
-        assert fh.readline() == "# t sup_grad_phi_sq H_dev_max abs_Q\n"
-
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report == result.report
+    # both decay series are diagnostics.csv columns, the H one as
+    # max(|H_min - (4n+2)|, |H_max - (4n+2)|)
+    col = {name: [float(r[i]) for r in rows[1:]]
+           for i, name in enumerate(rows[0])}
+    h_dev = [max(abs(lo - 10), abs(hi - 10))
+             for lo, hi in zip(col["H_min"], col["H_max"])]
+    assert report["decay_rates"] == {
+        "grad_phi": fit_decay_rate(zip(col["t"], col["sup_grad_phi_sq"]),
+                                   T_USABLE),
+        "H": fit_decay_rate(zip(col["t"], h_dev), T_USABLE)}
     assert set(report) == {"n", "grid_size", "t_end", "f_range", "limit_Q",
                            "Q_final", "verdict", "decay_rates",
                            "cauchy_residual", "steps", "evaluations",
@@ -191,8 +198,7 @@ def test_run_experiment_deterministic(tmp_path):
     cfg = fast_cfg()
     run_experiment(cfg, out_dir=str(tmp_path / "a"))
     run_experiment(cfg, out_dir=str(tmp_path / "b"))
-    for name in ("diagnostics.csv", "report.json", "decay.dat",
-                 "profiles.csv"):
+    for name in ("diagnostics.csv", "report.json", "profiles.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
 
@@ -329,6 +335,26 @@ def test_resolve_out_dir_priority():
     cfg = ExperimentConfig(output_dir="cfgdir")
     assert resolve_out_dir(cfg) == Path("cfgdir")
     assert resolve_out_dir(cfg, "argdir") == Path("argdir")
+    # only None means "not given": an empty --out is refused, as an empty
+    # output.dir is, not replaced by output.dir
+    for empty in ("", " "):
+        with pytest.raises(ConfigError, match=r"\(--out\) must not be empty"):
+            resolve_out_dir(cfg, empty)
+
+
+def test_empty_out_dir_is_refused_with_nothing_written(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = fast_cfg(output_dir="cfgdir")
+    with pytest.raises(ConfigError, match="must not be empty"):
+        run_experiment(cfg, out_dir="")
+    with pytest.raises(ConfigError, match="must not be empty"):
+        sweep(cfg, [("initial.r0", ["2.5", "3"])], out_dir="")
+    text = CONFIG_TEXT + "\n[output]\ndir = cfgdir\n"
+    path = write_cfg(tmp_path, text)
+    for argv in (["run"], ["sweep", "--vary", "initial.r0=2.5,3"]):
+        assert main([*argv, "--config", path, "--out", ""]) == EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 def test_sweep_cells_match_individual_runs(tmp_path):
@@ -549,11 +575,14 @@ def test_run_refuses_volume_underflow(tmp_path, caplog, r0, volume):
 
 def test_failed_rerun_leaves_no_earlier_results(tmp_path, monkeypatch):
     # a success, then a run that loses mean convexity at t = 1 in the same
-    # directory: none of the first run's report, decay table or profile
-    # rows survive, and a file the run did not write does
+    # directory: none of the first run's report or profile rows survive,
+    # nor the decay table that older versions wrote, and a file the run
+    # did not write does
     out = tmp_path / "run"
     assert run_experiment(fast_cfg(), out_dir=str(out)).exit_code == EXIT_OK
     (out / "notes.txt").write_text("kept", encoding="utf-8")
+    (out / "decay.dat").write_text("# t sup_grad_phi_sq H_dev_max abs_Q\n",
+                                   encoding="utf-8")
     real_run_flow = harness.run_flow
 
     def fail_at_1(state, record):
@@ -824,7 +853,9 @@ def test_sweep_refuses_an_axis_without_values(tmp_path):
 
 
 def test_sweep_refuses_cells_that_share_a_directory(tmp_path):
-    with pytest.raises(ConfigError, match="r0=3 appears twice"):
+    # cells that share a directory run the same flow
+    with pytest.raises(ConfigError,
+                       match="sweep cells r0=3 and r0=3 run the same flow"):
         sweep(fast_cfg(), [("initial.r0", ["3", "3"])],
               out_dir=str(tmp_path / "sw"))
     assert not (tmp_path / "sw").exists()
@@ -832,6 +863,34 @@ def test_sweep_refuses_cells_that_share_a_directory(tmp_path):
                  "initial.r0=2.5,3,2.5", "--out",
                  str(tmp_path / "cli")]) == EXIT_CONFIG
     assert not (tmp_path / "cli").exists()
+
+
+def test_sweep_refuses_cells_that_run_the_same_flow(tmp_path, capsys):
+    # tau_family reads tau, not r0, so r0 = 3 and 4 are one flow under two
+    # labels: refused before any directory is made
+    text = CONFIG_TEXT.replace("kind = bump", "kind = tau_family")
+    out = tmp_path / "cli"
+    assert main(["sweep", "--config", write_cfg(tmp_path, text), "--vary",
+                 "initial.r0=3,4", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: sweep cells r0=3 and r0=4 run the same flow")
+    assert not out.exists()
+    # a sphere reads no amplitude, and a bump no tau
+    for kind, axis in (("sphere", ("initial.amplitude", ["0", "0.1"])),
+                       ("bump", ("initial.tau", ["3", "3.0"]))):
+        with pytest.raises(ConfigError, match="run the same flow"):
+            sweep(fast_cfg(initial_kind=kind), [axis],
+                  out_dir=str(tmp_path / "sw"))
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_runs_kinds_that_give_different_flows(tmp_path):
+    # with amplitude 0.1 a sphere and a bump of the same r0 differ
+    rows = sweep(fast_cfg(), [("initial.kind", ["sphere", "bump"])],
+                 out_dir=str(tmp_path / "sw"), max_workers=1)
+    assert [(r["kind"], r["exit_code"]) for r in rows] == [
+        ("sphere", EXIT_OK), ("bump", EXIT_OK)]
+    assert rows[0]["limit_Q"] != rows[1]["limit_Q"]
 
 
 def test_verify_ambient_report():
@@ -997,3 +1056,20 @@ def test_cli_refuses_a_config_that_is_not_utf8(tmp_path, capsys, argv):
         f"config error: line 2: {path} is not UTF-8: 'utf-8' codec can't "
         f"decode byte 0xe9")
     assert not out.exists()
+
+
+def test_cli_reads_a_config_with_a_byte_order_mark(tmp_path):
+    # a UTF-8 config saved with a BOM gives what the same text without it
+    # gives, in a run and in a sweep
+    for name, data in (("plain", CONFIG_TEXT.encode("utf-8")),
+                       ("bom", CONFIG_TEXT.encode("utf-8-sig"))):
+        path = tmp_path / f"{name}.cfg"
+        path.write_bytes(data)
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path / name / "run")]) == EXIT_OK
+        assert main(["sweep", "--config", str(path), "--vary",
+                     "initial.amplitude=0,0.1", "--out",
+                     str(tmp_path / name / "sweep")]) == EXIT_OK
+    for rel in ("run/report.json", "sweep/sweep.csv"):
+        assert (tmp_path / "bom" / rel).read_bytes() == \
+            (tmp_path / "plain" / rel).read_bytes()
