@@ -21,8 +21,17 @@ closed form, and the start r0 + a P_k has the limit
     R_k(n, r0) = hat_H(r0)/(4n+2)
                  * (1 + (4n-1) / ((4n+2) sinh^2 r0))^(-lambda_k / (2(4n-1))).
 
-Nothing here is computed by the solver: hat_H is written out, and P_k
-comes from the three-term recurrence of the Jacobi polynomials.
+The limiting Q of a factor f = a (P_k - mean) is, to order a^2,
+
+    limit_Q = 2n a^2 lambda_k Vol^{1/m} mean((P_k - mean)^2),  m = 2n+1,
+
+since V = I[e^{2mf}] = Vol + O(a) and I[f'^2] = I[f (-Lap f)] = lambda_k
+I[f^2]; its next term is odd in a.  The limit of the flow from r0 +/- a
+P_k has the same even part with a R_k for a.
+
+Nothing here is computed by the solver: hat_H is written out, P_k comes
+from the three-term recurrence of the Jacobi polynomials, mean(P_k^2)
+from their norm, and Vol = 2 pi^{2n} / (2n-1)! is that of S^{4n-1}.
 """
 
 import math
@@ -57,3 +66,28 @@ def response(n: int, k: int, r0: float) -> float:
     hat_h = (4 * n - 1) / math.tanh(r0) + 3 * math.tanh(r0)
     base = 1 + (4 * n - 1) / ((4 * n + 2) * math.sinh(r0)**2)
     return hat_h / (4 * n + 2) * base ** (-lam / (2 * (4 * n - 1)))
+
+
+def mode_variance(n: int, k: int) -> float:
+    """mean((P_k - mean)^2) over the orbit measure, for k >= 1: the
+    Jacobi norm h_k over the total mass h_0, with alpha = 2n-3, beta = 1,
+
+      h_k / h_0 = (alpha + beta + 1) / (2k + alpha + beta + 1)
+                  * G(k+alpha+1) G(k+beta+1) G(alpha+beta+1)
+                  / (G(k+alpha+beta+1) k! G(alpha+1) G(beta+1)),
+
+    G the gamma function, summed in logs."""
+    alpha, beta, lg = 2 * n - 3, 1, math.lgamma
+    return (alpha + beta + 1) / (2 * k + alpha + beta + 1) * math.exp(
+        lg(k + alpha + 1) + lg(k + beta + 1) + lg(alpha + beta + 1)
+        - lg(k + alpha + beta + 1) - lg(k + 1) - lg(alpha + 1)
+        - lg(beta + 1))
+
+
+def small_limit_q(n: int, k: int, a: float) -> float:
+    """limit_Q of f = a (P_k - mean) to order a^2, 2n a^2 lambda_k
+    Vol^{1/m} mean((P_k - mean)^2)."""
+    m = 2 * n + 1
+    log_volume = math.log(2) + 2 * n * math.log(math.pi) - math.lgamma(2 * n)
+    return (2 * n * a**2 * 4 * k * (k + 2 * n - 1) * math.exp(log_volume / m)
+            * mode_variance(n, k))

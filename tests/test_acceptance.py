@@ -6,10 +6,11 @@ t_end=40 (the shared session fixtures in conftest).
 """
 
 import numpy as np
+import pytest
 
 from fd_sphere_oracle import (adapted_frame, fd_hessian,
                               sample_interior_points, tangent_basis, theta_of)
-from linear_oracle import mode, response
+from linear_oracle import mode, response, small_limit_q
 from qimcf import (FlowState, RadialProfile, StepControl, constancy_verdict,
                    extract_conformal_factor, fit_decay_rate, initial_profile,
                    limit_Q, profile_derivatives, run_flow, verify_ambient)
@@ -229,12 +230,28 @@ def test_criterion_9_exact_identities():
     assert shift_err < 1e-9
 
 
-def _limit_f(n, rho, t_end):
+def _limit_factor(n, rho, t_end):
     snapshots = []
     run_flow(FlowState(t=0.0, profile=RadialProfile(n=n, rho=rho)),
              StepControl(t_end=t_end),
              observers=[lambda s, _: snapshots.append((s.t, s.profile))])
-    return extract_conformal_factor(snapshots).f
+    return extract_conformal_factor(snapshots)
+
+
+SMALL_A, SMALL_N = 1e-3, 256
+SMALL_CASES = ((2, 1, 3.0, 120.0), (3, 1, 2.0, 120.0), (2, 2, 3.0, 150.0))
+
+
+@pytest.fixture(scope="module")
+def small_amplitude_pairs():
+    """Per case (n, k, r0, t_end), the limit factors of the runs from
+    r0 + a P_k and r0 - a P_k: criteria 10 and 11 read the same six runs."""
+    pairs = {}
+    for n, k, r0, t_end in SMALL_CASES:
+        P = mode(n, k, cached_grid(n, SMALL_N).theta)
+        pairs[n, k, r0] = tuple(_limit_factor(n, r0 + s * SMALL_A * P, t_end)
+                                for s in (1, -1))
+    return pairs
 
 
 # The error of the odd part at a = 1e-3 and N = 256 is its a^2 term plus
@@ -246,16 +263,14 @@ ODD_PART_A2 = 10.0
 ODD_PART_GRID = 0.2
 
 
-def test_criterion_10_small_amplitude_limit():
+def test_criterion_10_small_amplitude_limit(small_amplitude_pairs):
     """The limit at small amplitude vs the linearized closed form."""
-    a, N = 1e-3, 256
-    for n, k, r0, t_end in ((2, 1, 3.0, 120.0), (3, 1, 2.0, 120.0),
-                            (2, 2, 3.0, 150.0)):
-        grid = cached_grid(n, N)
+    a = SMALL_A
+    for (n, k, r0), (plus, minus) in small_amplitude_pairs.items():
+        grid = cached_grid(n, SMALL_N)
         P = mode(n, k, grid.theta)
         # the odd part of a +/- pair cancels the a^2 term of f
-        odd = (_limit_f(n, r0 + a * P, t_end)
-               - _limit_f(n, r0 - a * P, t_end)) / (2 * a)
+        odd = (plus.f - minus.f) / (2 * a)
         predicted = response(n, k, r0) * (P - grid.weights @ P)
         err = float(np.max(np.abs(odd - predicted)))
         tol = ODD_PART_A2 * a**2 + ODD_PART_GRID * grid.dtheta**2
@@ -263,4 +278,31 @@ def test_criterion_10_small_amplitude_limit():
               f"max|odd part - R_k (P_k - mean)| = {err:.3e} "
               f"(tol {tol:.3e})", end="")
         assert err < tol
+    print()
+
+
+# The relative error of the even part at a = 1e-3 and N = 256 is its a^2
+# term (the a^4 term of limit_Q) plus its grid term.  Measured on the
+# three cases, the a^2 term (even part at a = 2e-3 against 1e-3, N = 512)
+# is at most 24.8 a^2 in size, at n = 3, r0 = 2, and the grid term (4/3
+# of the change from N = 256 to 512) at most 0.113 dtheta^2, at n = 2,
+# k = 2; the bound rounds both coefficients up.
+EVEN_PART_A2 = 40.0
+EVEN_PART_GRID = 0.2
+
+
+def test_criterion_11_small_amplitude_limit_q(small_amplitude_pairs):
+    """limit_Q at small amplitude vs its closed form, from the same runs."""
+    a = SMALL_A
+    for (n, k, r0), (plus, minus) in small_amplitude_pairs.items():
+        # the odd part of a +/- pair cancels the a^3 term of limit_Q
+        even = (limit_Q(plus) + limit_Q(minus)) / 2
+        predicted = small_limit_q(n, k, a * response(n, k, r0))
+        rel = abs(even / predicted - 1)
+        tol = (EVEN_PART_A2 * a**2
+               + EVEN_PART_GRID * cached_grid(n, SMALL_N).dtheta**2)
+        print(f"\n  n={n} k={k} r0={r0:g}: even part of limit_Q = "
+              f"{even:.9e}, closed form {predicted:.9e}, rel err "
+              f"{rel:.3e} (tol {tol:.3e})", end="")
+        assert rel < tol
     print()

@@ -8,8 +8,10 @@ from qimcf import (ConformalFactor, RadialProfile, cached_grid,
                    fit_decay_rate, limit_Q)
 from qimcf.limits import VERDICT_TOL, LimitSnapshots
 from conftest import execute_run
+from integration_by_parts_oracle import limit_q_lap_form
+from linear_oracle import mode, small_limit_q
 
-LIMIT_Q_COS2_256 = 0.24831212117326018  # f = 0.1 cos(2 theta), n = 2, N = 256
+LIMIT_Q_COS2_256 = 0.24831212100578196  # f = 0.1 cos(2 theta), n = 2, N = 256
 
 
 def make_factor(f_values, n=2):
@@ -17,12 +19,12 @@ def make_factor(f_values, n=2):
                            t_extracted=40.0, cauchy_residual=0.0)
 
 
-def cos_factor(amplitude, N=256, harmonics=((2, 1.0),)):
-    theta = cached_grid(2, N).theta
+def cos_factor(amplitude, N=256, harmonics=((2, 1.0),), n=2):
+    theta = cached_grid(n, N).theta
     f = np.zeros(N)
     for k, w in harmonics:
         f += amplitude * w * np.cos(k * theta)
-    return ConformalFactor(n=2, f=f, t_extracted=40.0, cauchy_residual=0.0)
+    return ConformalFactor(n=n, f=f, t_extracted=40.0, cauchy_residual=0.0)
 
 
 def test_extract_sphere_limit_is_flat(sphere_run):
@@ -127,6 +129,45 @@ def test_limit_q_grid_refinement():
     dense = limit_Q(cos_factor(0.1, N=4096))
     assert abs(fine - coarse) < 1e-6
     assert abs(dense - coarse) < 1e-6
+    # no second difference, no cancellation: converged to 1e-12 at N = 1024
+    finest = limit_Q(cos_factor(0.1, N=8192))
+    assert abs(finest - limit_Q(cos_factor(0.1, N=1024))) < 1e-11
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (2, 2)])
+def test_limit_q_small_amplitude_closed_form(n, k, N):
+    # at a = 1e-7 the z Lap z - m z'^2 form (integration_by_parts_oracle)
+    # is off by up to 436% and goes negative; the sum of squares keeps
+    # its relative digits
+    a = 1e-7
+    grid = cached_grid(n, N)
+    P = mode(n, k, grid.theta)
+    q = limit_Q(make_factor(a * (P - grid.weights @ P), n=n))
+    assert q == pytest.approx(small_limit_q(n, k, a), rel=1e-5, abs=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 48, 109])
+def test_limit_q_never_negative_and_zero_when_flat(n):
+    rng = np.random.default_rng(n)
+    theta = cached_grid(n, 64).theta
+    for scale in (1e-12, 1e-7, 1e-3, 0.3):
+        smooth = sum(rng.standard_normal() * np.cos(2 * j * theta)
+                     for j in range(1, 7))
+        for f in (smooth, rng.standard_normal(64)):
+            assert limit_Q(make_factor(scale * f, n=n)) >= 0.0
+    for level in (0.0, 0.37, -400.0):
+        assert limit_Q(make_factor(np.full(64, level), n=n)) == 0.0
+
+
+@pytest.mark.parametrize("N", [256, 512])
+@pytest.mark.parametrize("n", [2, 3])
+def test_limit_q_is_the_lap_form_integrated_by_parts(n, N):
+    # the forms differ by the second difference's O(dtheta^4) error:
+    # 0.81 dtheta^4 at n = 3, 0.12 dtheta^4 at n = 2
+    factor = cos_factor(0.1, N=N, n=n)
+    dtheta = cached_grid(n, N).dtheta
+    assert abs(limit_Q(factor) - limit_q_lap_form(factor)) < dtheta**4
 
 
 def test_limit_q_shift_invariance():
@@ -148,8 +189,9 @@ def test_limit_q_large_shifts_do_not_overflow():
 
 
 def test_limit_q_sign_for_small_bumps():
-    # a non-constant factor gives nonzero limiting Q; cos(2 theta)
-    # bumps of either sign give a positive value at leading order
+    # a non-constant factor gives nonzero limiting Q; limit_Q is a sum
+    # of squares, so bumps of either sign give a positive value at every
+    # order, not only at leading order
     assert limit_Q(cos_factor(0.05)) > 1e-3
     assert limit_Q(cos_factor(-0.05)) > 1e-3
 
