@@ -10,8 +10,13 @@ Output contract per run directory:
   report.json      limit-analysis summary and how the run was made
                    (success only, never partial)
 
-Both per-record files get their row as each record is made, so any
-exception leaves them with matching rows.
+Every row of both per-record files is on disk when run_experiment
+returns or raises, so any exception leaves them with matching rows.
+The run writes diagnostics.csv itself.  profiles.csv is formatted by a
+writer process that the run forks, on a second CPU beside the
+integration, and that ends before run_experiment does.  In a sweep's
+pool workers, which already occupy the CPUs, and where os.fork does not
+exist, the run formats profiles.csv itself.
 
 Exit codes: 0 success, 1 configuration or arithmetic failure, else the
 flow failure's exit_code: 2 mean convexity lost, 3 step-size collapse,
@@ -22,6 +27,7 @@ loads concurrent.futures or multiprocessing.
 """
 
 import csv
+import errno
 import itertools
 import json
 import logging
@@ -29,6 +35,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import __version__, ambient
 from .config import (ConfigError, ExperimentConfig, check_mean_convexity,
@@ -75,6 +83,132 @@ def _fit_or_none(series, t_min: float) -> Optional[float]:
         return None
 
 
+# whether a run forks a writer process for profiles.csv (module docstring)
+_fork_writer = hasattr(os, "fork")
+# the writer's pipe capacity, where Linux lets it be set: 16 frames at
+# N = 2048, so a stalled run does not idle the writer at once (the
+# default 64 KiB holds 3), and little is left to drain at close
+_PIPE_BYTES = 1 << 18
+
+
+def _format_profiles_in_process():
+    """Pool initializer: a sweep's workers already occupy the CPUs, so
+    each of their runs formats its own profiles.csv rows."""
+    global _fork_writer
+    _fork_writer = False
+
+
+def _profiles_row(size: int) -> str:
+    """The %-template of one profiles.csv row: t, then size rho values."""
+    # t as repr, the text diagnostics.csv gives it; rho as %.17g, which
+    # round-trips every float64 without repr's shortest-digit search
+    return "%r" + ",%.17g" * size + "\n"
+
+
+class _ProfileWriter:
+    """profiles.csv rows formatted in this process, as each record comes."""
+
+    def __init__(self, fh, size: int):
+        self._fh, self._row = fh, _profiles_row(size)
+
+    def write(self, t: float, rho) -> None:
+        self._fh.write(self._row % (t, *rho.tolist()))
+
+    def close(self) -> None:
+        pass
+
+
+class _ForkedProfileWriter:
+    """profiles.csv rows formatted by a forked writer process.
+
+    Each record goes down a pipe as one raw float64 frame (t, rho), which
+    the writer formats as _ProfileWriter would.  close() closes the pipe
+    and reaps the writer, so every row is on disk when it returns, and
+    raises OSError with the writer's own errno if the writer failed; a
+    write() after that failure meets a broken pipe, and the run's close()
+    then replaces that EPIPE by the writer's error.
+    """
+
+    def __init__(self, fh, size: int):
+        # the writer inherits fh with an empty buffer, so nothing is
+        # written twice, and a header that cannot be written fails here
+        fh.flush()
+        self._path = str(fh.name)
+        self._frame = np.empty(size + 1)
+        read_end, self._pipe = os.pipe()
+        try:
+            self._pid = os.fork()
+        except BaseException:
+            os.close(read_end)
+            os.close(self._pipe)
+            raise
+        if self._pid == 0:
+            _writer_main(read_end, fh, size)
+        os.close(read_end)
+
+    def write(self, t: float, rho) -> None:
+        frame = self._frame
+        frame[0] = t
+        frame[1:] = rho
+        view = memoryview(frame).cast("B")
+        while view:
+            view = view[os.write(self._pipe, view):]
+
+    def close(self) -> None:
+        if self._pipe is None:
+            return
+        os.close(self._pipe)
+        self._pipe = None
+        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        if code > 0:
+            raise OSError(code, os.strerror(code), self._path)
+        if code < 0:
+            raise OSError(errno.EIO, f"the profiles.csv writer was killed "
+                          f"by signal {-code}", self._path)
+
+
+def _writer_main(read_end: int, fh, size: int) -> None:
+    """Body of the forked writer; never returns.
+
+    Formats each frame from read_end into fh until the pipe closes, then
+    exits 0, or with the errno of the OSError that stopped it (EIO for
+    any other failure).  It ends through os._exit, which flushes none of
+    the buffered files inherited from the run, and first closes every
+    inherited descriptor but 0-2, read_end and fh, so that it holds no
+    other run's pipe open.
+    """
+    code = errno.EIO
+    try:
+        # imported here, not in the run, which then loads no new module
+        import signal
+        # Ctrl-C stops the run's flow; the writer still drains the pipe
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            import fcntl
+            fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (ImportError, AttributeError, OSError):
+            pass  # the default capacity is slower, not wrong
+        low = 3
+        for fd in sorted((read_end, fh.fileno())):
+            os.closerange(low, fd)
+            low = max(low, fd + 1)
+        os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+        row, nbytes = _profiles_row(size), 8 * (size + 1)
+        with open(read_end, "rb", closefd=False) as frames:
+            while len(frame := frames.read(nbytes)) == nbytes:
+                fh.write(row % tuple(memoryview(frame).cast("d")))
+        fh.flush()
+        code = 0
+    except OSError as err:
+        if err.errno and err.errno < 256:
+            code = err.errno
+    except BaseException:
+        import traceback
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
 def run_experiment(cfg: ExperimentConfig,
                    out_dir: Optional[str] = None) -> ExperimentResult:
     """Run one configured flow and write the output files.
@@ -85,6 +219,8 @@ def run_experiment(cfg: ExperimentConfig,
     code with the diagnostics and profiles recorded so far on disk, and
     no report.json.  A rerun first deletes an earlier report.json and
     decay.dat, and rewrites both per-record files from their headers.
+    The profiles.csv writer process, if the run forks one, has ended
+    when this returns or raises; its failure raises OSError.
     """
     profile0 = check_mean_convexity(cfg)
     out = resolve_out_dir(cfg, out_dir)
@@ -108,20 +244,21 @@ def run_experiment(cfg: ExperimentConfig,
             diagnostics.write(",".join(names) + "\n")
             theta = ",".join(map(repr, profile0.theta.tolist()))
             profiles.write(f"t,{theta}\n")
-            # every diagnostic and t as repr, so both files give t one
-            # text; rho as %.17g, which round-trips every float64 without
-            # repr's shortest-digit search
+            # every diagnostic and t as repr, so both files give t one text
             diagnostics_row = ",".join(["%r"] * len(names)) + "\n"
-            profiles_row = "%r" + ",%.17g" * profile0.rho.size + "\n"
+            writer = (_ForkedProfileWriter if _fork_writer
+                      else _ProfileWriter)(profiles, profile0.rho.size)
 
             def observer(state, record):
                 diagnostics.write(diagnostics_row % record)
-                profiles.write(profiles_row
-                               % (state.t, *state.profile.rho.tolist()))
+                writer.write(state.t, state.profile.rho)
                 records.append(record)
                 limit_snapshots.add(state.t, state.profile)
 
-            final, _ = run_flow(state0, ctrl, observers=[observer])
+            try:
+                final, _ = run_flow(state0, ctrl, observers=[observer])
+            finally:
+                writer.close()
     except (FlowError, ArithmeticError) as err:
         result = _failure(err, out, _min_H(records))
         logger.error("run failed, %s", result.error)
@@ -219,7 +356,8 @@ def _pool_rows(items, workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     rows = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_format_profiles_in_process) as pool:
         for future in [pool.submit(_sweep_cell, item) for item in items]:
             try:
                 rows.append(future.result())

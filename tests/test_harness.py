@@ -2,13 +2,16 @@
 
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -94,6 +97,21 @@ def assert_profiles_follow_diagnostics(out):
     return profiles
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def each_writer(monkeypatch):
+    """Set each way of writing profiles.csv in turn, yielding its name:
+    the forked writer process (where os.fork exists), then in-process.
+    After each, no child process may be left."""
+    for forked in (True, False) if hasattr(os, "fork") else (False,):
+        monkeypatch.setattr(harness, "_fork_writer", forked)
+        yield "forked" if forked else "in_process"
+        assert_no_child_left()
+
+
 def test_run_experiment_artifacts(tmp_path):
     out = tmp_path / "run"
     result = run_experiment(fast_cfg(), out_dir=str(out))
@@ -151,47 +169,50 @@ def test_run_experiment_artifacts(tmp_path):
     assert report["decay_rates"]["grad_phi"] < -0.1
 
 
-def test_profiles_match_observed_profiles(tmp_path):
-    out = tmp_path / "run"
+def test_profiles_match_observed_profiles(tmp_path, monkeypatch):
     cfg = fast_cfg(t_end=11.0)
-    result = run_experiment(cfg, out_dir=str(out))
-    header, _ = read_csv(out / "profiles.csv")
-    profiles = assert_profiles_follow_diagnostics(out)
-    assert header[0] == "t"
-    expected_theta = cached_grid(2, 64).theta
-    theta = np.array([float(x) for x in header[1:]])
-    assert theta.tobytes() == expected_theta.tobytes()  # repr round-trips
-    _, diagnostics = read_csv(out / "diagnostics.csv")
     seen = observed_profiles(cfg)
-    assert len(profiles) == len(seen) == 23  # t = 0, 0.5, ..., 11
-    for row, diag, (t, rho) in zip(profiles, diagnostics, seen):
-        assert row[0] == diag[0] == repr(t)  # the same t text
-        assert np.array([float(x) for x in row[1:]]).tobytes() \
-            == rho.tobytes()
-    # too few post-layer records to fit a rate, and that is not an error
-    assert result.report["decay_rates"]["grad_phi"] is None
+    for writer in each_writer(monkeypatch):
+        out = tmp_path / writer
+        result = run_experiment(cfg, out_dir=str(out))
+        header, _ = read_csv(out / "profiles.csv")
+        profiles = assert_profiles_follow_diagnostics(out)
+        assert header[0] == "t"
+        expected_theta = cached_grid(2, 64).theta
+        theta = np.array([float(x) for x in header[1:]])
+        assert theta.tobytes() == expected_theta.tobytes()  # repr round-trips
+        _, diagnostics = read_csv(out / "diagnostics.csv")
+        assert len(profiles) == len(seen) == 23  # t = 0, 0.5, ..., 11
+        for row, diag, (t, rho) in zip(profiles, diagnostics, seen):
+            assert row[0] == diag[0] == repr(t)  # the same t text
+            assert np.array([float(x) for x in row[1:]]).tobytes() \
+                == rho.tobytes()
+        # too few post-layer records to fit a rate, and that is not an error
+        assert result.report["decay_rates"]["grad_phi"] is None
 
 
-def test_profiles_bytes(tmp_path):
-    # the header and t as repr, rho with 17 significant digits
-    out = tmp_path / "run"
+def test_profiles_bytes(tmp_path, monkeypatch):
+    # the header and t as repr, rho with 17 significant digits, the same
+    # bytes from either writer
     cfg = fast_cfg(t_end=11.0)
-    run_experiment(cfg, out_dir=str(out))
     expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(["t", *map(repr, cached_grid(2, 64).theta.tolist())])
-    writer.writerows([repr(t), *("%.17g" % x for x in rho.tolist())]
-                     for t, rho in observed_profiles(cfg))
-    written = (out / "profiles.csv").read_bytes()
-    assert written == expected.getvalue().encode("ascii")
-    lines = written.split(b"\n")
-    assert lines[0].startswith(b"t,0.01227184630308513,")
-    # 17 digits where repr would write 16 (3.099247953459871), and %g drops
-    # a trailing zero (3.0997290456678690)
-    assert lines[1].startswith(b"0.0,3.0999698818696206,3.099729045667869,"
-                               b"3.0992479534598711,")
-    assert lines[-2].startswith(b"11.0,")
-    assert lines[-1] == b""
+    rows = csv.writer(expected, lineterminator="\n")
+    rows.writerow(["t", *map(repr, cached_grid(2, 64).theta.tolist())])
+    rows.writerows([repr(t), *("%.17g" % x for x in rho.tolist())]
+                   for t, rho in observed_profiles(cfg))
+    for writer in each_writer(monkeypatch):
+        out = tmp_path / writer
+        run_experiment(cfg, out_dir=str(out))
+        written = (out / "profiles.csv").read_bytes()
+        assert written == expected.getvalue().encode("ascii")
+        lines = written.split(b"\n")
+        assert lines[0].startswith(b"t,0.01227184630308513,")
+        # 17 digits where repr would write 16 (3.099247953459871), and %g
+        # drops a trailing zero (3.0997290456678690)
+        assert lines[1].startswith(b"0.0,3.0999698818696206,"
+                                   b"3.099729045667869,3.0992479534598711,")
+        assert lines[-2].startswith(b"11.0,")
+        assert lines[-1] == b""
 
 
 def test_run_experiment_deterministic(tmp_path):
@@ -222,17 +243,18 @@ def test_run_experiment_kernel_calls(tmp_path, monkeypatch):
     assert len(calls) == result.report["evaluations"] + 1
 
 
-def test_profiles_rows_in_record_order(tmp_path):
+def test_profiles_rows_in_record_order(tmp_path, monkeypatch):
     # 106 records at cadence 0.1: one row each, in time order
-    out = tmp_path / "run"
-    run_experiment(fast_cfg(t_end=10.5, snapshot_every=0.1),
-                   out_dir=str(out))
-    profiles = assert_profiles_follow_diagnostics(out)
-    times = [float(row[0]) for row in profiles]
-    assert len(times) == 106
-    assert times[0] == 0.0
-    assert times[-1] == 10.5
-    assert all(a < b for a, b in zip(times, times[1:]))
+    for writer in each_writer(monkeypatch):
+        out = tmp_path / writer
+        run_experiment(fast_cfg(t_end=10.5, snapshot_every=0.1),
+                       out_dir=str(out))
+        profiles = assert_profiles_follow_diagnostics(out)
+        times = [float(row[0]) for row in profiles]
+        assert len(times) == 106
+        assert times[0] == 0.0
+        assert times[-1] == 10.5
+        assert all(a < b for a, b in zip(times, times[1:]))
 
 
 def test_limit_analysis_gets_two_profiles(tmp_path, monkeypatch):
@@ -321,14 +343,15 @@ def test_integration_failure_exit_codes(tmp_path, monkeypatch, exc, code):
         raise exc
 
     monkeypatch.setattr("qimcf.harness.run_flow", fake_run_flow)
-    out = tmp_path / "fail"
-    result = run_experiment(fast_cfg(), out_dir=str(out))
-    assert result.exit_code == code
-    assert result.report is None
-    assert result.min_H_over_run > 0
-    assert len(assert_profiles_follow_diagnostics(out)) == 1
-    assert not (out / "report.json").exists()
-    assert not (out / "decay.dat").exists()
+    for writer in each_writer(monkeypatch):
+        out = tmp_path / writer
+        result = run_experiment(fast_cfg(), out_dir=str(out))
+        assert result.exit_code == code
+        assert result.report is None
+        assert result.min_H_over_run > 0
+        assert len(assert_profiles_follow_diagnostics(out)) == 1
+        assert not (out / "report.json").exists()
+        assert not (out / "decay.dat").exists()
 
 
 def test_resolve_out_dir_priority():
@@ -578,11 +601,6 @@ def test_failed_rerun_leaves_no_earlier_results(tmp_path, monkeypatch):
     # directory: none of the first run's report or profile rows survive,
     # nor the decay table that older versions wrote, and a file the run
     # did not write does
-    out = tmp_path / "run"
-    assert run_experiment(fast_cfg(), out_dir=str(out)).exit_code == EXIT_OK
-    (out / "notes.txt").write_text("kept", encoding="utf-8")
-    (out / "decay.dat").write_text("# t sup_grad_phi_sq H_dev_max abs_Q\n",
-                                   encoding="utf-8")
     real_run_flow = harness.run_flow
 
     def fail_at_1(state, record):
@@ -592,21 +610,27 @@ def test_failed_rerun_leaves_no_earlier_results(tmp_path, monkeypatch):
     def run_flow(state0, ctrl, observers):
         return real_run_flow(state0, ctrl, observers=[*observers, fail_at_1])
 
-    monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
-    result = run_experiment(fast_cfg(), out_dir=str(out))
-    assert result.exit_code == 2
-    assert sorted(p.name for p in out.iterdir()) == [
-        "diagnostics.csv", "notes.txt", "profiles.csv"]
-    profiles = assert_profiles_follow_diagnostics(out)
-    assert [row[0] for row in profiles] == ["0.0", "0.5", "1.0"]
+    for writer in each_writer(monkeypatch):
+        out = tmp_path / writer
+        monkeypatch.setattr("qimcf.harness.run_flow", real_run_flow)
+        assert run_experiment(fast_cfg(),
+                              out_dir=str(out)).exit_code == EXIT_OK
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        (out / "decay.dat").write_text(
+            "# t sup_grad_phi_sq H_dev_max abs_Q\n", encoding="utf-8")
+        monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
+        result = run_experiment(fast_cfg(), out_dir=str(out))
+        assert result.exit_code == 2
+        assert sorted(p.name for p in out.iterdir()) == [
+            "diagnostics.csv", "notes.txt", "profiles.csv"]
+        profiles = assert_profiles_follow_diagnostics(out)
+        assert [row[0] for row in profiles] == ["0.0", "0.5", "1.0"]
 
 
 def test_unclassified_failure_leaves_matching_rows(tmp_path, monkeypatch):
     # a success, then a rerun into the same directory that an OSError from
     # the stepper stops after 20 steps (t = 20/6): both per-record files
     # hold the rerun's rows t = 0, 0.5, ..., 3, and none of the first run's
-    out = tmp_path / "run"
-    assert run_experiment(fast_cfg(), out_dir=str(out)).exit_code == EXIT_OK
     real_step = flow.step
     taken = []
 
@@ -616,12 +640,215 @@ def test_unclassified_failure_leaves_matching_rows(tmp_path, monkeypatch):
         taken.append(state.t)
         return real_step(state, ctrl, dt_cap=dt_cap)
 
-    monkeypatch.setattr(flow, "step", step)
-    with pytest.raises(OSError, match="disk gone"):
-        run_experiment(fast_cfg(), out_dir=str(out))
-    profiles = assert_profiles_follow_diagnostics(out)
-    assert [row[0] for row in profiles] == [
-        repr(0.5 * k) for k in range(7)]
+    for writer in each_writer(monkeypatch):
+        out = tmp_path / writer
+        monkeypatch.setattr(flow, "step", real_step)
+        assert run_experiment(fast_cfg(),
+                              out_dir=str(out)).exit_code == EXIT_OK
+        taken.clear()
+        monkeypatch.setattr(flow, "step", step)
+        with pytest.raises(OSError, match="disk gone"):
+            run_experiment(fast_cfg(), out_dir=str(out))
+        profiles = assert_profiles_follow_diagnostics(out)
+        assert [row[0] for row in profiles] == [
+            repr(0.5 * k) for k in range(7)]
+
+
+def test_interrupted_run_leaves_matching_rows(tmp_path, monkeypatch):
+    # Ctrl-C after three records: KeyboardInterrupt leaves run_experiment
+    # with the three rows of both files on disk and no writer behind
+    real_run_flow = harness.run_flow
+
+    def interrupt_at_1(state, record):
+        if state.t == 1.0:
+            raise KeyboardInterrupt
+
+    def run_flow(state0, ctrl, observers):
+        return real_run_flow(state0, ctrl,
+                             observers=[*observers, interrupt_at_1])
+
+    monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
+    for writer in each_writer(monkeypatch):
+        out = tmp_path / writer
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(fast_cfg(), out_dir=str(out))
+        profiles = assert_profiles_follow_diagnostics(out)
+        assert [row[0] for row in profiles] == ["0.0", "0.5", "1.0"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, where every write fails")
+def test_full_disk_keeps_its_errno(tmp_path, monkeypatch, capsys):
+    # profiles.csv on a full device: ENOSPC, as a run reports it when the
+    # disk fills, not a broken pipe; no report and no child process left
+    for writer in each_writer(monkeypatch):
+        out = tmp_path / writer
+        out.mkdir()
+        (out / "profiles.csv").symlink_to("/dev/full")
+        with pytest.raises(OSError) as excinfo:
+            run_experiment(fast_cfg(), out_dir=str(out))
+        assert excinfo.value.errno == errno.ENOSPC
+        assert not (out / "report.json").exists()
+        assert_no_child_left()
+        code = main(["run", "--config", write_cfg(tmp_path),
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "i/o error: [Errno 28] ")
+        assert not (out / "report.json").exists()
+
+
+def fork_with_file_size_limit_zero(monkeypatch):
+    """Make every forked writer fail its first write of a row, with EFBIG;
+    returns the list its pids are appended to."""
+    import resource  # Unix only, as os.fork is
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid == 0:
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (0, 0))
+        else:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "waitid"),
+                    reason="needs os.fork and os.waitid")
+def test_writer_failure_surfaces_from_the_next_record(tmp_path, monkeypatch):
+    # the writer dies on the first row, which at N = 512 overflows its
+    # buffer; the run's next frame meets a closed pipe, and run_experiment
+    # raises the writer's EFBIG from that broken pipe
+    pids = fork_with_file_size_limit_zero(monkeypatch)
+    monkeypatch.setattr(harness, "_fork_writer", True)
+
+    def run_flow(state0, ctrl, observers=()):
+        record = diagnostics_record(state0)
+        for obs in observers:
+            obs(state0, record)
+        deadline = time.monotonic() + 30
+        while (os.waitid(os.P_PID, pids[0],
+                         os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        for obs in observers:
+            obs(state0, record)
+        raise AssertionError("the second record reached a dead writer")
+
+    monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
+    out = tmp_path / "run"
+    with pytest.raises(OSError) as excinfo:
+        run_experiment(fast_cfg(grid_points=512), out_dir=str(out))
+    assert excinfo.value.errno == errno.EFBIG
+    assert isinstance(excinfo.value.__context__, BrokenPipeError)
+    assert excinfo.value.filename == str(out / "profiles.csv")
+    assert not (out / "report.json").exists()
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_writer_failure_outranks_the_flow_failure(tmp_path, monkeypatch):
+    # a flow failure after the writer failed: the run raises the writer's
+    # EFBIG, since profiles.csv lacks rows, and not the flow's exit code
+    fork_with_file_size_limit_zero(monkeypatch)
+    monkeypatch.setattr(harness, "_fork_writer", True)
+
+    def run_flow(state0, ctrl, observers=()):
+        record = diagnostics_record(state0)
+        for obs in observers:
+            obs(state0, record)
+        raise MeanConvexityLost(0.0, 0, 0.01, -1.0)
+
+    monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
+    out = tmp_path / "run"
+    with pytest.raises(OSError) as excinfo:
+        run_experiment(fast_cfg(grid_points=512), out_dir=str(out))
+    assert excinfo.value.errno == errno.EFBIG
+    assert isinstance(excinfo.value.__context__, MeanConvexityLost)
+    assert not (out / "report.json").exists()
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_writer_outlasts_ctrl_c(tmp_path, monkeypatch):
+    # Ctrl-C reaches the whole process group; the writer ignores it, so
+    # the run that handles it (or, here, goes on) loses no row
+    real_fork, real_run_flow, pids = os.fork, harness.run_flow, []
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    def interrupt_writer(state, record):
+        if state.t == 0.5:
+            # at N = 512 a row overflows the writer's buffer, so the t = 0
+            # row on disk shows the writer has set up its signals
+            path, deadline = tmp_path / "run" / "profiles.csv", \
+                time.monotonic() + 30
+            while (path.read_bytes().count(b"\n") < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            os.kill(pids[0], signal.SIGINT)
+
+    def run_flow(state0, ctrl, observers):
+        return real_run_flow(state0, ctrl,
+                             observers=[*observers, interrupt_writer])
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(harness, "_fork_writer", True)
+    monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
+    result = run_experiment(fast_cfg(grid_points=512),
+                            out_dir=str(tmp_path / "run"))
+    assert result.exit_code == EXIT_OK
+    assert len(assert_profiles_follow_diagnostics(tmp_path / "run")) == 43
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings(
+    "ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
+def test_concurrent_runs_do_not_hold_each_others_pipes(tmp_path,
+                                                       monkeypatch):
+    # two runs in two threads, each forking its writer only once both
+    # pipes exist: a writer that kept the other run's pipe open would
+    # keep that writer from its end of file, and each run would wait on
+    # the other's writer forever
+    cfgs = [fast_cfg(), fast_cfg(initial_amplitude=0.05)]
+    for i, cfg in enumerate(cfgs):
+        run_experiment(cfg, out_dir=str(tmp_path / f"serial{i}"))
+    barrier, real_fork = threading.Barrier(2, timeout=60), os.fork
+
+    def fork():
+        barrier.wait()
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(harness, "_fork_writer", True)
+    results = {}
+
+    def run(i):
+        results[i] = run_experiment(cfgs[i], out_dir=str(tmp_path /
+                                                         f"thread{i}"))
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(2)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 60
+    for thread in threads:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results[i].exit_code for i in range(2)] == [EXIT_OK] * 2
+    for i in range(2):
+        for name in ("diagnostics.csv", "profiles.csv", "report.json"):
+            assert (tmp_path / f"thread{i}" / name).read_bytes() == \
+                (tmp_path / f"serial{i}" / name).read_bytes()
+    assert_no_child_left()
 
 
 def test_largest_n_run_reports_a_finite_limit_q(tmp_path):
