@@ -155,10 +155,7 @@ class _ForkedProfileWriter:
             view = view[os.write(self._pipe, view):]
 
     def close(self) -> None:
-        if self._pipe is None:
-            return
         os.close(self._pipe)
-        self._pipe = None
         code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
         if code > 0:
             raise OSError(code, os.strerror(code), self._path)
