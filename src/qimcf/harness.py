@@ -14,9 +14,10 @@ Every row of both per-record files is on disk when run_experiment
 returns or raises, so any exception leaves them with matching rows.
 The run writes diagnostics.csv itself.  profiles.csv is formatted by a
 writer process that the run forks, on a second CPU beside the
-integration, and that ends before run_experiment does.  In a sweep's
-pool workers, which already occupy the CPUs, and where os.fork does not
-exist, the run formats profiles.csv itself.
+integration, and that ends before run_experiment does.  Where the
+process may use only one CPU (its affinity when harness is imported),
+in a sweep's pool workers, which already occupy the CPUs, and where
+os.fork does not exist, the run formats profiles.csv itself.
 
 Exit codes: 0 success, 1 configuration or arithmetic failure, else the
 flow failure's exit_code: 2 mean convexity lost, 3 step-size collapse,
@@ -83,12 +84,17 @@ def _fit_or_none(series, t_min: float) -> Optional[float]:
         return None
 
 
-# whether a run forks a writer process for profiles.csv (module docstring)
-_fork_writer = hasattr(os, "fork")
-# the writer's pipe capacity, where Linux lets it be set: 16 frames at
-# N = 2048, so a stalled run does not idle the writer at once (the
-# default 64 KiB holds 3), and little is left to drain at close
-_PIPE_BYTES = 1 << 18
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity, where known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# whether a run forks a writer process for profiles.csv: only where a
+# second CPU can format beside the integration (module docstring)
+_fork_writer = hasattr(os, "fork") and _usable_cpus() > 1
 
 
 def _format_profiles_in_process():
@@ -111,6 +117,9 @@ class _ProfileWriter:
     def __init__(self, fh, size: int):
         self._fh, self._row = fh, _profiles_row(size)
 
+    def start(self) -> None:
+        pass
+
     def write(self, t: float, rho) -> None:
         self._fh.write(self._row % (t, *rho.tolist()))
 
@@ -122,29 +131,36 @@ class _ForkedProfileWriter:
     """profiles.csv rows formatted by a forked writer process.
 
     Each record goes down a pipe as one raw float64 frame (t, rho), which
-    the writer formats as _ProfileWriter would.  close() closes the pipe
-    and reaps the writer, so every row is on disk when it returns, and
-    raises OSError with the writer's own errno if the writer failed; a
-    write() after that failure meets a broken pipe, and the run's close()
-    then replaces that EPIPE by the writer's error.
+    the writer formats as _ProfileWriter would.  start() forks the
+    writer; close() closes the pipe and reaps the writer, so every row is
+    on disk when it returns, and raises OSError with the writer's own
+    errno if the writer failed; a write() after that failure meets a
+    broken pipe, and the run's close() then replaces that EPIPE by the
+    writer's error.  close() releases whatever start() got to make, so a
+    run calls start() inside the try whose finally calls close().
     """
 
     def __init__(self, fh, size: int):
+        self._fh, self._size, self._path = fh, size, str(fh.name)
+        self._frame = np.empty(size + 1)
+        self._pipe = self._pid = None
+
+    def start(self) -> None:
         # the writer inherits fh with an empty buffer, so nothing is
         # written twice, and a header that cannot be written fails here
-        fh.flush()
-        self._path = str(fh.name)
-        self._frame = np.empty(size + 1)
+        self._fh.flush()
         read_end, self._pipe = os.pipe()
         try:
             self._pid = os.fork()
-        except BaseException:
+            if self._pid == 0:
+                # nothing, not even a Ctrl-C before the writer ignores
+                # it, may take the writer back into the run's code
+                try:
+                    _writer_main(read_end, self._fh, self._size)
+                finally:
+                    os._exit(errno.EIO)
+        finally:
             os.close(read_end)
-            os.close(self._pipe)
-            raise
-        if self._pid == 0:
-            _writer_main(read_end, fh, size)
-        os.close(read_end)
 
     def write(self, t: float, rho) -> None:
         frame = self._frame
@@ -155,8 +171,21 @@ class _ForkedProfileWriter:
             view = view[os.write(self._pipe, view):]
 
     def close(self) -> None:
-        os.close(self._pipe)
-        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        if self._pipe is not None:
+            os.close(self._pipe)
+        if self._pid is None:
+            return
+        # a Ctrl-C during the wait is raised once the writer is reaped
+        interrupt = None
+        while True:
+            try:
+                status = os.waitpid(self._pid, 0)[1]
+                break
+            except KeyboardInterrupt as err:
+                interrupt = err
+        if interrupt is not None:
+            raise interrupt
+        code = os.waitstatus_to_exitcode(status)
         if code > 0:
             raise OSError(code, os.strerror(code), self._path)
         if code < 0:
@@ -180,11 +209,6 @@ def _writer_main(read_end: int, fh, size: int) -> None:
         import signal
         # Ctrl-C stops the run's flow; the writer still drains the pipe
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        try:
-            import fcntl
-            fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except (ImportError, AttributeError, OSError):
-            pass  # the default capacity is slower, not wrong
         low = 3
         for fd in sorted((read_end, fh.fileno())):
             os.closerange(low, fd)
@@ -253,6 +277,7 @@ def run_experiment(cfg: ExperimentConfig,
                 limit_snapshots.add(state.t, state.profile)
 
             try:
+                writer.start()
                 final, _ = run_flow(state0, ctrl, observers=[observer])
             finally:
                 writer.close()

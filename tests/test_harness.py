@@ -676,6 +676,77 @@ def test_interrupted_run_leaves_matching_rows(tmp_path, monkeypatch):
         assert [row[0] for row in profiles] == ["0.0", "0.5", "1.0"]
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_second_ctrl_c_waits_for_the_writer(tmp_path, monkeypatch):
+    # a second Ctrl-C while the run waits for its writer: the run still
+    # reaps the writer, with its three rows on disk, before it raises
+    real_run_flow, real_waitpid, waits = harness.run_flow, os.waitpid, []
+
+    def interrupt_at_1(state, record):
+        if state.t == 1.0:
+            raise KeyboardInterrupt
+
+    def run_flow(state0, ctrl, observers):
+        return real_run_flow(state0, ctrl,
+                             observers=[*observers, interrupt_at_1])
+
+    def waitpid(pid, options):
+        waits.append(pid)
+        if len(waits) == 1:
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr("qimcf.harness.run_flow", run_flow)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    monkeypatch.setattr(harness, "_fork_writer", True)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(fast_cfg(), out_dir=str(tmp_path / "run"))
+    assert len(waits) == 2
+    monkeypatch.setattr(os, "waitpid", real_waitpid)
+    assert_no_child_left()
+    profiles = assert_profiles_follow_diagnostics(tmp_path / "run")
+    assert [row[0] for row in profiles] == ["0.0", "0.5", "1.0"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count descriptors")
+def test_failed_fork_leaves_no_descriptor(tmp_path, monkeypatch):
+    # os.fork fails once the pipe exists: the run raises that error and
+    # closes both ends of the pipe
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "no process left")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(harness, "_fork_writer", True)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        run_experiment(fast_cfg(), out_dir=str(tmp_path / "run"))
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs CPU affinity")
+def test_one_cpu_formats_in_process():
+    # a process that may run on one CPU has none for the writer to use
+    script = ("import os\n"
+              "cpus = os.sched_getaffinity(0)\n"
+              "if os.environ['PIN'] == '1':\n"
+              "    os.sched_setaffinity(0, {min(cpus)})\n"
+              "from qimcf import harness\n"
+              "print(harness._fork_writer)\n")
+    src = str(Path(qimcf.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    for pin, forks in (("1", False),
+                       ("0", len(os.sched_getaffinity(0)) > 1)):
+        env = dict(os.environ, PIN=pin, PYTHONPATH=src + (
+            os.pathsep + path if path else ""))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{forks}\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs /dev/full, where every write fails")
 def test_full_disk_keeps_its_errno(tmp_path, monkeypatch, capsys):
