@@ -12,12 +12,14 @@ Output contract per run directory:
 
 Every row of both per-record files is on disk when run_experiment
 returns or raises, so any exception leaves them with matching rows.
-The run writes diagnostics.csv itself.  profiles.csv is formatted by a
+The run writes diagnostics.csv itself.  profiles.csv is written by a
 writer process that the run forks, on a second CPU beside the
-integration, and that ends before run_experiment does.  Where the
-process may use only one CPU (its affinity when harness is imported),
-in a sweep's pool workers, which already occupy the CPUs, and where
-os.fork does not exist, the run formats profiles.csv itself.
+integration, and that ends before run_experiment does; the writer
+formats each row unless it is half a pipe behind, when the run formats
+the row and sends its text.  Where the process may use only one CPU
+(its affinity when harness is imported), in a sweep's pool workers,
+which already occupy the CPUs, and where os.fork does not exist, the
+run formats profiles.csv itself.
 
 Exit codes: 0 success, 1 configuration or arithmetic failure, else the
 flow failure's exit_code: 2 mean convexity lost, 3 step-size collapse,
@@ -128,24 +130,36 @@ class _ProfileWriter:
 
 
 class _ForkedProfileWriter:
-    """profiles.csv rows formatted by a forked writer process.
+    """profiles.csv rows formatted by a forked writer process, or by
+    the run while the writer is half a pipe behind: while the pipe's
+    unread bytes (FIONREAD) fill at least half its size (F_GETPIPE_SZ),
+    and never where either call is missing.
 
-    Each record goes down a pipe as one raw float64 frame (t, rho), which
-    the writer formats as _ProfileWriter would.  start() forks the
-    writer; close() closes the pipe and reaps the writer, so every row is
-    on disk when it returns, and raises OSError with the writer's own
-    errno if the writer failed; a write() after that failure meets a
-    broken pipe, and the run's close() then replaces that EPIPE by the
-    writer's error.  close() releases whatever start() got to make, so a
-    run calls start() inside the try whose finally calls close().
+    A record goes down the pipe as an 8-byte little-endian length L,
+    then, for L = 0, t and rho as raw float64 values, which the writer
+    formats, or else the L bytes of the row that the run formatted,
+    which the writer copies; both use one bytes template, as
+    _ProfileWriter would.  start() forks the writer; close() closes the
+    pipe and reaps the writer, so every row is on disk when it returns,
+    and raises OSError with the writer's own errno if the writer failed;
+    a write() after that failure meets a broken pipe, and the run's
+    close() then replaces that EPIPE by the writer's error.  close()
+    releases whatever start() got to make, so a run calls start()
+    inside the try whose finally calls close().
     """
 
     def __init__(self, fh, size: int):
         self._fh, self._size, self._path = fh, size, str(fh.name)
-        self._frame = np.empty(size + 1)
-        self._pipe = self._pid = None
+        self._row = _profiles_row(size).encode()
+        # a raw frame: the length 0, then t and rho
+        self._frame = np.zeros(size + 2)
+        self._pipe = self._pid = self._calls = None
 
     def start(self) -> None:
+        # imported here, so that only a run that forks a writer loads them
+        import fcntl
+        import termios
+        self._calls = fcntl, termios
         # the writer inherits fh with an empty buffer, so nothing is
         # written twice, and a header that cannot be written fails here
         self._fh.flush()
@@ -156,17 +170,34 @@ class _ForkedProfileWriter:
                 # nothing, not even a Ctrl-C before the writer ignores
                 # it, may take the writer back into the run's code
                 try:
-                    _writer_main(read_end, self._fh, self._size)
+                    _writer_main(read_end, self._fh, self._row,
+                                 self._size)
                 finally:
                     os._exit(errno.EIO)
         finally:
             os.close(read_end)
 
+    def _behind(self) -> bool:
+        """Whether the writer is half a pipe behind (AttributeError where
+        it cannot tell)."""
+        fcntl, termios = self._calls
+        unread = fcntl.ioctl(self._pipe, termios.FIONREAD, bytes(4))
+        return (2 * memoryview(unread).cast("i")[0]
+                >= fcntl.fcntl(self._pipe, fcntl.F_GETPIPE_SZ))
+
     def write(self, t: float, rho) -> None:
-        frame = self._frame
-        frame[0] = t
-        frame[1:] = rho
-        view = memoryview(frame).cast("B")
+        try:
+            behind = self._behind()
+        except AttributeError:  # no way to tell: the writer formats
+            behind = False
+        if behind:
+            text = self._row % (t, *rho.tolist())
+            view = memoryview(len(text).to_bytes(8, "little") + text)
+        else:
+            frame = self._frame
+            frame[1] = t
+            frame[2:] = rho
+            view = memoryview(frame).cast("B")
         while view:
             view = view[os.write(self._pipe, view):]
 
@@ -193,15 +224,16 @@ class _ForkedProfileWriter:
                           f"by signal {-code}", self._path)
 
 
-def _writer_main(read_end: int, fh, size: int) -> None:
+def _writer_main(read_end: int, fh, row: bytes, size: int) -> None:
     """Body of the forked writer; never returns.
 
-    Formats each frame from read_end into fh until the pipe closes, then
-    exits 0, or with the errno of the OSError that stopped it (EIO for
-    any other failure).  It ends through os._exit, which flushes none of
-    the buffered files inherited from the run, and first closes every
-    inherited descriptor but 0-2, read_end and fh, so that it holds no
-    other run's pipe open.
+    Formats each raw frame from read_end into fh with row, and copies
+    each text frame, until the pipe closes, dropping a frame that it
+    cuts short; then exits 0, or with the errno of the OSError that
+    stopped it (EIO for any other failure).  It ends through os._exit,
+    which flushes none of the buffered files inherited from the run, and
+    first closes every inherited descriptor but 0-2, read_end and fh, so
+    that it holds no other run's pipe open.
     """
     code = errno.EIO
     try:
@@ -214,10 +246,14 @@ def _writer_main(read_end: int, fh, size: int) -> None:
             os.closerange(low, fd)
             low = max(low, fd + 1)
         os.closerange(low, os.sysconf("SC_OPEN_MAX"))
-        row, nbytes = _profiles_row(size), 8 * (size + 1)
         with open(read_end, "rb", closefd=False) as frames:
-            while len(frame := frames.read(nbytes)) == nbytes:
-                fh.write(row % tuple(memoryview(frame).cast("d")))
+            while len(head := frames.read(8)) == 8:
+                text = int.from_bytes(head, "little")
+                nbytes = text or 8 * (size + 1)
+                if len(body := frames.read(nbytes)) < nbytes:
+                    break
+                fh.buffer.write(body if text else
+                                row % tuple(memoryview(body).cast("d")))
         fh.flush()
         code = 0
     except OSError as err:

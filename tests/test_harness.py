@@ -788,12 +788,10 @@ def fork_with_file_size_limit_zero(monkeypatch):
     return pids
 
 
-@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "waitid"),
-                    reason="needs os.fork and os.waitid")
-def test_writer_failure_surfaces_from_the_next_record(tmp_path, monkeypatch):
-    # the writer dies on the first row, which at N = 512 overflows its
-    # buffer; the run's next frame meets a closed pipe, and run_experiment
-    # raises the writer's EFBIG from that broken pipe
+def assert_writer_failure_surfaces(tmp_path, monkeypatch):
+    """The writer dies on the first row, which at N = 512 overflows its
+    buffer; the run's next frame meets a closed pipe, and run_experiment
+    raises the writer's EFBIG from that broken pipe."""
     pids = fork_with_file_size_limit_zero(monkeypatch)
     monkeypatch.setattr(harness, "_fork_writer", True)
 
@@ -819,6 +817,125 @@ def test_writer_failure_surfaces_from_the_next_record(tmp_path, monkeypatch):
     assert excinfo.value.filename == str(out / "profiles.csv")
     assert not (out / "report.json").exists()
     assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "waitid"),
+                    reason="needs os.fork and os.waitid")
+def test_writer_failure_surfaces_from_the_next_record(tmp_path, monkeypatch):
+    assert_writer_failure_surfaces(tmp_path, monkeypatch)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "waitid"),
+                    reason="needs os.fork and os.waitid")
+def test_writer_failure_surfaces_through_text_frames(tmp_path, monkeypatch):
+    # the same failure while the run formats every row itself, so the
+    # writer dies copying the run's text rather than formatting
+    monkeypatch.setattr(harness._ForkedProfileWriter, "_behind",
+                        lambda self: True)
+    assert_writer_failure_surfaces(tmp_path, monkeypatch)
+
+
+def spy_frame_lengths(monkeypatch, size):
+    """Record the length that starts each frame the run sends its writer:
+    0 for raw values, which the writer formats, else the bytes of a row
+    that the run formatted itself."""
+    real_write, lengths, left = os.write, [], [0]
+
+    def write(fd, data):
+        if not left[0]:
+            lengths.append(int.from_bytes(bytes(data[:8]), "little"))
+            left[0] = 8 + (lengths[-1] or 8 * (size + 1))
+        written = real_write(fd, data)
+        left[0] -= written
+        return written
+
+    monkeypatch.setattr(os, "write", write)
+    return lengths
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("probe", ["every_row", "every_other_row",
+                                   "cannot_tell"])
+def test_run_formats_rows_while_the_writer_is_behind(tmp_path, monkeypatch,
+                                                     probe):
+    # the run formats each row that the backlog probe finds the writer
+    # behind on, and none where the probe cannot tell; profiles.csv has
+    # the in-process writer's bytes whoever formats which row
+    cfg = fast_cfg(t_end=11.0)
+    monkeypatch.setattr(harness, "_fork_writer", False)
+    run_experiment(cfg, out_dir=str(tmp_path / "in_process"))
+    probes = []
+
+    def behind(self):
+        probes.append(probe)
+        if probe == "cannot_tell":
+            raise AttributeError("no FIONREAD here")
+        return probe == "every_row" or len(probes) % 2 == 1
+
+    monkeypatch.setattr(harness._ForkedProfileWriter, "_behind", behind)
+    monkeypatch.setattr(harness, "_fork_writer", True)
+    lengths = spy_frame_lengths(monkeypatch, 64)
+    run_experiment(cfg, out_dir=str(tmp_path / "forked"))
+    assert_no_child_left()
+    formatted = {"every_row": [True] * 23, "cannot_tell": [False] * 23,
+                 "every_other_row": [k % 2 == 0 for k in range(23)]}
+    assert [length > 0 for length in lengths] == formatted[probe]
+    for name in ("diagnostics.csv", "profiles.csv"):
+        assert (tmp_path / "forked" / name).read_bytes() == \
+            (tmp_path / "in_process" / name).read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_ctrl_c_inside_a_text_frame_leaves_whole_rows(tmp_path, monkeypatch):
+    # Ctrl-C once the t = 1 row's length and half its text have gone
+    # down the pipe: the writer drops that frame, so profiles.csv holds
+    # the t = 0 and t = 0.5 rows, whole, and no child is left
+    cfg = fast_cfg()
+    monkeypatch.setattr(harness, "_fork_writer", False)
+    run_experiment(cfg, out_dir=str(tmp_path / "in_process"))
+    real_write, calls = os.write, []
+
+    def write(fd, data):
+        calls.append(len(data))
+        if len(calls) == 3:
+            return real_write(fd, data[:len(data) // 2])
+        if len(calls) == 4:
+            raise KeyboardInterrupt
+        return real_write(fd, data)
+
+    monkeypatch.setattr(harness._ForkedProfileWriter, "_behind",
+                        lambda self: True)
+    monkeypatch.setattr(harness, "_fork_writer", True)
+    monkeypatch.setattr(os, "write", write)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(cfg, out_dir=str(tmp_path / "forked"))
+    monkeypatch.setattr(os, "write", real_write)
+    assert_no_child_left()
+    whole = (tmp_path / "in_process" / "profiles.csv").read_bytes()
+    assert (tmp_path / "forked" / "profiles.csv").read_bytes() == \
+        b"".join(whole.splitlines(keepends=True)[:3])
+
+
+def test_backlog_probe_reads_half_a_pipe(tmp_path):
+    # behind from half the pipe's size of unread bytes, not before
+    fcntl = pytest.importorskip("fcntl")
+    termios = pytest.importorskip("termios")
+    if not hasattr(fcntl, "F_GETPIPE_SZ"):
+        pytest.skip("needs F_GETPIPE_SZ")
+    read_end, write_end = os.pipe()
+    try:
+        with open(tmp_path / "profiles.csv", "w", encoding="utf-8") as fh:
+            writer = harness._ForkedProfileWriter(fh, 4)
+            writer._pipe, writer._calls = write_end, (fcntl, termios)
+            half = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) // 2
+            assert not writer._behind()
+            os.write(write_end, bytes(half - 1))
+            assert not writer._behind()
+            os.write(write_end, bytes(1))
+            assert writer._behind()
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
