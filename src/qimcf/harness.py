@@ -131,9 +131,9 @@ class _ProfileWriter:
 
 class _ForkedProfileWriter:
     """profiles.csv rows formatted by a forked writer process, or by
-    the run while the writer is half a pipe behind: while the pipe's
-    unread bytes (FIONREAD) fill at least half its size (F_GETPIPE_SZ),
-    and never where either call is missing.
+    the run whenever the writer is half a pipe behind, that is, whenever
+    the pipe's unread bytes (FIONREAD) fill at least half its size
+    (F_GETPIPE_SZ); never where either call is missing.
 
     A record goes down the pipe as an 8-byte little-endian length L,
     then, for L = 0, t and rho as raw float64 values, which the writer
@@ -153,13 +153,13 @@ class _ForkedProfileWriter:
         self._row = _profiles_row(size).encode()
         # a raw frame: the length 0, then t and rho
         self._frame = np.zeros(size + 2)
-        self._pipe = self._pid = self._calls = None
+        self._pipe = self._pid = self._modules = None
 
     def start(self) -> None:
         # imported here, so that only a run that forks a writer loads them
         import fcntl
         import termios
-        self._calls = fcntl, termios
+        self._modules = fcntl, termios
         # the writer inherits fh with an empty buffer, so nothing is
         # written twice, and a header that cannot be written fails here
         self._fh.flush()
@@ -180,7 +180,7 @@ class _ForkedProfileWriter:
     def _behind(self) -> bool:
         """Whether the writer is half a pipe behind (AttributeError where
         it cannot tell)."""
-        fcntl, termios = self._calls
+        fcntl, termios = self._modules
         unread = fcntl.ioctl(self._pipe, termios.FIONREAD, bytes(4))
         return (2 * memoryview(unread).cast("i")[0]
                 >= fcntl.fcntl(self._pipe, fcntl.F_GETPIPE_SZ))
@@ -228,8 +228,8 @@ def _writer_main(read_end: int, fh, row: bytes, size: int) -> None:
     """Body of the forked writer; never returns.
 
     Formats each raw frame from read_end into fh with row, and copies
-    each text frame, until the pipe closes, dropping a frame that it
-    cuts short; then exits 0, or with the errno of the OSError that
+    each text frame, until the pipe closes, dropping a frame that the
+    close cuts short; then exits 0, or with the errno of the OSError that
     stopped it (EIO for any other failure).  It ends through os._exit,
     which flushes none of the buffered files inherited from the run, and
     first closes every inherited descriptor but 0-2, read_end and fh, so

@@ -926,7 +926,7 @@ def test_backlog_probe_reads_half_a_pipe(tmp_path):
     try:
         with open(tmp_path / "profiles.csv", "w", encoding="utf-8") as fh:
             writer = harness._ForkedProfileWriter(fh, 4)
-            writer._pipe, writer._calls = write_end, (fcntl, termios)
+            writer._pipe, writer._modules = write_end, (fcntl, termios)
             half = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) // 2
             assert not writer._behind()
             os.write(write_end, bytes(half - 1))
