@@ -11,15 +11,13 @@ Output contract per run directory:
                    (success only, never partial)
 
 Every row of both per-record files is on disk when run_experiment
-returns or raises, so any exception leaves them with matching rows.
-The run writes diagnostics.csv itself.  profiles.csv is written by a
-writer process that the run forks, on a second CPU beside the
-integration, and that ends before run_experiment does; the writer
-formats each row unless it is half a pipe behind, when the run formats
-the row and sends its text.  Where the process may use only one CPU
-(its affinity when harness is imported), in a sweep's pool workers,
-which already occupy the CPUs, and where os.fork does not exist, the
-run formats profiles.csv itself.
+returns or raises, and any exception leaves them cut to the rows that
+both hold.  The run writes diagnostics.csv itself, and profiles.csv
+through a writer process that it forks wherever os.fork exists, except
+in a sweep's pool workers, which already occupy the CPUs; the writer
+ends before run_experiment does, and the run formats the rows that it
+sends while the writer is half a pipe behind.  Without a writer the run
+formats profiles.csv itself.
 
 Exit codes: 0 success, 1 configuration or arithmetic failure, else the
 flow failure's exit_code: 2 mean convexity lost, 3 step-size collapse,
@@ -86,17 +84,8 @@ def _fit_or_none(series, t_min: float) -> Optional[float]:
         return None
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity, where known)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# whether a run forks a writer process for profiles.csv: only where a
-# second CPU can format beside the integration (module docstring)
-_fork_writer = hasattr(os, "fork") and _usable_cpus() > 1
+# whether a run forks a profiles.csv writer process (module docstring)
+_fork_writer = hasattr(os, "fork")
 
 
 def _format_profiles_in_process():
@@ -106,43 +95,27 @@ def _format_profiles_in_process():
     _fork_writer = False
 
 
-def _profiles_row(size: int) -> str:
+def _profiles_row(size: int) -> bytes:
     """The %-template of one profiles.csv row: t, then size rho values."""
     # t as repr, the text diagnostics.csv gives it; rho as %.17g, which
     # round-trips every float64 without repr's shortest-digit search
-    return "%r" + ",%.17g" * size + "\n"
+    return ("%r" + ",%.17g" * size + "\n").encode()
 
 
 class _ProfileWriter:
-    """profiles.csv rows formatted in this process, as each record comes."""
-
-    def __init__(self, fh, size: int):
-        self._fh, self._row = fh, _profiles_row(size)
-
-    def start(self) -> None:
-        pass
-
-    def write(self, t: float, rho) -> None:
-        self._fh.write(self._row % (t, *rho.tolist()))
-
-    def close(self) -> None:
-        pass
-
-
-class _ForkedProfileWriter:
-    """profiles.csv rows formatted by a forked writer process, or by
-    the run whenever the writer is half a pipe behind, that is, whenever
-    the pipe's unread bytes (FIONREAD) fill at least half its size
-    (F_GETPIPE_SZ); never where either call is missing.
+    """profiles.csv rows, formatted by the run, or by a writer process
+    that start() forks where _fork_writer is set; the run then formats a
+    row only while the pipe's unread bytes (FIONREAD) fill at least half
+    its size (F_GETPIPE_SZ), never where either call is missing.
 
     A record goes down the pipe as an 8-byte little-endian length L,
     then, for L = 0, t and rho as raw float64 values, which the writer
     formats, or else the L bytes of the row that the run formatted,
-    which the writer copies; both use one bytes template, as
-    _ProfileWriter would.  start() forks the writer; close() closes the
-    pipe and reaps the writer, so every row is on disk when it returns,
-    and raises OSError with the writer's own errno if the writer failed;
-    a write() after that failure meets a broken pipe, and the run's
+    which the writer copies; both use one bytes template.  start()
+    flushes the header and forks the writer; close() closes the pipe
+    and reaps the writer, so every row is on disk when it returns, and
+    raises OSError with the writer's own errno if the writer failed; a
+    write() after that failure meets a broken pipe, and the run's
     close() then replaces that EPIPE by the writer's error.  close()
     releases whatever start() got to make, so a run calls start()
     inside the try whose finally calls close().
@@ -150,19 +123,21 @@ class _ForkedProfileWriter:
 
     def __init__(self, fh, size: int):
         self._fh, self._size, self._path = fh, size, str(fh.name)
-        self._row = _profiles_row(size).encode()
+        self._row = _profiles_row(size)
         # a raw frame: the length 0, then t and rho
         self._frame = np.zeros(size + 2)
         self._pipe = self._pid = self._modules = None
 
     def start(self) -> None:
+        # a forked writer inherits fh with an empty buffer, so nothing is
+        # written twice, and a header that cannot be written fails here
+        self._fh.flush()
+        if not _fork_writer:
+            return
         # imported here, so that only a run that forks a writer loads them
         import fcntl
         import termios
         self._modules = fcntl, termios
-        # the writer inherits fh with an empty buffer, so nothing is
-        # written twice, and a header that cannot be written fails here
-        self._fh.flush()
         read_end, self._pipe = os.pipe()
         try:
             self._pid = os.fork()
@@ -186,6 +161,9 @@ class _ForkedProfileWriter:
                 >= fcntl.fcntl(self._pipe, fcntl.F_GETPIPE_SZ))
 
     def write(self, t: float, rho) -> None:
+        if self._pipe is None:
+            self._fh.buffer.write(self._row % (t, *rho.tolist()))
+            return
         try:
             behind = self._behind()
         except AttributeError:  # no way to tell: the writer formats
@@ -274,10 +252,12 @@ def run_experiment(cfg: ExperimentConfig,
     nothing written, when it is not mean convex or has rho <= 0.
     Integration and arithmetic failures are reported through the exit
     code with the diagnostics and profiles recorded so far on disk, and
-    no report.json.  A rerun first deletes an earlier report.json and
+    no report.json; any exception leaves both files with the rows that
+    both hold.  A rerun first deletes an earlier report.json and
     decay.dat, and rewrites both per-record files from their headers.
-    The profiles.csv writer process, if the run forks one, has ended
-    when this returns or raises; its failure raises OSError.
+    Where os.fork exists, except in a sweep's pool workers, a forked
+    process writes profiles.csv; it has ended when this returns or
+    raises, and its failure raises OSError.
     """
     profile0 = check_mean_convexity(cfg)
     out = resolve_out_dir(cfg, out_dir)
@@ -303,12 +283,11 @@ def run_experiment(cfg: ExperimentConfig,
             profiles.write(f"t,{theta}\n")
             # every diagnostic and t as repr, so both files give t one text
             diagnostics_row = ",".join(["%r"] * len(names)) + "\n"
-            writer = (_ForkedProfileWriter if _fork_writer
-                      else _ProfileWriter)(profiles, profile0.rho.size)
+            writer = _ProfileWriter(profiles, profile0.rho.size)
 
             def observer(state, record):
-                diagnostics.write(diagnostics_row % record)
                 writer.write(state.t, state.profile.rho)
+                diagnostics.write(diagnostics_row % record)
                 records.append(record)
                 limit_snapshots.add(state.t, state.profile)
 
@@ -317,7 +296,10 @@ def run_experiment(cfg: ExperimentConfig,
                 final, _ = run_flow(state0, ctrl, observers=[observer])
             finally:
                 writer.close()
-    except (FlowError, ArithmeticError) as err:
+    except BaseException as err:
+        _keep_common_rows(out)
+        if not isinstance(err, (FlowError, ArithmeticError)):
+            raise
         result = _failure(err, out, _min_H(records))
         logger.error("run failed, %s", result.error)
         return result
@@ -361,6 +343,22 @@ def run_experiment(cfg: ExperimentConfig,
               newline="\n") as fh:
         fh.write(text + "\n")
     return ExperimentResult(EXIT_OK, str(out), report, _min_H(records), "")
+
+
+def _keep_common_rows(out: Path) -> None:
+    """Cut diagnostics.csv and profiles.csv in out to the whole rows that
+    both hold, where both are regular files.  Whichever write failed,
+    the run's or its writer's, each file holds a prefix of its rows."""
+    paths = [out / "diagnostics.csv", out / "profiles.csv"]
+    if not all(path.is_file() for path in paths):
+        return
+    texts = [path.read_bytes() for path in paths]
+    lines = min(text.count(b"\n") for text in texts)
+    for path, text in zip(paths, texts):
+        end = 0
+        for _ in range(lines):
+            end = text.index(b"\n", end) + 1
+        os.truncate(path, end)
 
 
 def _min_H(records) -> Optional[float]:

@@ -676,6 +676,60 @@ def test_interrupted_run_leaves_matching_rows(tmp_path, monkeypatch):
         assert [row[0] for row in profiles] == ["0.0", "0.5", "1.0"]
 
 
+def assert_rows_up_to_0_5(out):
+    """Both per-record files hold the rows t = 0 and 0.5, and no other."""
+    profiles = assert_profiles_follow_diagnostics(out)
+    assert [row[0] for row in profiles] == ["0.0", "0.5"]
+
+
+@pytest.mark.parametrize("handed_over", [False, True])
+def test_exception_in_the_profile_write_leaves_matching_rows(
+        tmp_path, monkeypatch, handed_over):
+    # Ctrl-C inside the t = 1 profile write, before or after its row is
+    # handed over: both files keep the rows t = 0 and 0.5
+    real_write = harness._ProfileWriter.write
+
+    def write(self, t, rho):
+        if t != 1.0 or handed_over:
+            real_write(self, t, rho)
+        if t == 1.0:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness._ProfileWriter, "write", write)
+    for writer in each_writer(monkeypatch):
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(fast_cfg(), out_dir=str(tmp_path / writer))
+        assert_rows_up_to_0_5(tmp_path / writer)
+
+
+def test_exception_in_the_diagnostics_write_leaves_matching_rows(
+        tmp_path, monkeypatch):
+    # the disk fills halfway through the t = 1 diagnostics row, after its
+    # profile row was handed over: both files keep the rows t = 0 and 0.5
+    writes = []
+
+    class Diagnostics(io.TextIOWrapper):
+        def write(self, text):
+            writes.append(text)
+            if len(writes) == 4:  # the header, t = 0, 0.5, then t = 1
+                super().write(text[:len(text) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(text)
+
+    def fake_open(file, mode="r", **kwargs):
+        if str(file).endswith("diagnostics.csv"):
+            return Diagnostics(open(file, "wb"), **kwargs)
+        return open(file, mode, **kwargs)
+
+    monkeypatch.setattr(harness, "open", fake_open, raising=False)
+    for writer in each_writer(monkeypatch):
+        writes.clear()
+        with pytest.raises(OSError) as excinfo:
+            run_experiment(fast_cfg(), out_dir=str(tmp_path / writer))
+        assert excinfo.value.errno == errno.ENOSPC
+        assert_rows_up_to_0_5(tmp_path / writer)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_second_ctrl_c_waits_for_the_writer(tmp_path, monkeypatch):
     # a second Ctrl-C while the run waits for its writer: the run still
@@ -725,28 +779,6 @@ def test_failed_fork_leaves_no_descriptor(tmp_path, monkeypatch):
     assert not (tmp_path / "run" / "report.json").exists()
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                    reason="needs CPU affinity")
-def test_one_cpu_formats_in_process():
-    # a process that may run on one CPU has none for the writer to use
-    script = ("import os\n"
-              "cpus = os.sched_getaffinity(0)\n"
-              "if os.environ['PIN'] == '1':\n"
-              "    os.sched_setaffinity(0, {min(cpus)})\n"
-              "from qimcf import harness\n"
-              "print(harness._fork_writer)\n")
-    src = str(Path(qimcf.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    for pin, forks in (("1", False),
-                       ("0", len(os.sched_getaffinity(0)) > 1)):
-        env = dict(os.environ, PIN=pin, PYTHONPATH=src + (
-            os.pathsep + path if path else ""))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"{forks}\n"
-
-
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs /dev/full, where every write fails")
 def test_full_disk_keeps_its_errno(tmp_path, monkeypatch, capsys):
@@ -769,8 +801,9 @@ def test_full_disk_keeps_its_errno(tmp_path, monkeypatch, capsys):
         assert not (out / "report.json").exists()
 
 
-def fork_with_file_size_limit_zero(monkeypatch):
-    """Make every forked writer fail its first write of a row, with EFBIG;
+def fork_with_file_size_limit(monkeypatch, limit=0):
+    """Make every forked writer fail with EFBIG at its first write past
+    byte limit of a file, by default at its first write of a row;
     returns the list its pids are appended to."""
     import resource  # Unix only, as os.fork is
     real_fork, pids = os.fork, []
@@ -779,7 +812,7 @@ def fork_with_file_size_limit_zero(monkeypatch):
         pid = real_fork()
         if pid == 0:
             signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-            resource.setrlimit(resource.RLIMIT_FSIZE, (0, 0))
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
         else:
             pids.append(pid)
         return pid
@@ -792,7 +825,7 @@ def assert_writer_failure_surfaces(tmp_path, monkeypatch):
     """The writer dies on the first row, which at N = 512 overflows its
     buffer; the run's next frame meets a closed pipe, and run_experiment
     raises the writer's EFBIG from that broken pipe."""
-    pids = fork_with_file_size_limit_zero(monkeypatch)
+    pids = fork_with_file_size_limit(monkeypatch)
     monkeypatch.setattr(harness, "_fork_writer", True)
 
     def run_flow(state0, ctrl, observers=()):
@@ -819,6 +852,27 @@ def assert_writer_failure_surfaces(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_failed_writer_leaves_matching_rows(tmp_path, monkeypatch):
+    # the writer may not write past half of the t = 1 row, so it dies with
+    # EFBIG while the run goes on recording: both files keep the rows
+    # t = 0 and 0.5, whole, as the in-process writer wrote them
+    monkeypatch.setattr(harness, "_fork_writer", False)
+    run_experiment(fast_cfg(), out_dir=str(tmp_path / "in_process"))
+    whole = (tmp_path / "in_process" / "profiles.csv").read_bytes()
+    lines = whole.splitlines(keepends=True)
+    fork_with_file_size_limit(
+        monkeypatch, len(b"".join(lines[:3])) + len(lines[3]) // 2)
+    monkeypatch.setattr(harness, "_fork_writer", True)
+    out = tmp_path / "forked"
+    with pytest.raises(OSError) as excinfo:
+        run_experiment(fast_cfg(), out_dir=str(out))
+    assert excinfo.value.errno == errno.EFBIG
+    assert_no_child_left()
+    assert_rows_up_to_0_5(out)
+    assert (out / "profiles.csv").read_bytes() == b"".join(lines[:3])
+
+
 @pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "waitid"),
                     reason="needs os.fork and os.waitid")
 def test_writer_failure_surfaces_from_the_next_record(tmp_path, monkeypatch):
@@ -830,7 +884,7 @@ def test_writer_failure_surfaces_from_the_next_record(tmp_path, monkeypatch):
 def test_writer_failure_surfaces_through_text_frames(tmp_path, monkeypatch):
     # the same failure while the run formats every row itself, so the
     # writer dies copying the run's text rather than formatting
-    monkeypatch.setattr(harness._ForkedProfileWriter, "_behind",
+    monkeypatch.setattr(harness._ProfileWriter, "_behind",
                         lambda self: True)
     assert_writer_failure_surfaces(tmp_path, monkeypatch)
 
@@ -872,7 +926,7 @@ def test_run_formats_rows_while_the_writer_is_behind(tmp_path, monkeypatch,
             raise AttributeError("no FIONREAD here")
         return probe == "every_row" or len(probes) % 2 == 1
 
-    monkeypatch.setattr(harness._ForkedProfileWriter, "_behind", behind)
+    monkeypatch.setattr(harness._ProfileWriter, "_behind", behind)
     monkeypatch.setattr(harness, "_fork_writer", True)
     lengths = spy_frame_lengths(monkeypatch, 64)
     run_experiment(cfg, out_dir=str(tmp_path / "forked"))
@@ -903,7 +957,7 @@ def test_ctrl_c_inside_a_text_frame_leaves_whole_rows(tmp_path, monkeypatch):
             raise KeyboardInterrupt
         return real_write(fd, data)
 
-    monkeypatch.setattr(harness._ForkedProfileWriter, "_behind",
+    monkeypatch.setattr(harness._ProfileWriter, "_behind",
                         lambda self: True)
     monkeypatch.setattr(harness, "_fork_writer", True)
     monkeypatch.setattr(os, "write", write)
@@ -925,7 +979,7 @@ def test_backlog_probe_reads_half_a_pipe(tmp_path):
     read_end, write_end = os.pipe()
     try:
         with open(tmp_path / "profiles.csv", "w", encoding="utf-8") as fh:
-            writer = harness._ForkedProfileWriter(fh, 4)
+            writer = harness._ProfileWriter(fh, 4)
             writer._pipe, writer._modules = write_end, (fcntl, termios)
             half = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) // 2
             assert not writer._behind()
@@ -942,7 +996,7 @@ def test_backlog_probe_reads_half_a_pipe(tmp_path):
 def test_writer_failure_outranks_the_flow_failure(tmp_path, monkeypatch):
     # a flow failure after the writer failed: the run raises the writer's
     # EFBIG, since profiles.csv lacks rows, and not the flow's exit code
-    fork_with_file_size_limit_zero(monkeypatch)
+    fork_with_file_size_limit(monkeypatch)
     monkeypatch.setattr(harness, "_fork_writer", True)
 
     def run_flow(state0, ctrl, observers=()):
