@@ -14,17 +14,17 @@ Every row of both per-record files is on disk when run_experiment
 returns or raises, and any exception leaves them cut to the rows that
 both hold.  The run writes diagnostics.csv itself, and profiles.csv
 through a writer process that it forks wherever os.fork exists, except
-in a sweep's pool workers, which already occupy the CPUs; the writer
+in a sweep's cell processes, which already occupy the CPUs; the writer
 ends before run_experiment does, and the run formats the rows that it
 sends while the writer is half a pipe behind.  Without a writer the run
 formats profiles.csv itself.
 
 Exit codes: 0 success, 1 configuration or arithmetic failure, else the
 flow failure's exit_code: 2 mean convexity lost, 3 step-size collapse,
-4 non-finite state or record.  Sweeps run one cell per worker process
-and classify failures per cell without aborting the sweep; the process
-pool is imported on the first parallel sweep, so a single run never
-loads concurrent.futures or multiprocessing.
+4 non-finite state or record.  A parallel sweep forks one process per
+cell, where os.fork exists, and classifies failures per cell without
+aborting the sweep; qimcf loads neither concurrent.futures nor
+multiprocessing.
 """
 
 import csv
@@ -88,13 +88,6 @@ def _fit_or_none(series, t_min: float) -> Optional[float]:
 _fork_writer = hasattr(os, "fork")
 
 
-def _format_profiles_in_process():
-    """Pool initializer: a sweep's workers already occupy the CPUs, so
-    each of their runs formats its own profiles.csv rows."""
-    global _fork_writer
-    _fork_writer = False
-
-
 def _profiles_row(size: int) -> bytes:
     """The %-template of one profiles.csv row: t, then size rho values."""
     # t as repr, the text diagnostics.csv gives it; rho as %.17g, which
@@ -138,19 +131,8 @@ class _ProfileWriter:
         import fcntl
         import termios
         self._modules = fcntl, termios
-        read_end, self._pipe = os.pipe()
-        try:
-            self._pid = os.fork()
-            if self._pid == 0:
-                # nothing, not even a Ctrl-C before the writer ignores
-                # it, may take the writer back into the run's code
-                try:
-                    _writer_main(read_end, self._fh, self._row,
-                                 self._size)
-                finally:
-                    os._exit(errno.EIO)
-        finally:
-            os.close(read_end)
+        self._pid, self._pipe = _fork(_writer_main, self._fh, self._row,
+                                      self._size, reads=True)
 
     def _behind(self) -> bool:
         """Whether the writer is half a pipe behind (AttributeError where
@@ -184,17 +166,7 @@ class _ProfileWriter:
             os.close(self._pipe)
         if self._pid is None:
             return
-        # a Ctrl-C during the wait is raised once the writer is reaped
-        interrupt = None
-        while True:
-            try:
-                status = os.waitpid(self._pid, 0)[1]
-                break
-            except KeyboardInterrupt as err:
-                interrupt = err
-        if interrupt is not None:
-            raise interrupt
-        code = os.waitstatus_to_exitcode(status)
+        code, = _reap(self._pid)
         if code > 0:
             raise OSError(code, os.strerror(code), self._path)
         if code < 0:
@@ -202,18 +174,57 @@ class _ProfileWriter:
                           f"by signal {-code}", self._path)
 
 
-def _writer_main(read_end: int, fh, row: bytes, size: int) -> None:
-    """Body of the forked writer; never returns.
+def _fork(body, *args, reads: bool) -> Tuple[int, int]:
+    """The pid of a child that runs body(end, *args), end being its end of
+    a new pipe (the read end if reads), and the caller's end.  The child
+    ends through os._exit, which flushes no inherited buffer, with what
+    body returns, or EIO, after a traceback, if it raises."""
+    end, own = os.pipe()[::1 if reads else -1]
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = errno.EIO
+            try:
+                os.close(own)
+                code = body(end, *args)
+            except BaseException:
+                import traceback
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+    except BaseException:
+        os.close(own)
+        raise
+    finally:
+        os.close(end)
+    return pid, own
+
+
+def _reap(*pids) -> list:
+    """The exit codes of the children pids (-signal for one killed), once
+    each has ended; a Ctrl-C during the wait is raised after the last."""
+    codes, interrupt = [], None
+    while len(codes) < len(pids):
+        try:
+            status = os.waitpid(pids[len(codes)], 0)[1]
+            codes.append(os.waitstatus_to_exitcode(status))
+        except KeyboardInterrupt as err:
+            interrupt = err
+    if interrupt:
+        raise interrupt
+    return codes
+
+
+def _writer_main(read_end: int, fh, row: bytes, size: int) -> int:
+    """Body of the forked writer, which _fork runs.
 
     Formats each raw frame from read_end into fh with row, and copies
     each text frame, until the pipe closes, dropping a frame that the
-    close cuts short; then exits 0, or with the errno of the OSError that
-    stopped it (EIO for any other failure).  It ends through os._exit,
-    which flushes none of the buffered files inherited from the run, and
-    first closes every inherited descriptor but 0-2, read_end and fh, so
-    that it holds no other run's pipe open.
+    close cuts short; then returns 0, or the errno of the OSError that
+    stopped it (EIO for any other failure).  It first closes every
+    inherited descriptor but 0-2, read_end and fh, so that it holds no
+    other run's pipe open.
     """
-    code = errno.EIO
     try:
         # imported here, not in the run, which then loads no new module
         import signal
@@ -233,15 +244,9 @@ def _writer_main(read_end: int, fh, row: bytes, size: int) -> None:
                 fh.buffer.write(body if text else
                                 row % tuple(memoryview(body).cast("d")))
         fh.flush()
-        code = 0
+        return 0
     except OSError as err:
-        if err.errno and err.errno < 256:
-            code = err.errno
-    except BaseException:
-        import traceback
-        traceback.print_exc()
-    finally:
-        os._exit(code)
+        return err.errno if err.errno and err.errno < 256 else errno.EIO
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -255,7 +260,7 @@ def run_experiment(cfg: ExperimentConfig,
     no report.json; any exception leaves both files with the rows that
     both hold.  A rerun first deletes an earlier report.json and
     decay.dat, and rewrites both per-record files from their headers.
-    Where os.fork exists, except in a sweep's pool workers, a forked
+    Where os.fork exists, except in a sweep's cell processes, a forked
     process writes profiles.csv; it has ended when this returns or
     raises, and its failure raises OSError.
     """
@@ -382,9 +387,9 @@ def _text(value) -> str:
 
 
 def _sweep_cell(item):
-    """Worker body: run one cell, classify, never raise across the pool;
-    an exception that run_experiment does not classify fails only this
-    cell, with exit code 1."""
+    """Run one cell and classify it, in the cell's own process in a
+    parallel sweep; an exception that run_experiment does not classify
+    fails only this cell, with exit code 1."""
     cfg, out_dir, labels = item
     try:
         result = run_experiment(cfg, out_dir=out_dir)
@@ -405,28 +410,61 @@ def _cell_row(result: ExperimentResult, labels: dict) -> dict:
                 exit_code=result.exit_code, error=result.error)
 
 
-def _pool_rows(items, workers: int) -> list:
-    """_sweep_cell of each item in a pool of workers processes, in item
-    order; None for each cell left unfinished when a worker died."""
-    # imported here, not at the top: it costs every run ~20 ms and ~1 MB
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    rows = []
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_format_profiles_in_process) as pool:
-        for future in [pool.submit(_sweep_cell, item) for item in items]:
-            try:
-                rows.append(future.result())
-            except BrokenProcessPool:
-                rows.append(None)
-    return rows
+def _cell_main(write_end: int, item, read_ends) -> int:
+    """Body of a cell process: its _sweep_cell row, as JSON."""
+    global _fork_writer
+    _fork_writer = False  # the cells already occupy the CPUs
+    for fd in read_ends:  # the other cells' pipes
+        os.close(fd)
+    with open(write_end, "wb") as pipe:
+        pipe.write(json.dumps(_sweep_cell(item)).encode())
+    return 0
+
+
+def _forked_rows(items, workers: int) -> list:
+    """_sweep_cell of each item in a process of its own, at most workers
+    at a time, in item order (see sweep)."""
+    import select  # only a parallel sweep waits on its pipes
+    rows, running, poller = [None] * len(items), {}, select.poll()
+    pending = enumerate(items)
+    try:
+        while True:
+            for i, item in itertools.islice(pending, workers - len(running)):
+                pid, fd = _fork(_cell_main, item, running, reads=False)
+                running[fd] = (i, pid, [])
+                poller.register(fd, select.POLLIN)
+            if not running:
+                return rows
+            for fd, _ in poller.poll():
+                i, pid, chunks = running[fd]
+                chunks.append(os.read(fd, 1 << 16))
+                if chunks[-1]:  # reaped only once its pipe is read to EOF
+                    continue
+                poller.unregister(fd)
+                os.close(fd)
+                del running[fd]
+                code, = _reap(pid)
+                try:
+                    rows[i] = json.loads(b"".join(chunks))
+                except ValueError:  # no whole row
+                    _, cell, labels = items[i]
+                    how = (f"signal {-code}" if code < 0
+                           else f"exit status {code}")
+                    err = ChildProcessError(
+                        f"the process of cell {_cell_name(labels)} ended "
+                        f"with {how} before it sent its row")
+                    rows[i] = _cell_row(_failure(err, cell), labels)
+    finally:
+        for fd in running:
+            os.close(fd)
+        _reap(*[pid for _, pid, _ in running.values()])
 
 
 def sweep(cfg: ExperimentConfig,
           vary: Sequence[Tuple[str, Sequence[str]]],
           out_dir: Optional[str] = None,
           max_workers: Optional[int] = None) -> list:
-    """Cartesian-product parameter sweep, one flow per worker process.
+    """Cartesian-product parameter sweep, one process per cell.
 
     vary is a sequence of (config key, value strings); cells are laid out
     in lexicographic order of the given axes.  Each cell writes a full
@@ -436,11 +474,13 @@ def sweep(cfg: ExperimentConfig,
     names), then SWEEP_RESULT_COLUMNS.  Failed cells keep their row, with
     verdict FAILED, their exit code, the error's class and message, and
     empty numeric columns, and do not stop the sweep; error is empty for
-    a cell that succeeded.  A dead worker breaks the pool: each cell left
-    unfinished then reruns once, one after another, alone in a fresh
-    one-worker pool, so only a cell whose worker dies again fails, with a
-    BrokenProcessPool that names it.  Two cells that would run the same
-    flow are refused, and with them two cells that would share a directory.
+    a cell that succeeded.  With os.fork and more than one worker (by
+    default one per CPU, up to the cell count) each cell runs in a process
+    of its own; one that dies fails alone, with exit code 1 and a
+    ChildProcessError that names it.  An exception, Ctrl-C included,
+    starts no further cell and is raised once the running cells have
+    ended.  Two cells that would run the same flow are refused, and with
+    them two cells that would share a directory.
 
     Returns the aggregate rows as dicts in cell order.
     """
@@ -465,17 +505,8 @@ def sweep(cfg: ExperimentConfig,
     base.mkdir(parents=True, exist_ok=True)
 
     workers = max_workers or min(len(items), os.cpu_count() or 1)
-    if workers > 1:
-        rows = _pool_rows(items, workers)
-        for i, (_, cell, labels) in enumerate(items):
-            if rows[i] is None:
-                # alone in a fresh pool, a second death is the cell's own
-                rows[i] = _pool_rows(items[i:i + 1], 1)[0]
-            if rows[i] is None:
-                from concurrent.futures.process import BrokenProcessPool
-                err = BrokenProcessPool(f"the worker running cell "
-                                        f"{_cell_name(labels)} died twice")
-                rows[i] = _cell_row(_failure(err, cell), labels)
+    if workers > 1 and hasattr(os, "fork"):
+        rows = _forked_rows(items, workers)
     else:
         rows = [_sweep_cell(item) for item in items]
 

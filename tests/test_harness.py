@@ -6,7 +6,6 @@ import errno
 import io
 import json
 import math
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -53,8 +52,9 @@ t_end = 21.0
 
 
 FORK_ONLY = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="workers see the patched run_experiment only when forked")
+    not hasattr(os, "fork"),
+    reason="a sweep runs its cells in processes of their own only where "
+           "os.fork exists")
 
 
 def fast_cfg(**kw):
@@ -1214,35 +1214,37 @@ def test_sweep_unexpected_exception_costs_only_its_cell(tmp_path, monkeypatch,
         ["1", "1", "0", "0"]
 
 
+def dead_cell_error(name, how):
+    return (f"ChildProcessError: the process of cell {name} ended with "
+            f"{how} before it sent its row")
+
+
 @FORK_ONLY
 def test_sweep_dead_worker_keeps_other_cells_rows(tmp_path, monkeypatch,
                                                   capsys):
-    # a worker that dies breaks the process pool: the cells finished
-    # before keep their rows, the dead one fails with BrokenProcessPool,
-    # sweep.csv is written and qimcf sweep exits 1
+    # the last cell's process dies at once: that cell alone fails, named
+    # in its error, every other row is a serial sweep's, sweep.csv is
+    # written and qimcf sweep exits 1
     real, parent = run_experiment, os.getpid()
 
     def dying(cfg, out_dir=None):
-        if (cfg.initial_tau, cfg.initial_amplitude) != (4.0, 0.1):
-            return real(cfg, out_dir=out_dir)
-        # the last cell dies once the other three have written their runs
-        deadline = time.monotonic() + 60
-        while (len(list(Path(out_dir).parent.glob("*/report.json"))) < 3
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
-        time.sleep(0.2)
-        if os.getpid() != parent:
+        if (cfg.initial_tau, cfg.initial_amplitude) == (4.0, 0.1) \
+                and os.getpid() != parent:
             os._exit(1)
-        raise RuntimeError("the dying cell ran outside a worker")
+        return real(cfg, out_dir=out_dir)
 
-    monkeypatch.setattr("qimcf.harness.run_experiment", dying)
+    cfg = fast_cfg(initial_kind="tau_family", t_end=10.5)
     vary = [("initial.tau", ["3.5", "4.0"]),
             ("initial.amplitude", ["0.05", "0.1"])]
-    rows = sweep(fast_cfg(initial_kind="tau_family", t_end=10.5), vary,
-                 out_dir=str(tmp_path / "sw"), max_workers=2)
-    assert [r["exit_code"] for r in rows] == [0, 0, 0, EXIT_CONFIG]
-    assert [r["verdict"] for r in rows][3] == "FAILED"
-    assert rows[3]["error"].startswith("BrokenProcessPool: ")
+    serial = sweep(cfg, vary, out_dir=str(tmp_path / "serial"),
+                   max_workers=1)
+    monkeypatch.setattr("qimcf.harness.run_experiment", dying)
+    rows = sweep(cfg, vary, out_dir=str(tmp_path / "sw"), max_workers=2)
+    assert_no_child_left()
+    assert rows[:3] == serial[:3]
+    assert [rows[3][key] for key in ("verdict", "exit_code", "error")] == [
+        "FAILED", EXIT_CONFIG,
+        dead_cell_error("tau=4.0_amplitude=0.1", "exit status 1")]
     header, csv_rows = read_csv(tmp_path / "sw" / "sweep.csv")
     assert [row[header.index("exit_code")] for row in csv_rows] == \
         ["0", "0", "0", "1"]
@@ -1261,31 +1263,109 @@ def test_sweep_dead_worker_keeps_other_cells_rows(tmp_path, monkeypatch,
 
 @FORK_ONLY
 def test_sweep_dead_worker_costs_only_its_own_cell(tmp_path, monkeypatch):
-    # the first cell kills its worker at once, while the other cells are
-    # queued or running: they rerun in a fresh pool and keep their rows,
-    # and only the dying cell fails, named in its error
+    # the first cell's process dies at once, by exit status 1 or by
+    # SIGKILL, while the next cell runs and the rest wait: only the dying
+    # cell fails, named with its exit status or signal in its error, it
+    # is not rerun, and every other row is a serial sweep's
     real, parent = run_experiment, os.getpid()
-    first = (3.5, 0.05)
-
-    def dying(cfg, out_dir=None):
-        if (cfg.initial_tau, cfg.initial_amplitude) == first \
-                and os.getpid() != parent:
-            os._exit(1)
-        return real(cfg, out_dir=out_dir)
-
     cfg = fast_cfg(initial_kind="tau_family", t_end=10.5)
     vary = [("initial.tau", ["3.5", "4.0", "4.5"]),
             ("initial.amplitude", ["0.05", "0.1"])]
     serial = sweep(cfg, vary, out_dir=str(tmp_path / "serial"),
                    max_workers=1)
-    monkeypatch.setattr("qimcf.harness.run_experiment", dying)
-    rows = sweep(cfg, vary, out_dir=str(tmp_path / "sw"), max_workers=2)
-    assert [r["exit_code"] for r in rows] == [EXIT_CONFIG] + [EXIT_OK] * 5
-    assert rows[0]["verdict"] == "FAILED"
-    assert rows[0]["error"] == ("BrokenProcessPool: the worker running cell "
-                                "tau=3.5_amplitude=0.05 died twice")
-    assert rows[1:] == serial[1:]
-    assert len(list((tmp_path / "sw").glob("*/report.json"))) == 5
+    for how, die in (("exit status 1", lambda: os._exit(1)),
+                     (f"signal {int(signal.SIGKILL)}",
+                      lambda: os.kill(os.getpid(), signal.SIGKILL))):
+        runs = tmp_path / f"pids_{how}"
+        runs.mkdir()
+
+        def dying(cfg, out_dir=None):
+            (runs / str(os.getpid())).touch()
+            if (cfg.initial_tau, cfg.initial_amplitude) == (3.5, 0.05) \
+                    and os.getpid() != parent:
+                die()
+            return real(cfg, out_dir=out_dir)
+
+        monkeypatch.setattr("qimcf.harness.run_experiment", dying)
+        out = tmp_path / f"sw_{how}"
+        rows = sweep(cfg, vary, out_dir=str(out), max_workers=2)
+        assert_no_child_left()
+        assert [r["exit_code"] for r in rows] == [EXIT_CONFIG] + [EXIT_OK] * 5
+        assert rows[0]["verdict"] == "FAILED"
+        assert rows[0]["error"] == dead_cell_error("tau=3.5_amplitude=0.05",
+                                                   how)
+        assert rows[1:] == serial[1:]
+        assert len(list(out.glob("*/report.json"))) == 5
+        # one process per cell, none of them this one
+        assert len({p.name for p in runs.iterdir()} - {str(parent)}) == 6
+
+
+@FORK_ONLY
+def test_sweep_ctrl_c_waits_for_the_running_cells(tmp_path, monkeypatch):
+    # a Ctrl-C sent to the sweep's process alone while its two cell
+    # processes run: no further cell starts, and KeyboardInterrupt is
+    # raised only once both cells have ended and been reaped
+    real, parent = run_experiment, os.getpid()
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def cell(cfg, out_dir=None):
+        name = Path(out_dir).name
+        (marks / f"{name}.started").touch()
+        deadline = time.monotonic() + 60
+        while (len(list(marks.glob("*.started"))) < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        if name == "tau=3.5_amplitude=0.05":
+            os.kill(parent, signal.SIGINT)
+        time.sleep(0.5)
+        result = real(cfg, out_dir=out_dir)
+        (marks / f"{name}.ended").touch()
+        return result
+
+    monkeypatch.setattr("qimcf.harness.run_experiment", cell)
+    vary = [("initial.tau", ["3.5", "4.0"]),
+            ("initial.amplitude", ["0.05", "0.1"])]
+    with pytest.raises(KeyboardInterrupt):
+        sweep(fast_cfg(initial_kind="tau_family", t_end=10.5), vary,
+              out_dir=str(tmp_path / "sw"), max_workers=2)
+    assert_no_child_left()
+    first = ["tau=3.5_amplitude=0.05", "tau=3.5_amplitude=0.1"]
+    assert sorted(p.name for p in marks.iterdir()) == sorted(
+        [f"{name}.ended" for name in first]
+        + [f"{name}.started" for name in first])
+    assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+
+@FORK_ONLY
+def test_sweep_cell_with_a_long_error_keeps_its_whole_row(tmp_path,
+                                                          monkeypatch):
+    # a row far longer than a pipe holds: the sweep reads the cell's pipe
+    # while the cell writes it, so the whole row comes back
+    real, message = run_experiment, "x" * 200_000
+
+    def failing(cfg, out_dir=None):
+        if cfg.initial_amplitude == 0.05:
+            raise RuntimeError(message)
+        return real(cfg, out_dir=out_dir)
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep hung")
+
+    monkeypatch.setattr("qimcf.harness.run_experiment", failing)
+    handler = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        rows = sweep(fast_cfg(), [("initial.amplitude", ["0.05", "0.1"])],
+                     out_dir=str(tmp_path / "sw"), max_workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert_no_child_left()
+    assert [r["exit_code"] for r in rows] == [EXIT_CONFIG, EXIT_OK]
+    assert rows[0]["error"] == "RuntimeError: " + message
+    assert (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1] == \
+        f"0.05,,,FAILED,,1,RuntimeError: {message}"
 
 
 def test_sweep_product_order_and_naming(tmp_path):
@@ -1398,9 +1478,10 @@ def test_cli_run(tmp_path, capsys):
 
 
 def test_cli_run_leaves_the_process_pool_unloaded(tmp_path):
-    # only a parallel sweep needs concurrent.futures and multiprocessing;
-    # a run imports neither
-    script = ("import sys\n"
+    # neither a run nor a sweep in two cell processes (two CPUs, two
+    # cells) imports concurrent.futures or multiprocessing
+    script = ("import os, sys\n"
+              "os.cpu_count = lambda: 2\n"
               "from qimcf.cli import main\n"
               "code = main(sys.argv[1:])\n"
               "print(code, sorted(m for m in ('concurrent.futures', "
@@ -1409,12 +1490,16 @@ def test_cli_run_leaves_the_process_pool_unloaded(tmp_path):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
                                               else ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "run", "--config",
-         str(ROOT / "examples.cfg"), "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    config = ["--config", str(ROOT / "examples.cfg")]
+    for argv in (["run", *config, "--out", str(tmp_path / "o")],
+                 ["sweep", *config, "--vary", "initial.amplitude=0.05,0.1",
+                  "--out", str(tmp_path / "sw")]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+    assert len(read_csv(tmp_path / "sw" / "sweep.csv")[1]) == 2
 
 
 def test_cli_run_large_n(tmp_path, capsys):
