@@ -366,7 +366,7 @@ def test_resolve_out_dir_priority():
 
 
 def test_empty_out_dir_is_refused_with_nothing_written(tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = fast_cfg(output_dir="cfgdir")
     with pytest.raises(ConfigError, match="must not be empty"):
@@ -377,7 +377,19 @@ def test_empty_out_dir_is_refused_with_nothing_written(tmp_path,
     path = write_cfg(tmp_path, text)
     for argv in (["run"], ["sweep", "--vary", "initial.r0=2.5,3"]):
         assert main([*argv, "--config", path, "--out", ""]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: the output directory (--out) must not be empty\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+    # an empty output.dir is refused, not read as the working directory
+    nodir = tmp_path / "nodir.cfg"
+    nodir.write_text("[output]\ndir =\n", encoding="utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["run", "--config", str(nodir)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: output.dir must not be empty\n"
+    assert list(work.iterdir()) == []
 
 
 def test_sweep_cells_match_individual_runs(tmp_path):
@@ -459,6 +471,7 @@ def test_sweep_axis_order_does_not_matter(tmp_path):
         rows = sweep(fast_cfg(), axes, out_dir=str(tmp_path / name),
                      max_workers=1)
         assert [r["exit_code"] for r in rows] == [EXIT_OK]
+        assert len(read_csv(tmp_path / name / "sweep.csv")[1]) == 1
         cell = next(p for p in (tmp_path / name).iterdir() if p.is_dir())
         reports.append(json.loads((cell / "report.json").read_text()))
     assert reports[0] == reports[1]
@@ -1095,7 +1108,8 @@ def test_concurrent_runs_do_not_hold_each_others_pipes(tmp_path,
 
 def test_largest_n_run_reports_a_finite_limit_q(tmp_path):
     # at n = 109 (m = 219) e^{2mf} overflowed in limit_Q, and the run died
-    # writing a NaN into report.json, with exit code 1 and no report
+    # writing a NaN into report.json, with exit code 1 and no report;
+    # limit_Q is a sum of squares, so it is never negative
     text = ("n = 109\n\n[grid]\npoints = 64\n\n[initial]\nkind = bump\n"
             "r0 = 1.0\namplitude = 0.9\n\n[time]\nt_end = 12\n")
     out = tmp_path / "run"
@@ -1104,6 +1118,7 @@ def test_largest_n_run_reports_a_finite_limit_q(tmp_path):
     with open(out / "report.json", encoding="utf-8") as fh:
         limit_q = json.load(fh)["limit_Q"]
     assert math.isfinite(limit_q) and abs(limit_q) > VERDICT_TOL
+    assert limit_q >= 0
 
 
 @pytest.mark.parametrize("index,name,value", [(1, "Q", math.nan),
